@@ -126,8 +126,9 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     resolves the moments essentially exactly for smooth forcings; passing
     "radau" evaluates them by the r-point right Radau rule instead, which
     makes the stepper coincide with the r-stage Radau IIA Runge-Kutta
-    method.  Factorizations are cached per distinct step size (grouped at
-    12 significant digits), so a uniform mesh factors exactly once.
+    method.  The step factorization is kept while the step size repeats
+    to a relative 1e-12, so a uniform mesh factors exactly once; raises
+    ValueError when a step produces non-finite coefficients.
     """
     if ws is None:
         ws = make_workspace(r)
@@ -145,15 +146,12 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     signs = (-1.0) ** np.arange(r)
 
     coeffs = np.empty((N, r, M))
-    factorizations: dict[str, object] = {}
+    fac = None
     prev_left = problem.u0.copy()
     for n in range(1, N + 1):
         k = float(mesh.steps[n - 1])
-        key = np.format_float_scientific(k, precision=12)
-        fac = factorizations.get(key)
-        if fac is None:
+        if fac is None or abs(k - fac.k) > 1e-12 * k:
             fac = factorize_step_matrix(problem.A, ws, k)
-            factorizations[key] = fac
 
         rhs = signs[:, None] * prev_left[None, :]
         if problem.f is not None:
@@ -167,6 +165,9 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
             rhs = rhs + 0.5 * k * test_table.T @ (q_weights[:, None] * fvals)
 
         U = solve_step(fac, rhs)
+        if not np.all(np.isfinite(U)):
+            raise ValueError(f"non-finite DG coefficients at step n={n}, "
+                             f"t_n={float(mesh.nodes[n])!r}")
         coeffs[n - 1] = U
         prev_left = U.sum(axis=0)
 

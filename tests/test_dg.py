@@ -281,3 +281,49 @@ def test_radau_moment_variant_matches_gauss_for_polynomial_forcing():
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-13)
     with pytest.raises(ValueError):
         dg_solve(problem, mesh, 3, moment_quadrature="simpson")
+
+
+def _count_factorizations(monkeypatch):
+    import dgtime.dg
+
+    calls = []
+    original = dgtime.dg.factorize_step_matrix
+
+    def counting(A, ws, k):
+        calls.append(k)
+        return original(A, ws, k)
+
+    monkeypatch.setattr(dgtime.dg, "factorize_step_matrix", counting)
+    return calls
+
+
+def test_uniform_mesh_factors_once(monkeypatch):
+    mesh = uniform_mesh(0.7, 1024)
+    assert np.unique(mesh.steps).size > 1  # np.diff steps differ in the last ulps
+    calls = _count_factorizations(monkeypatch)
+    problem = LinearProblem(A=spd_tridiagonal(4), f=None, u0=np.ones(4), T=0.7)
+    dg_solve(problem, mesh, 2)
+    assert len(calls) == 1
+
+
+def test_distinct_steps_are_not_merged(monkeypatch):
+    # steps that differ by 1e-9 relative each get their own factorization
+    from dgtime.mesh import TimeMesh
+
+    N = 12
+    steps = 0.1 * (1.0 + 1e-9 * np.arange(N))
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    calls = _count_factorizations(monkeypatch)
+    problem = LinearProblem(A=spd_tridiagonal(4), f=None, u0=np.ones(4), T=mesh.T)
+    dg_solve(problem, mesh, 2)
+    assert len(calls) == N
+
+
+@pytest.mark.parametrize("A", [scalar_operator(1.0), spd_tridiagonal(3)])
+def test_non_finite_coefficients_report_step(A):
+    def forcing(t):
+        return np.full(A.dim, np.nan if t > 0.5 else 1.0)
+
+    problem = LinearProblem(A=A, f=forcing, u0=np.ones(A.dim), T=1.0)
+    with pytest.raises(ValueError, match=r"non-finite DG coefficients at step n=2, t_n=1\.0"):
+        dg_solve(problem, uniform_mesh(1.0, 2), 2)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgtime.basis import make_workspace
+from dgtime.basis import g_matrix, h_diag, make_workspace
+from dgtime.models import Heat1dConfig, heat1d_problem
 from dgtime.system import (
+    MAX_DEGREE,
     factorize_step_matrix,
     scalar_operator,
+    shifted_lu,
     solve_step,
     sparse_operator,
     tridiagonal_operator,
@@ -140,3 +145,77 @@ def test_dimension_mismatch_rejected():
         solve_step(fac, np.zeros(3))
     with pytest.raises(ValueError):
         factorize_step_matrix(scalar_operator(1.0), ws, 0.0)
+
+
+def test_singular_step_system_rejected_dense():
+    # r=1, M=1: the step matrix is 1 + k a, singular for a = -1/k
+    ws = make_workspace(1)
+    with pytest.raises(ValueError, match=r"singular step system for k=0\.5, r=1"):
+        factorize_step_matrix(scalar_operator(-2.0), ws, 0.5)
+
+
+def test_singular_step_system_rejected_shifted():
+    # r=1, M=3: the only shifted system is I + k A = 0 for A = -I/k
+    ws = make_workspace(1)
+    A = sparse_operator(-2.0 * sp.identity(3))
+    with pytest.raises(ValueError, match=r"singular step system for k=0\.5, r=1"):
+        factorize_step_matrix(A, ws, 0.5)
+
+
+def test_degree_beyond_tested_range_rejected():
+    for A in (scalar_operator(1.0), random_spd_tridiagonal(5)):
+        with pytest.raises(ValueError, match=r"r=13 is outside the supported range 1\.\.12"):
+            factorize_step_matrix(A, make_workspace(13), 0.1)
+
+
+def test_shifted_lu_rejects_singular_shift():
+    A = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    with pytest.raises(ValueError, match="singular"):
+        shifted_lu(A, -2.0)
+    lu = shifted_lu(A, 1.0 + 2.0j, 0.5)
+    x = lu.solve(np.ones(3, dtype=complex))
+    np.testing.assert_allclose((1.0 + 2.0j + 0.5 * np.array([1.0, 2.0, 3.0])) * x, 1.0,
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("r", range(1, MAX_DEGREE + 1))
+def test_forward_error_against_extended_precision(r):
+    # stiff 1D heat step (P=1000, k = T/128): refine with residuals computed in
+    # long double until the solution is exact to working precision, then
+    # compare the plain double solve against it
+    problem = heat1d_problem(Heat1dConfig(P=1000))
+    k = problem.T / 128
+    fac = factorize_step_matrix(problem.A, make_workspace(r), k)
+    rng = np.random.default_rng(r)
+    b = rng.standard_normal((r, problem.A.dim))
+    x = solve_step(fac, b)
+
+    G = g_matrix(r).astype(np.longdouble)
+    H = h_diag(r).astype(np.longdouble)
+    A = problem.A.matrix.astype(np.longdouble)
+    exact = x.astype(np.longdouble)
+    for _ in range(4):
+        resid = b - (G @ exact + np.longdouble(k) * H[:, None] * (A @ exact.T).T)
+        exact = exact + solve_step(fac, resid.astype(float))
+    err = np.linalg.norm((x - exact).ravel()) / np.linalg.norm(exact.ravel())
+    assert float(err) <= 5e-15
+
+
+def _random_spd(dim, seed):
+    rng = np.random.default_rng(seed)
+    B = sp.random(dim, dim, density=min(1.0, 3.0 / dim), random_state=rng)
+    return sparse_operator(B @ B.T + sp.diags(rng.uniform(0.1, 2.0, dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 30), r=st.integers(1, MAX_DEGREE),
+       k=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_shifted_solve_matches_dense_block_solve(dim, r, k, seed):
+    A = _random_spd(dim, seed)
+    ws = make_workspace(r)
+    fac = factorize_step_matrix(A, ws, k)
+    dense = np.kron(ws.G, np.eye(dim)) + k * np.kron(np.diag(ws.H), A.matrix.toarray())
+    b = np.random.default_rng(seed + 1).standard_normal(r * dim)
+    expected = np.linalg.solve(dense, b)
+    out = solve_step(fac, b.reshape(r, dim)).ravel()
+    assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
