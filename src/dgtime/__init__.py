@@ -56,6 +56,7 @@ from .system import (
     BlockSystemFactorization,
     LinearOperator,
     factorize_step_matrix,
+    kronecker_sum_operator,
     scalar_operator,
     solve_step,
     sparse_operator,

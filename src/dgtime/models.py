@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dg import LinearProblem
 from .reference import fhat
-from .system import scalar_operator, sparse_operator, tridiagonal_operator
+from .system import kronecker_sum_operator, scalar_operator, tridiagonal_operator
 
 __all__ = [
     "Heat1dConfig",
@@ -157,26 +156,10 @@ def heat2d_problem(cfg: Heat2dConfig) -> LinearProblem:
     cx = cfg.kappa / cfg.hx**2
     cy = cfg.kappa / cfg.hy**2
 
-    # assemble the stencil directly in the column-major (x fastest) ordering
-    p = np.tile(np.arange(nx), ny)
-    q = np.repeat(np.arange(ny), nx)
-    idx = q * nx + p
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(cfg.dim, 2.0 * (cx + cy))]
-    west = p > 0
-    rows.append(idx[west]); cols.append(idx[west] - 1); vals.append(np.full(west.sum(), -cx))
-    east = p < nx - 1
-    rows.append(idx[east]); cols.append(idx[east] + 1); vals.append(np.full(east.sum(), -cx))
-    south = q > 0
-    rows.append(idx[south]); cols.append(idx[south] - nx); vals.append(np.full(south.sum(), -cy))
-    north = q < ny - 1
-    rows.append(idx[north]); cols.append(idx[north] + nx); vals.append(np.full(north.sum(), -cy))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(cfg.dim, cfg.dim),
-    ).tocsr()
-    A = sparse_operator(mat)
+    A = kronecker_sum_operator(
+        (np.full(nx - 1, -cx), np.full(nx, 2.0 * cx), np.full(nx - 1, -cx)),
+        (np.full(ny - 1, -cy), np.full(ny, 2.0 * cy), np.full(ny - 1, -cy)),
+    )
 
     xg = cfg.hx * np.arange(1, cfg.Px)
     yg = cfg.hy * np.arange(1, cfg.Py)

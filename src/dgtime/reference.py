@@ -245,7 +245,7 @@ def resolvent_2d(z: complex, problem) -> np.ndarray:
     rhs = problem.u0.astype(complex)
     if problem.fhat is not None:
         rhs = rhs + problem.fhat(z) * np.ones(A.shape[0])
-    lu = shifted_lu(A, complex(z))
+    lu = shifted_lu(problem.A, complex(z))
     out = lu.solve(rhs)
     # one refinement pass brings the forward error of the fine-grid solves
     # from ~1e-13 back to the roundoff level of the contour self-check

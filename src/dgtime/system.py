@@ -9,7 +9,7 @@ block rows by 1/H and diagonalising H^-1 G = V diag(lam) V^-1 (once per r)
 decouples it into r shifted systems (lam_j I + k A) w_j = s_j of size M,
 with S = V^-1 H^-1 R and U = V W.  The eigenvalues are one real value and
 complex conjugate pairs; the conjugate partner of a pair solves the
-conjugate system, so each step factors ceil(r/2) sparse LUs.  One pass of
+conjugate system, so each step sets up ceil(r/2) shifted solvers.  One pass of
 iterative refinement against the true block operator, applied matrix-free,
 removes the error that cond(V) (about 6e5 at r = 12) adds to the
 transformation.  Degrees 1 <= r <= MAX_DEGREE are supported; beyond it the
@@ -18,8 +18,15 @@ transformation loses accuracy and the factorization refuses to build.
 A scalar state (M = 1) has nothing to decouple: its r x r block matrix is
 assembled and factored densely.
 
-`shifted_lu` is the one place that factors sigma I + c A; the Laplace
-reference uses it for its resolvent solves as well.
+`shifted_lu` is the one place that solves sigma I + c A; the Laplace
+reference uses it for its resolvent solves as well.  The operator's
+structure picks one of two forms.  A Kronecker sum kron(I, Tx) + kron(Ty, I)
+of symmetric tridiagonal factors (the 5-point Laplacian on a rectangle)
+carries the eigendecompositions Tx = Qx diag(mux) Qx^T and
+Ty = Qy diag(muy) Qy^T, computed once at construction; in that basis every
+shifted system is diagonal, so a solve is four small matrix products and
+nothing is factored (fast diagonalisation, Lynch, Rice & Thomas 1964).
+Every other operator gets a sparse LU.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigh_tridiagonal, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .basis import LegendreWorkspace, g_matrix, h_diag
@@ -39,6 +46,7 @@ __all__ = [
     "scalar_operator",
     "tridiagonal_operator",
     "sparse_operator",
+    "kronecker_sum_operator",
     "MAX_DEGREE",
     "shifted_lu",
     "BlockSystemFactorization",
@@ -51,15 +59,20 @@ MAX_DEGREE = 12
 
 
 class LinearOperator:
-    """A (sparse) symmetric positive-definite operator with a known structure."""
+    """A (sparse) symmetric positive-definite operator with a known structure.
 
-    def __init__(self, matrix: sp.spmatrix, kind: str = "sparse"):
+    eigenbasis, set only for a Kronecker sum, holds (mux, Qx, muy, Qy), the
+    eigendecompositions of its x and y factors.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, kind: str = "sparse", eigenbasis=None):
         matrix = sp.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         self.matrix = matrix
         self.kind = kind
         self.dim = matrix.shape[0]
+        self.eigenbasis = eigenbasis
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -87,15 +100,60 @@ def sparse_operator(matrix: sp.spmatrix) -> LinearOperator:
     return LinearOperator(matrix, kind="sparse")
 
 
-def shifted_lu(A: sp.spmatrix, shift: complex, scale: float = 1.0):
-    """Sparse LU of shift I + scale A; complex when the shift is.
+def kronecker_sum_operator(tx, ty) -> LinearOperator:
+    """kron(I_ny, Tx) + kron(Ty, I_nx), x index fastest, with its eigenbasis.
 
-    The minimum-degree ordering on A^T + A suits the symmetric sparsity of
-    the model operators: on the 5-point Laplacian it fills in less and
-    factors faster than the default COLAMD.  Raises LinAlgError (a
-    ValueError) when the shifted matrix is exactly singular.
+    tx and ty are the (lower, diag, upper) bands of symmetric tridiagonal
+    factors of sizes nx and ny.  Raises ValueError when a factor is not
+    symmetric or the sum is not positive definite.
     """
-    mat = (scale * A + shift * sp.identity(A.shape[0], format="csc")).tocsc()
+    factors = []
+    for name, (lower, diag, upper) in (("x", tx), ("y", ty)):
+        mat = tridiagonal_operator(lower, diag, upper).matrix
+        if not np.array_equal(lower, upper):
+            raise ValueError(f"{name} factor is not symmetric: lower and upper bands differ")
+        mu, q = eigh_tridiagonal(np.asarray(diag, dtype=float), np.asarray(upper, dtype=float))
+        factors.append((mat, mu, q))
+    (tx_mat, mux, qx), (ty_mat, muy, qy) = factors
+    if mux[0] + muy[0] <= 0.0:
+        raise ValueError(f"operator is not positive definite: smallest eigenvalue "
+                         f"{mux[0] + muy[0]!r}")
+    matrix = (sp.kron(sp.identity(muy.size), tx_mat, format="csr")
+              + sp.kron(ty_mat, sp.identity(mux.size), format="csr"))
+    return LinearOperator(matrix, kind="kronecker-sum", eigenbasis=(mux, qx, muy, qy))
+
+
+class _EigenbasisSolve:
+    """Solve of shift I + scale A for a Kronecker sum, diagonal in its eigenbasis.
+
+    With b reshaped to B (ny, nx), x fastest, A acts as Ty B + B Tx, so
+    x = Qy ((Qy^T B Qx) / (shift + scale (muy_i + mux_j))) Qx^T.
+    """
+
+    def __init__(self, eigenbasis, shift: complex, scale: float):
+        mux, self._qx, muy, self._qy = eigenbasis
+        self._denom = shift + scale * (muy[:, None] + mux[None, :])
+        if np.any(self._denom == 0):
+            raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        qx, qy = self._qx, self._qy
+        C = qy.T @ np.reshape(b, self._denom.shape) @ qx
+        return (qy @ (C / self._denom) @ qx.T).ravel()
+
+
+def shifted_lu(A: LinearOperator, shift: complex, scale: float = 1.0):
+    """Solver for shift I + scale A; complex when the shift is.
+
+    Returns an object with `.solve(b)`.  A Kronecker sum is solved in its
+    eigenbasis; any other operator gets a sparse LU, with the minimum-degree
+    ordering on A^T + A, which suits the symmetric sparsity of the model
+    operators.  Raises LinAlgError (a ValueError) when the shifted matrix is
+    exactly singular.
+    """
+    if A.eigenbasis is not None:
+        return _EigenbasisSolve(A.eigenbasis, shift, scale)
+    mat = (scale * A.matrix + shift * sp.identity(A.dim, format="csc")).tocsc()
     try:
         return splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -152,7 +210,7 @@ class BlockSystemFactorization:
                     self._dense = lu_factor(self.matrix.toarray())
             else:
                 self._lam, self._V, self._T = _decoupling(self.r)
-                self._lus = [shifted_lu(self._A, lam, self.k) for lam in self._lam]
+                self._lus = [shifted_lu(A, lam, self.k) for lam in self._lam]
         except (LinAlgWarning, np.linalg.LinAlgError) as exc:
             raise ValueError(f"singular step system for k={self.k!r}, r={self.r}: "
                              "the operator has an eigenvalue the scheme cannot take") from exc

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -223,3 +225,57 @@ def test_reference_2d_self_accuracy_under_refinement():
     ref = Heat2dReference(problem, 0.05, 2.0)
     times = np.geomspace(0.05, 2.0, 20)
     assert ref.refinement_check(times) <= 1e-11
+
+
+def _moment_exp(x, k):
+    """E_k(x) = int_0^1 s^(k-1) exp(-x s) ds for k = 1, 2, without cancellation."""
+    x = np.asarray(x, dtype=float)
+    series = np.zeros_like(x)  # sum of (-x)^m / (m! (m + k)), by Horner's rule
+    for m in range(24, -1, -1):
+        series = series * -x + 1.0 / (math.factorial(m) * (m + k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = -np.expm1(-x) / x if k == 1 else (-np.expm1(-x) - x * np.exp(-x)) / x**2
+    return np.where(np.abs(x) < 1.0, series, closed)
+
+
+def _modal_heat2d(cfg, ts):
+    """Semidiscrete 2D heat solution from the DST-I eigenpairs of the 5-point Laplacian.
+
+    Mode (i, j) has eigenvalue lam = ly_i + lx_j and solves c' + lam c =
+    (1 + t) exp(-t) f, whose Duhamel integral is, with a = lam - 1,
+    exp(-t) t ((1 + t) E_1(a t) - t E_2(a t)).
+    """
+    def dst(n, c):
+        j = np.arange(1, n + 1)
+        S = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+        return S, 4.0 * c * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+
+    nx, ny = cfg.Px - 1, cfg.Py - 1
+    Sx, lx = dst(nx, cfg.kappa / cfg.hx**2)
+    Sy, ly = dst(ny, cfg.kappa / cfg.hy**2)
+    lam = ly[:, None] + lx[None, :]
+    xg = cfg.hx * np.arange(1, cfg.Px)
+    yg = cfg.hy * np.arange(1, cfg.Py)
+    c0 = Sy @ cfg.u0(xg[None, :], yg[:, None]) @ Sx  # rows y, columns x
+    f = Sy @ np.ones((ny, nx)) @ Sx
+    out = []
+    for t in ts:
+        c = np.exp(-lam * t) * c0
+        if cfg.with_forcing:
+            at = (lam - 1.0) * t
+            c = c + f * math.exp(-t) * t * ((1.0 + t) * _moment_exp(at, 1)
+                                            - t * _moment_exp(at, 2))
+        out.append((Sy @ c @ Sx).ravel())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("px,py", [(8, 12), (50, 50)])
+@pytest.mark.parametrize("with_forcing", [True, False])
+def test_heat2d_reference_matches_modal_solution(px, py, with_forcing):
+    cfg = Heat2dConfig(Px=px, Py=py, with_forcing=with_forcing)
+    t_min = cfg.T / 1000
+    ref = Heat2dReference(heat2d_problem(cfg), t_min, cfg.T)
+    ts = np.concatenate([np.geomspace(t_min, cfg.T, 25), np.linspace(t_min, cfg.T, 25)])
+    expected = _modal_heat2d(cfg, ts)
+    err = np.linalg.norm(ref.eval_many(ts) - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert np.max(err) <= 1e-12

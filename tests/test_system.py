@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgtime.basis import g_matrix, h_diag, make_workspace
-from dgtime.models import Heat1dConfig, heat1d_problem
+from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem
 from dgtime.system import (
     MAX_DEGREE,
     factorize_step_matrix,
+    kronecker_sum_operator,
     scalar_operator,
     shifted_lu,
     solve_step,
@@ -17,12 +18,20 @@ from dgtime.system import (
 )
 
 
-def random_spd_tridiagonal(n, seed=0):
-    rng = np.random.default_rng(seed)
+def spd_tridiagonal_bands(n, rng):
     off = -rng.uniform(0.5, 1.5, n - 1)
     diag = rng.uniform(0.5, 1.0, n) + 2.0 * np.abs(np.concatenate([[0], off]) )
     diag += np.abs(np.concatenate([off, [0]]))
-    return tridiagonal_operator(off, diag, off)
+    return off, diag, off
+
+
+def random_spd_tridiagonal(n, seed=0):
+    return tridiagonal_operator(*spd_tridiagonal_bands(n, np.random.default_rng(seed)))
+
+
+def random_kronecker_sum(nx, ny, seed=0):
+    rng = np.random.default_rng(seed)
+    return kronecker_sum_operator(spd_tridiagonal_bands(nx, rng), spd_tridiagonal_bands(ny, rng))
 
 
 def test_zero_operator_identity_solve():
@@ -169,36 +178,64 @@ def test_degree_beyond_tested_range_rejected():
 
 
 def test_shifted_lu_rejects_singular_shift():
-    A = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    A = sparse_operator(sp.diags([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="singular"):
         shifted_lu(A, -2.0)
     lu = shifted_lu(A, 1.0 + 2.0j, 0.5)
     x = lu.solve(np.ones(3, dtype=complex))
     np.testing.assert_allclose((1.0 + 2.0j + 0.5 * np.array([1.0, 2.0, 3.0])) * x, 1.0,
                                rtol=1e-15)
+    # a Kronecker sum with diagonal factors has the eigenvalues mux_j + muy_i exactly
+    K = kronecker_sum_operator((np.zeros(2), [1.0, 2.0, 3.0], np.zeros(2)),
+                               (np.zeros(1), [0.5, 4.0], np.zeros(1)))
+    with pytest.raises(ValueError, match="singular"):
+        shifted_lu(K, -2.5)
+    lu = shifted_lu(K, 1.0 + 2.0j, 0.5)
+    x = lu.solve(np.ones(6, dtype=complex))
+    np.testing.assert_allclose((1.0 + 2.0j + 0.5 * K.matrix.diagonal()) * x, 1.0, rtol=1e-15)
+    K = random_kronecker_sum(7, 5, seed=3)
+    b = np.random.default_rng(4).standard_normal(K.dim) * (1.0 - 0.5j)
+    x = shifted_lu(K, 0.3 - 4.0j, 0.8).solve(b)
+    resid = (0.3 - 4.0j) * x + 0.8 * (K.matrix @ x) - b
+    assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_kronecker_sum_rejects_asymmetric_factor():
+    sym = (np.full(3, -1.0), np.full(4, 2.0), np.full(3, -1.0))
+    with pytest.raises(ValueError, match="y factor is not symmetric"):
+        kronecker_sum_operator(sym, (np.full(2, -1.0), np.full(3, 2.0), np.full(2, -0.9)))
+
+
+def test_kronecker_sum_rejects_indefinite_operator():
+    # eigenvalues of tridiag(-1, 1, -1) of size 3 are 1 - sqrt(2), 1, 1 + sqrt(2)
+    tx = (np.full(2, -1.0), np.full(3, 1.0), np.full(2, -1.0))
+    ty = (np.full(1, -0.1), np.full(2, 0.3), np.full(1, -0.1))
+    with pytest.raises(ValueError, match="not positive definite"):
+        kronecker_sum_operator(tx, ty)
 
 
 @pytest.mark.parametrize("r", range(1, MAX_DEGREE + 1))
 def test_forward_error_against_extended_precision(r):
-    # stiff 1D heat step (P=1000, k = T/128): refine with residuals computed in
-    # long double until the solution is exact to working precision, then
-    # compare the plain double solve against it
-    problem = heat1d_problem(Heat1dConfig(P=1000))
-    k = problem.T / 128
-    fac = factorize_step_matrix(problem.A, make_workspace(r), k)
-    rng = np.random.default_rng(r)
-    b = rng.standard_normal((r, problem.A.dim))
-    x = solve_step(fac, b)
+    # stiff heat steps (1D P=1000 and 2D P=50, k = T/128): refine with
+    # residuals computed in long double until the solution is exact to
+    # working precision, then compare the plain double solve against it
+    for problem in (heat1d_problem(Heat1dConfig(P=1000)),
+                    heat2d_problem(Heat2dConfig(Px=50, Py=50))):
+        k = problem.T / 128
+        fac = factorize_step_matrix(problem.A, make_workspace(r), k)
+        rng = np.random.default_rng(r)
+        b = rng.standard_normal((r, problem.A.dim))
+        x = solve_step(fac, b)
 
-    G = g_matrix(r).astype(np.longdouble)
-    H = h_diag(r).astype(np.longdouble)
-    A = problem.A.matrix.astype(np.longdouble)
-    exact = x.astype(np.longdouble)
-    for _ in range(4):
-        resid = b - (G @ exact + np.longdouble(k) * H[:, None] * (A @ exact.T).T)
-        exact = exact + solve_step(fac, resid.astype(float))
-    err = np.linalg.norm((x - exact).ravel()) / np.linalg.norm(exact.ravel())
-    assert float(err) <= 5e-15
+        G = g_matrix(r).astype(np.longdouble)
+        H = h_diag(r).astype(np.longdouble)
+        A = problem.A.matrix.astype(np.longdouble)
+        exact = x.astype(np.longdouble)
+        for _ in range(4):
+            resid = b - (G @ exact + np.longdouble(k) * H[:, None] * (A @ exact.T).T)
+            exact = exact + solve_step(fac, resid.astype(float))
+        err = np.linalg.norm((x - exact).ravel()) / np.linalg.norm(exact.ravel())
+        assert float(err) <= 5e-15, problem.A
 
 
 def _random_spd(dim, seed):
@@ -207,11 +244,20 @@ def _random_spd(dim, seed):
     return sparse_operator(B @ B.T + sp.diags(rng.uniform(0.1, 2.0, dim)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(2, 30), r=st.integers(1, MAX_DEGREE),
+# random sparse SPD operators (splu) and Kronecker sums of random SPD
+# tridiagonal factors (eigenbasis solve)
+spd_operators = st.one_of(
+    st.builds(_random_spd, st.integers(2, 30), st.integers(0, 2**32 - 1)),
+    st.builds(random_kronecker_sum, st.integers(2, 8), st.integers(2, 8),
+              st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(A=spd_operators, r=st.integers(1, MAX_DEGREE),
        k=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_shifted_solve_matches_dense_block_solve(dim, r, k, seed):
-    A = _random_spd(dim, seed)
+def test_shifted_solve_matches_dense_block_solve(A, r, k, seed):
+    dim = A.dim
     ws = make_workspace(r)
     fac = factorize_step_matrix(A, ws, k)
     dense = np.kron(ws.G, np.eye(dim)) + k * np.kron(np.diag(ws.H), A.matrix.toarray())
