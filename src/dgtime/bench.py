@@ -6,6 +6,15 @@ break points are seen), optionally restricted to a window or damped by the
 weight min(t^alpha, 1).  Tables report errors of the DG solution, of its
 reconstruction, and of the nodal values, with observed rates between
 consecutive mesh halvings.
+
+Each table row is measured in one pass over its intervals, walked in
+blocks of whole intervals that hold at most MEASURE_BLOCK_ELEMENTS sample
+times x state entries (or one interval, when that alone holds more).  Per block the reference is evaluated once, and the
+values are shared by the three columns: the nodal value at t_n is the
+tau = 1 sample of interval n.  Each piecewise solution is sampled on all
+intervals of a block by one stacked matrix product.  The Richardson
+extrapolation of the 1D solutions is linear, so it is applied once to the
+Legendre coefficients rather than to every sample.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dg import dg_solve, state_norm
+from .basis import legendre_table
+from .dg import PiecewiseLegendre, dg_solve, state_norm
 from .mesh import uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from .postprocess import reconstruct
@@ -39,29 +49,31 @@ DEFAULT_SAMPLES = 50
 HEAT2D_SAMPLES = 4
 ODE_N_LIST = (4, 8, 16, 32, 64, 128)
 HEAT_N_LIST = (8, 16, 32, 64, 128)
+# most sample times x state entries one block of an error measurement holds
+MEASURE_BLOCK_ELEMENTS = 2 ** 16
 
 
-class ExtrapolatedSolution:
+class ExtrapolatedSolution(PiecewiseLegendre):
     """Richardson combination of solutions on spatial grids h and h/2.
 
-    Both members must share the time mesh; values are extrapolated pointwise
-    in time onto the coarse grid, which also supplies the norm weight.
+    Both members must share the time mesh.  Richardson extrapolation is
+    linear, so it is applied once to the two coefficient stacks; the result
+    lives on the coarse grid, which also supplies the norm weight.
     """
 
     def __init__(self, coarse, fine):
         if not np.array_equal(coarse.mesh.nodes, fine.mesh.nodes):
             raise ValueError("extrapolation partners must share the time mesh")
-        self.coarse = coarse
-        self.fine = fine
-        self.mesh = coarse.mesh
+        super().__init__(coarse.mesh, richardson(coarse.coeffs, fine.coeffs))
         self.norm_weight = coarse.norm_weight
 
-    def sample_interval(self, n: int, taus) -> np.ndarray:
-        return richardson(self.coarse.sample_interval(n, taus),
-                          self.fine.sample_interval(n, taus))
 
-    def left_limit(self, n: int) -> np.ndarray:
-        return richardson(self.coarse.left_limit(n), self.fine.left_limit(n))
+class _OdeReference:
+    """The closed-form ODE solution, evaluated on whole arrays of times."""
+
+    @staticmethod
+    def eval_many(ts) -> np.ndarray:
+        return np.reshape(ode_exact(np.asarray(ts, dtype=float)), (-1, 1))
 
 
 def _reference_values(reference, ts: np.ndarray) -> np.ndarray:
@@ -71,47 +83,87 @@ def _reference_values(reference, ts: np.ndarray) -> np.ndarray:
 
 
 def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAMPLES,
-                      weight: float | None = None,
-                      window: tuple[float, float] | None = None,
-                      nodal: bool = False, min_interval: int = 1) -> float:
+                      weight=None, window: tuple[float, float] | None = None,
+                      nodal=False, min_interval=1):
     """Maximum sampled (weighted) error of a piecewise solution.
 
-    approx needs .mesh, .sample_interval(n, taus), .left_limit(n) and a
-    .norm_weight; reference maps t to the exact state.  With nodal=True only
-    the left limits at the mesh nodes enter.  weight is the exponent alpha
-    of min(t^alpha, 1).  The window selects whole intervals: interval n
-    counts exactly when its right node t_n lies inside, and then all of its
-    samples count, so a window starting at a break point still sees the
-    one-sided values just left of it.  min_interval skips leading intervals
-    (the sampled sup on I_1 is dominated by the reduced regularity at t = 0,
-    and some references cannot be evaluated there).
+    approx is a PiecewiseLegendre (.mesh, .coeffs) with a .norm_weight;
+    reference maps t to the exact state, or offers eval_many(ts).  With
+    nodal=True only the left limits at the mesh nodes enter.  weight is the
+    exponent alpha of min(t^alpha, 1).  The window selects whole intervals:
+    interval n counts exactly when its right node t_n lies inside, and then
+    all of its samples count, so a window starting at a break point still
+    sees the one-sided values just left of it.  min_interval skips leading
+    intervals (the sampled sup on I_1 is dominated by the reduced regularity
+    at t = 0, and some references cannot be evaluated there).
+
+    approx may also be a sequence of piecewise solutions on one mesh; weight,
+    nodal and min_interval then each take one value for all of them or a
+    sequence with one entry per solution, and the result is a list with one
+    maximum per solution.  The reference is evaluated once per sample time
+    for the whole sequence.  Intervals are measured in blocks of at most
+    MEASURE_BLOCK_ELEMENTS sample times x state entries (one interval when
+    a single interval holds more).  Raises ValueError when a solution has
+    no interval to measure.
     """
-    mesh = approx.mesh
-    norm_weight = getattr(approx, "norm_weight", 1.0)
+    many = isinstance(approx, (list, tuple))
+    approxes = list(approx) if many else [approx]
+
+    def per_entry(value, name):
+        if not (many and isinstance(value, (list, tuple))):
+            return [value] * len(approxes)
+        if len(value) != len(approxes):
+            raise ValueError(f"{name} needs one entry per approximation")
+        return list(value)
+
+    weights = per_entry(weight, "weight")
+    nodals = per_entry(nodal, "nodal")
+    firsts = per_entry(min_interval, "min_interval")
+    mesh = approxes[0].mesh
+    if any(not np.array_equal(a.mesh.nodes, mesh.nodes) for a in approxes[1:]):
+        raise ValueError("measured solutions must share the time mesh")
+    if samples_per_interval < 2:
+        raise ValueError("need at least 2 samples per interval (both endpoints)")
     lo, hi = window if window is not None else (mesh.nodes[0], mesh.nodes[-1])
     if not hi > lo:
         raise ValueError("empty error window")
     tol = 1e-12 * mesh.T
 
-    worst = 0.0
-    taus = np.linspace(-1.0, 1.0, samples_per_interval)
-    for n in range(min_interval, mesh.N + 1):
-        tn = mesh.nodes[n]
-        if not (lo - tol <= tn <= hi + tol):
-            continue
-        if nodal:
-            err = np.atleast_1d(approx.left_limit(n)) - _reference_values(reference, [tn])[0]
-            w = min(tn ** weight, 1.0) if weight is not None else 1.0
-            worst = max(worst, w * state_norm(err, norm_weight))
-            continue
-        ts = mesh.to_physical(n, taus)
-        vals = approx.sample_interval(n, taus)
-        refs = _reference_values(reference, ts)
-        errs = np.sqrt(norm_weight) * np.linalg.norm(vals - refs, axis=1)
-        if weight is not None:
-            errs = errs * np.minimum(ts ** weight, 1.0)
-        worst = max(worst, float(np.max(errs)))
-    return worst
+    # counted[c][n - 1]: interval n enters the maximum of solution c
+    right = mesh.nodes[1:]
+    in_window = (lo - tol <= right) & (right <= hi + tol)
+    counted = [in_window & (np.arange(1, mesh.N + 1) >= first) for first in firsts]
+    for mask, first in zip(counted, firsts):
+        if not np.any(mask):
+            raise ValueError(f"no interval to measure: window [{lo}, {hi}] holds no node "
+                             f"t_n with n >= {first} of the N = {mesh.N} mesh")
+    measured = np.nonzero(np.any(counted, axis=0))[0]  # interval n - 1, 0-based
+
+    # nodal values are the tau = 1 samples, the last of the grid
+    taus = np.array([1.0]) if all(nodals) else np.linspace(-1.0, 1.0, samples_per_interval)
+    tables = [legendre_table(a.coeffs.shape[1] - 1, taus) for a in approxes]
+    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * approxes[0].coeffs.shape[2]))
+    worst = [0.0] * len(approxes)
+    for start in range(0, measured.size, block):
+        idx = measured[start:start + block]
+        # TimeMesh.to_physical for every interval of the block, shape (B, S)
+        a, b = mesh.nodes[idx, None], mesh.nodes[idx + 1, None]
+        ts = 0.5 * ((1.0 - taus) * a + (1.0 + taus) * b)
+        refs = _reference_values(reference, ts.ravel()).reshape(idx.size, taus.size, -1)
+        for c, sol in enumerate(approxes):
+            rows = counted[c][idx]
+            if not np.any(rows):
+                continue
+            coeffs = sol.coeffs[idx]
+            if nodals[c]:
+                t, diff = ts[:, -1], coeffs.sum(axis=1) - refs[:, -1]
+            else:
+                t, diff = ts, tables[c] @ coeffs - refs
+            errs = np.sqrt(getattr(sol, "norm_weight", 1.0)) * np.linalg.norm(diff, axis=-1)
+            if weights[c] is not None:
+                errs = errs * np.minimum(t ** weights[c], 1.0)
+            worst[c] = max(worst[c], float(np.max(errs[rows])))
+    return worst if many else worst[0]
 
 
 def observed_rates(errors: Sequence[float], n_values: Sequence[int] | None = None) -> list[float]:
@@ -266,20 +318,18 @@ def _descriptors(weighted, cutoff, T):
 
 
 def _row_errors(approx, approx_star, reference, exps, window, samples, skip_first=False):
-    # weighted full-window runs measure the sampled sups from I_2 on (the
-    # nodal maximum still sees every node, including t_1)
+    # one pass: err_U, err_U* and the nodal column share every reference
+    # value.  Weighted full-window runs measure the sampled sups from I_2 on
+    # (the nodal maximum still sees every node, including t_1)
     first = 2 if skip_first else 1
-    w_u, w_star, w_nodal = exps
-    err_u = max_error_sampled(approx, reference, samples, w_u, window, min_interval=first)
-    err_star = max_error_sampled(approx_star, reference, samples, w_star, window,
-                                 min_interval=first)
-    err_nodal = max_error_sampled(approx, reference, samples, w_nodal, window, nodal=True)
-    return err_u, err_star, err_nodal
+    return tuple(max_error_sampled([approx, approx_star, approx], reference, samples, exps,
+                                   window, nodal=[False, False, True],
+                                   min_interval=[first, first, 1]))
 
 
 def _run_ode(r, n_list, weighted, cutoff, samples) -> ConvergenceTable:
     problem = ode_problem()
-    reference = lambda t: np.array([ode_exact(t)])
+    reference = _OdeReference()
     exps = _weight_exponents(r, weighted)
     window = _window(problem.T, cutoff)
     raw = []
@@ -345,7 +395,7 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     usual error-profile plots; for the PDEs they are discrete norms.
     """
     if experiment == "ode":
-        problem, reference, r = ode_problem(), (lambda t: np.array([ode_exact(t)])), (r or 4)
+        problem, reference, r = ode_problem(), _OdeReference(), (r or 4)
         scalar = True
     elif experiment == "heat1d":
         cfg = Heat1dConfig(P=p or 500)

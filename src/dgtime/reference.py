@@ -61,27 +61,31 @@ def ode_exact(t):
     return float(out) if out.ndim == 0 else out
 
 
-def fhat(z: complex) -> complex:
-    """Laplace transform of (1 + t) exp(-t): 1/(z + 1) + 1/(z + 1)^2."""
+def fhat(z):
+    """Laplace transform of (1 + t) exp(-t): 1/(z + 1) + 1/(z + 1)^2, elementwise."""
     w = z + 1.0
-    if abs(w) < 1e-12:
+    if np.any(np.abs(w) < 1e-12):
         raise ValueError("transform has a pole at z = -1")
     return 1.0 / w + 1.0 / (w * w)
 
 
-def _sinh_cosh_antiderivatives(degree: int, omega: complex):
+def _sinh_cosh_antiderivatives(degree: int, omega: np.ndarray):
     """Closed-form antiderivatives of x^d sinh(omega x) on (0, x).
 
     Returns, for d = 0..degree, triples (a, b, e) of polynomial coefficients
     (in x) and a constant such that
 
         int_0^x xi^d sinh(omega xi) dxi = a(x) cosh(omega x) + b(x) sinh(omega x) + e.
+
+    omega is an array of frequencies: a and b have shape (d + 1, len(omega))
+    and e has shape (len(omega),).
     """
     inv = 1.0 / omega
-    s = [(np.array([inv]), np.array([0.0j]), -inv)]
-    c = [(np.array([0.0j]), np.array([inv]), 0.0j)]
+    zero = np.zeros_like(inv)
+    s = [(inv[None, :], zero[None, :], -inv)]
+    c = [(zero[None, :], inv[None, :], zero)]
     for d in range(1, degree + 1):
-        mono = np.zeros(d + 1, dtype=complex)
+        mono = np.zeros((d + 1, inv.size), dtype=complex)
         mono[d] = inv
         ca, cb, ce = c[d - 1]
         s.append((_poly_sub(mono, d * inv * ca), -d * inv * cb, -d * inv * ce))
@@ -91,9 +95,10 @@ def _sinh_cosh_antiderivatives(degree: int, omega: complex):
 
 
 def _poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(max(a.size, b.size), dtype=complex)
-    out[: a.size] += a
-    out[: b.size] -= b
+    """Difference of coefficient stacks (power along axis 0) of any lengths."""
+    out = np.zeros((max(len(a), len(b)),) + a.shape[1:], dtype=complex)
+    out[: len(a)] += a
+    out[: len(b)] -= b
     return out
 
 
@@ -101,7 +106,16 @@ def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _poly_sub(a, -np.asarray(b))
 
 
-def uhat_1d(x, z: complex, cfg) -> np.ndarray:
+def _reflect(coeffs: np.ndarray, L: float) -> np.ndarray:
+    """Coefficients of p(L - eta) in eta for a stack of polynomials p, by Horner's rule."""
+    out = coeffs[-1:]
+    for c in coeffs[-2::-1]:
+        out = _poly_sub(L * out, np.concatenate([np.zeros_like(out[:1]), out]))
+        out[0] += c
+    return out
+
+
+def uhat_1d(x, z, cfg) -> np.ndarray:
     """Laplace transform of the continuous 1D heat solution at position(s) x.
 
     Evaluates the variation-of-constants formula
@@ -113,53 +127,57 @@ def uhat_1d(x, z: complex, cfg) -> np.ndarray:
     initial profile of cfg.  The sinh integrals are expanded in closed form
     and every hyperbolic ratio is rewritten with exponentials of nonpositive
     real part, so the evaluation stays finite for arbitrarily large |w|.
-    Not meant for z near 0 or on the negative real axis.
+    z may be an array of transform variables: the result then has shape
+    (len(z), len(x)), one row per z.  Not meant for z near 0 or on the
+    negative real axis.
     """
     L = cfg.L
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    omega = np.sqrt(np.complex128(z) / cfg.kappa)
-    if omega.real < 0:
-        omega = -omega
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    omega = np.sqrt(zs / cfg.kappa)
+    omega = np.where(omega.real < 0, -omega, omega)
 
-    g = np.asarray(cfg.u0_poly, dtype=complex) / cfg.kappa
+    g = np.repeat(np.asarray(cfg.u0_poly, dtype=complex)[:, None] / cfg.kappa, zs.size, axis=1)
     if cfg.with_forcing:
-        g = g.copy()
-        g[0] += fhat(z) / cfg.kappa
-    degree = g.size - 1
+        g[0] += fhat(zs) / cfg.kappa
+    degree = len(g) - 1
     # coefficients of g(L - eta) as a polynomial in eta
-    g_reflected = np.polynomial.Polynomial(g)(np.polynomial.Polynomial([L, -1.0])).coef
+    g_reflected = _reflect(g, L)
 
     anti = _sinh_cosh_antiderivatives(degree, omega)
 
     def combine(coeffs):
-        a = np.zeros(1, dtype=complex)
-        b = np.zeros(1, dtype=complex)
-        e = 0.0j
-        for d in range(coeffs.size):
+        a = np.zeros((1, zs.size), dtype=complex)
+        b = np.zeros((1, zs.size), dtype=complex)
+        e = np.zeros(zs.size, dtype=complex)
+        for d in range(len(coeffs)):
             sa, sb, se = anti[d]
             a = _poly_add(a, coeffs[d] * sa)
             b = _poly_add(b, coeffs[d] * sb)
             e = e + coeffs[d] * se
-        return a, b, e
+        return a, b, e[:, None]
 
     a1, b1, e1 = combine(g)
     a2, b2, e2 = combine(g_reflected)
 
     y = L - xs
-    E = lambda arg: np.exp(-omega * arg)
+    w = omega[:, None]
+    E = lambda arg: np.exp(-w * arg)
     e2x, e2y = E(2.0 * xs), E(2.0 * y)
     denom = 1.0 - E(2.0 * L)
-    r1 = 0.5 * (1.0 - e2y) * (1.0 + e2x) / denom
     r2 = 0.5 * (1.0 - e2y) * (1.0 - e2x) / denom
-    r3 = E(xs) * (1.0 - e2y) / denom
-    r4 = 0.5 * (1.0 + e2y) * (1.0 - e2x) / denom
-    r5 = E(y) * (1.0 - e2x) / denom
 
+    # polyval broadcasts the trailing z axis of the coefficients to shape
+    # (len(z), len(x)); the six terms are summed in place, in order
     pv = np.polynomial.polynomial.polyval
-    out = (pv(xs, a1) * r1 + pv(xs, b1) * r2 + e1 * r3
-           + pv(y, a2) * r4 + pv(y, b2) * r2 + e2 * r5) / omega
-    return out[0] if scalar else out
+    out = pv(xs, a1) * (0.5 * (1.0 - e2y) * (1.0 + e2x) / denom)
+    out += pv(xs, b1) * r2
+    out += e1 * (E(xs) * (1.0 - e2y) / denom)
+    out += pv(y, a2) * (0.5 * (1.0 + e2y) * (1.0 - e2x) / denom)
+    out += pv(y, b2) * r2
+    out += e2 * (E(y) * (1.0 - e2x) / denom)
+    out /= w
+    return out.reshape(np.shape(z) + np.shape(x))[()]
 
 
 @dataclass(frozen=True)
@@ -196,6 +214,12 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int = 32) -> Cont
     tail factor exp(mu t_min (1 - sin(alpha) cosh(xmax))) meet the target
     error, which for wider windows pushes xmax out and so requires more
     nodes to keep the step (and hence the aliasing error) small.
+
+    The budget assumes the transform's singularities lie on the nonpositive
+    real axis, i.e. an operator A with nonnegative real spectrum (the heat
+    equations here).  A negative eigenvalue of A puts a pole right of the
+    origin, which the contour may pass on the wrong side; the budget says
+    nothing about complex eigenvalues.  Nothing checks this at run time.
     """
     if not 0.0 < t_min <= t_max:
         raise ValueError("need 0 < t_min <= t_max")
@@ -276,7 +300,7 @@ class _BandedContourReference:
     One contour cannot cover a window like [T/6400, T] at full accuracy with
     a fixed node budget, so the window splits into geometric bands of ratio
     at most DEFAULT_BAND_RATIO, each with its own rule and cached transform
-    values at the upper nodes.
+    values at the upper nodes, fetched in one `_transforms` call per band.
     """
 
     def __init__(self, t_min: float, t_max: float, half_nodes: int, band_ratio: float):
@@ -293,36 +317,42 @@ class _BandedContourReference:
             rule = hyperbolic_contour(lo, hi, half_nodes)
             zu, _ = rule.upper()
             self._rules.append(rule)
-            self._values.append(np.stack([self._transform(zk) for zk in zu]))
+            self._values.append(self._transforms(zu))
             if lo <= self.t_min * (1.0 + 1e-12):
                 break
             hi = lo
+        # lower band edges with the contour's relative slack, ascending
+        self._floors = np.array([rule.t_min * (1.0 - 1e-9) for rule in reversed(self._rules)])
 
-    def _transform(self, z: complex) -> np.ndarray:
+    def _transforms(self, zs: np.ndarray) -> np.ndarray:
+        """Transform values at the contour nodes zs, shape (len(zs), M)."""
         raise NotImplementedError
 
     def _initial_state(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _band_index(self, t: float) -> int:
-        for i, rule in enumerate(self._rules):
-            if t >= rule.t_min * (1.0 - 1e-9):
-                return i
-        raise ValueError(f"time {t} below the reference window [{self.t_min}, {self.t_max}]")
-
     def eval_many(self, ts) -> np.ndarray:
-        """Reference states at the given times, shape (len(ts), M); t = 0 maps to u0."""
+        """Reference states at the given times, shape (len(ts), M); t = 0 maps to u0.
+
+        Each time goes to the highest band whose lower edge it reaches.
+        Raises ValueError for a time outside [t_min, t_max], with the same
+        1e-9 relative slack as ContourRule.contains: no contour is accurate
+        there.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((ts.size, self._values[0].shape[1]))
         zero = ts == 0.0
-        if np.any(zero):
-            out[zero] = self._initial_state()
-        live = np.nonzero(~zero)[0]
-        if live.size:
-            bands = np.array([self._band_index(ts[i]) for i in live])
-            for b in np.unique(bands):
-                rows = live[bands == b]
-                out[rows] = _invert_values(self._rules[b], self._values[b], ts[rows])
+        bands = len(self._rules) - np.searchsorted(self._floors, ts, side="right")
+        live = (bands < len(self._rules)) & (ts <= self.t_max * (1.0 + 1e-9))
+        outside = ~(zero | live)
+        if np.any(outside):
+            raise ValueError(f"time {ts[outside][0]!r} outside the reference window "
+                             f"[{self.t_min}, {self.t_max}]")
+        out[zero] = self._initial_state()
+        live = np.nonzero(live)[0]
+        for b in np.unique(bands[live]):
+            rows = live[bands[live] == b]
+            out[rows] = _invert_values(self._rules[b], self._values[b], ts[rows])
         return out
 
     def __call__(self, t: float) -> np.ndarray:
@@ -351,8 +381,8 @@ class Heat1dReference(_BandedContourReference):
         self._x = cfg.x_interior
         super().__init__(t_min, t_max, half_nodes, band_ratio)
 
-    def _transform(self, z: complex) -> np.ndarray:
-        return uhat_1d(self._x, z, self.cfg)
+    def _transforms(self, zs: np.ndarray) -> np.ndarray:
+        return uhat_1d(self._x, zs, self.cfg)
 
     def _initial_state(self) -> np.ndarray:
         return self.cfg.u0(self._x)
@@ -371,8 +401,8 @@ class Heat2dReference(_BandedContourReference):
         self.problem = problem
         super().__init__(t_min, t_max, half_nodes, band_ratio)
 
-    def _transform(self, z: complex) -> np.ndarray:
-        return resolvent_2d(z, self.problem)
+    def _transforms(self, zs: np.ndarray) -> np.ndarray:
+        return np.stack([resolvent_2d(z, self.problem) for z in zs])
 
     def _initial_state(self) -> np.ndarray:
         return self.problem.u0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dgtime.bench as bench
 from dgtime.bench import (
     ConvergenceTable,
     ExtrapolatedSolution,
@@ -10,10 +13,10 @@ from dgtime.bench import (
     run_experiment,
     run_profile,
 )
-from dgtime.dg import dg_solve
-from dgtime.mesh import uniform_mesh
+from dgtime.dg import DgSolution, dg_solve, state_norm
+from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import ode_problem
-from dgtime.reference import ode_exact
+from dgtime.reference import ode_exact, richardson
 
 
 def ode_solution(r=3, N=4):
@@ -52,6 +55,179 @@ def test_nodal_variant_uses_left_limits():
     expected = max(abs(sol.left_limit(n)[0] - ode_exact(sol.mesh.nodes[n]))
                    for n in range(1, 5))
     assert max_error_sampled(sol, ref, nodal=True) == pytest.approx(expected, rel=1e-12)
+
+
+def test_empty_measurement_is_an_error():
+    sol = ode_solution(N=4)  # nodes 0, 0.5, 1, 1.5, 2
+    ref = lambda t: np.array([ode_exact(t)])
+    with pytest.raises(ValueError, match=r"window \[0.6, 0.9\].*N = 4"):
+        max_error_sampled(sol, ref, window=(0.6, 0.9))
+    with pytest.raises(ValueError, match="N = 4"):
+        max_error_sampled(sol, ref, min_interval=5)
+    with pytest.raises(ValueError, match="N = 4"):
+        max_error_sampled(sol, ref, nodal=True, window=(0.6, 0.9))
+    # one entry of a sequence with nothing to measure fails the whole call
+    with pytest.raises(ValueError, match="N = 4"):
+        max_error_sampled([sol, sol], ref, min_interval=[1, 5])
+
+
+def test_sequence_arguments_are_checked():
+    sol = ode_solution(N=4)
+    ref = lambda t: np.array([ode_exact(t)])
+    with pytest.raises(ValueError, match="one entry per approximation"):
+        max_error_sampled([sol, sol], ref, weight=[1.0])
+    with pytest.raises(ValueError, match="share the time mesh"):
+        max_error_sampled([sol, ode_solution(N=8)], ref)
+    with pytest.raises(ValueError, match="2 samples"):
+        max_error_sampled(sol, ref, samples_per_interval=1)
+    # a scalar option applies to every entry
+    both = max_error_sampled([sol, sol], ref, weight=2.0, nodal=[False, True])
+    assert both == [max_error_sampled(sol, ref, weight=2.0),
+                    max_error_sampled(sol, ref, weight=2.0, nodal=True)]
+
+
+class _SampleRichardson:
+    """Richardson applied to every sample, as the per-interval measurement did."""
+
+    def __init__(self, coarse, fine):
+        self.mesh, self.norm_weight = coarse.mesh, coarse.norm_weight
+        self.coarse, self.fine = coarse, fine
+
+    def sample_interval(self, n, taus):
+        return richardson(self.coarse.sample_interval(n, taus), self.fine.sample_interval(n, taus))
+
+    def left_limit(self, n):
+        return richardson(self.coarse.left_limit(n), self.fine.left_limit(n))
+
+
+def _oracle_max_error(approx, reference, samples, weight=None, window=None, nodal=False,
+                      min_interval=1):
+    """One family, one interval and one reference call at a time."""
+    mesh = approx.mesh
+    lo, hi = window if window is not None else (mesh.nodes[0], mesh.nodes[-1])
+    tol = 1e-12 * mesh.T
+    worst = 0.0
+    taus = np.linspace(-1.0, 1.0, samples)
+    for n in range(min_interval, mesh.N + 1):
+        tn = mesh.nodes[n]
+        if not (lo - tol <= tn <= hi + tol):
+            continue
+        if nodal:
+            err = approx.left_limit(n) - bench._reference_values(reference, [tn])[0]
+            w = min(tn ** weight, 1.0) if weight is not None else 1.0
+            worst = max(worst, w * state_norm(err, approx.norm_weight))
+            continue
+        ts = mesh.to_physical(n, taus)
+        refs = bench._reference_values(reference, ts)
+        errs = np.sqrt(approx.norm_weight) * np.linalg.norm(
+            approx.sample_interval(n, taus) - refs, axis=1)
+        if weight is not None:
+            errs = errs * np.minimum(ts ** weight, 1.0)
+        worst = max(worst, float(np.max(errs)))
+    return worst
+
+
+class _SmoothReference:
+    """u_j(t) = 1.5 + cos((j + 1) t + j): vectorised, bounded away from zero."""
+
+    def __init__(self, dim):
+        self.j = np.arange(dim)
+
+    def eval_many(self, ts):
+        return 1.5 + np.cos(np.outer(ts, self.j + 1) + self.j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 5),
+       dim=st.integers(1, 6), samples=st.sampled_from([2, 4, 50]),
+       extrapolated=st.booleans(), vectorised=st.booleans(),
+       per_block=st.sampled_from([1, 2, 3, 0]),
+       first=st.integers(1, 3),
+       window=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+       exps=st.tuples(*[st.one_of(st.none(), st.floats(0.0, 4.0))] * 3))
+def test_blocked_measurement_matches_per_interval_oracle(seed, n, r, dim, samples, extrapolated,
+                                                         vectorised, per_block, first, window,
+                                                         exps):
+    # per_block: intervals per block of the three-column call, 0 for the whole row
+    budget = per_block * samples * dim if per_block else 10**9
+    rng = np.random.default_rng(seed)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.5, n))]))
+    norm_weight = rng.uniform(0.01, 1.0)
+
+    def solution(q, m):
+        return DgSolution(mesh, q, rng.standard_normal((n, q, m)), np.zeros(m), norm_weight)
+
+    if extrapolated:
+        pairs = [(solution(q, dim), solution(q, 2 * dim + 1)) for q in (r, r + 1)]
+        measured = [ExtrapolatedSolution(c, f) for c, f in pairs]
+        oracles = [_SampleRichardson(c, f) for c, f in pairs]
+    else:
+        measured = oracles = [solution(r, dim), solution(r + 1, dim)]
+    smooth = _SmoothReference(dim)
+    reference = smooth if vectorised else (lambda t: smooth.eval_many([t])[0])
+    if window is not None:
+        lo, hi = sorted(window)
+        window = (lo * mesh.T, hi * mesh.T)
+        if not window[1] > window[0]:
+            window = None
+    w_u, w_star, w_nodal = exps
+    call = dict(weight=[w_u, w_star, w_nodal], window=window, nodal=[False, False, True],
+                min_interval=[first, first, 1])
+    expected = [
+        _oracle_max_error(oracles[0], reference, samples, w_u, window, min_interval=first),
+        _oracle_max_error(oracles[1], reference, samples, w_star, window, min_interval=first),
+        _oracle_max_error(oracles[0], reference, samples, w_nodal, window, nodal=True),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "MEASURE_BLOCK_ELEMENTS", budget)
+        lo, hi = window if window is not None else (0.0, mesh.T)
+        right = mesh.nodes[1:]
+        inside = (right >= lo - 1e-12 * mesh.T) & (right <= hi + 1e-12 * mesh.T)
+        if not inside[first - 1:].any():
+            with pytest.raises(ValueError, match="no interval to measure"):
+                max_error_sampled([measured[0], measured[1], measured[0]], reference, samples,
+                                  **call)
+            return
+        got = max_error_sampled([measured[0], measured[1], measured[0]], reference, samples,
+                                **call)
+        alone = max_error_sampled(measured[0], reference, samples, w_nodal, window, nodal=True)
+    scale = max(state_norm(smooth.eval_many([t])[0], norm_weight) for t in mesh.nodes[1:])
+    assert got[0] == pytest.approx(expected[0], rel=1e-13, abs=0)
+    assert got[1] == pytest.approx(expected[1], rel=1e-13, abs=0)
+    assert abs(got[2] - expected[2]) <= 1e-14 * scale
+    assert abs(alone - expected[2]) <= 1e-14 * scale
+
+
+def test_row_errors_measure_in_one_pass(monkeypatch):
+    # err_U, err_U* and err_nodal come from one call with one set of reference values
+    calls = []
+    original = bench.max_error_sampled
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "max_error_sampled", counting)
+    table = run_experiment("heat1d", r=2, n_list=(4, 8), p=16, cutoff=True)
+    assert len(calls) == 2 and all(len(c) == 3 for c in calls)
+    assert all(row.err_nodal > 0 for row in table.rows)
+
+
+def test_extrapolated_solution_samples_richardson_of_samples():
+    mesh = uniform_mesh(1.0, 3)
+    rng = np.random.default_rng(5)
+    coarse = DgSolution(mesh, 3, rng.standard_normal((3, 3, 4)), np.zeros(4), 0.25)
+    fine = DgSolution(mesh, 3, rng.standard_normal((3, 3, 9)), np.zeros(9), 0.125)
+    ext = ExtrapolatedSolution(coarse, fine)
+    taus = np.linspace(-1, 1, 7)
+    for n in (1, 2, 3):
+        per_sample = richardson(coarse.sample_interval(n, taus), fine.sample_interval(n, taus))
+        np.testing.assert_allclose(ext.sample_interval(n, taus), per_sample,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(ext.left_limit(n),
+                                   richardson(coarse.left_limit(n), fine.left_limit(n)),
+                                   rtol=1e-14, atol=1e-14)
+    assert ext.norm_weight == 0.25
 
 
 def test_observed_rates_examples():
