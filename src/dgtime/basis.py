@@ -3,8 +3,9 @@
 The time stepping scheme, the post-processing and the error measurement all
 work in a local Legendre basis, so this module owns polynomial evaluation,
 the trial/test coupling matrices G and H, Gauss-Legendre quadrature and the
-right Gauss-Radau abscissas.  Everything is computed from the three-term
-recurrence; no tabulated nodes or weights are used.
+right Gauss-Radau abscissas.  Evaluation, roots and Gauss rules come from
+numpy.polynomial.legendre (companion-matrix eigenvalues, Golub-Welsch);
+no tabulated nodes or weights are used.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import legder, leggauss, legroots, legval, legvander
 
 __all__ = [
     "LegendreWorkspace",
     "make_workspace",
     "legendre_eval",
-    "legendre_deriv",
     "legendre_table",
     "g_matrix",
     "h_diag",
@@ -29,57 +30,20 @@ __all__ = [
     "legendre_coeff",
 ]
 
-MAX_GAUSS_SIZE = 64
-
 
 def legendre_eval(j: int, tau):
     """Evaluate the Legendre polynomial P_j (normalized so P_j(1) = 1).
 
     Accepts a scalar or an array of points in [-1, 1].
     """
-    if j < 0:
-        raise ValueError("polynomial degree must be nonnegative")
     t = np.asarray(tau, dtype=float)
-    scalar = t.ndim == 0
-    p_prev = np.ones_like(t)
-    if j == 0:
-        return float(p_prev) if scalar else p_prev
-    p = t.copy()
-    for m in range(2, j + 1):
-        p_prev, p = p, ((2 * m - 1) * t * p - (m - 1) * p_prev) / m
-    return float(p) if scalar else p
-
-
-def legendre_deriv(j: int, tau):
-    """Derivative P_j' via (1 - tau^2) P_j' = j (P_{j-1} - tau P_j)."""
-    if j < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    t = np.asarray(tau, dtype=float)
-    scalar = t.ndim == 0
-    if j == 0:
-        out = np.zeros_like(t)
-        return float(out) if scalar else out
-    pj = legendre_eval(j, t)
-    pjm1 = legendre_eval(j - 1, t)
-    interior = np.abs(t) < 1.0
-    out = np.where(interior, j * (pjm1 - t * pj) / np.where(interior, 1.0 - t * t, 1.0), 0.0)
-    # endpoint values P_j'(+-1) = (+-1)^{j-1} j(j+1)/2
-    edge = 0.5 * j * (j + 1)
-    out = np.where(t == 1.0, edge, out)
-    out = np.where(t == -1.0, (-1.0) ** (j - 1) * edge, out)
-    return float(out) if scalar else out
+    p = legvander(t, j)[..., j].reshape(t.shape)
+    return float(p) if t.ndim == 0 else p
 
 
 def legendre_table(jmax: int, taus: np.ndarray) -> np.ndarray:
     """Table of P_0..P_jmax at the given points, shape (len(taus), jmax + 1)."""
-    t = np.atleast_1d(np.asarray(taus, dtype=float))
-    table = np.empty((t.size, jmax + 1))
-    table[:, 0] = 1.0
-    if jmax >= 1:
-        table[:, 1] = t
-    for m in range(2, jmax + 1):
-        table[:, m] = ((2 * m - 1) * t * table[:, m - 1] - (m - 1) * table[:, m - 2]) / m
-    return table
+    return legvander(np.atleast_1d(np.asarray(taus, dtype=float)), jmax)
 
 
 def g_matrix(r: int) -> np.ndarray:
@@ -98,104 +62,41 @@ def h_diag(r: int) -> np.ndarray:
     return 1.0 / (2.0 * np.arange(r) + 1.0)
 
 
-def _radau_poly(r: int, tau):
-    return legendre_eval(r, tau) - legendre_eval(r - 1, tau)
-
-
 def radau_abscissas(r: int) -> np.ndarray:
     """The r roots of P_r - P_{r-1} in increasing order; the last is exactly 1.
 
-    These are the right-hand Gauss-Radau points.  Interior roots are found by
-    bracketing sign changes on a cos-spaced grid and then running a Newton
-    iteration safeguarded by bisection (the Newton step falls back to the
-    bracket midpoint whenever it would leave the bracket).
+    These are the right-hand Gauss-Radau points: the companion-matrix roots,
+    polished by one Newton step.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if r == 1:
-        return np.array([1.0])
-
-    # the largest interior root stays well below cos(0.005) for r <= 12
-    grid = np.cos(np.linspace(np.pi, 0.005, 80 * r))
-    w = _radau_poly(r, grid)
-    sign_change = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
-    if sign_change.size != r - 1:
-        raise RuntimeError(f"expected {r - 1} interior Radau brackets, found {sign_change.size}")
-
-    roots = np.empty(r)
-    for idx, s in enumerate(sign_change):
-        lo, hi = grid[s], grid[s + 1]
-        flo = w[s]
-        x = 0.5 * (lo + hi)
-        converged = False
-        for _ in range(100):
-            fx = _radau_poly(r, x)
-            if fx == 0.0:
-                converged = True
-                break
-            if (fx > 0) == (flo > 0):
-                lo = x
-            else:
-                hi = x
-            dfx = legendre_deriv(r, x) - legendre_deriv(r - 1, x)
-            step = fx / dfx if dfx != 0.0 else np.inf
-            x_new = x - step
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= 1e-14 * max(1.0, abs(x)):
-                x = x_new
-                converged = True
-                break
-            x = x_new
-        if not converged:
-            raise RuntimeError(f"Radau root iteration failed to converge for r={r}")
-        # one final bisection safeguard keeps the root inside its bracket
-        if not (grid[s] <= x <= grid[s + 1]):
-            x = 0.5 * (grid[s] + grid[s + 1])
-        roots[idx] = x
-    roots[r - 1] = 1.0
-    return roots
+    radau = np.zeros(r + 1)
+    radau[r - 1:] = (-1.0, 1.0)
+    x = legroots(radau)
+    x -= legval(x, radau) / legval(x, legder(radau))
+    x[-1] = 1.0
+    return x
 
 
 def radau_rule(r: int) -> tuple[np.ndarray, np.ndarray]:
     """r-point right Gauss-Radau rule on [-1, 1], exact for degree <= 2r - 2.
 
-    Weights come from solving the monomial moment system on the Radau
-    abscissas; exactness beyond degree r - 1 is then automatic and checked
-    in the tests.
+    Weights come from solving the Legendre moment system (integral of P_j
+    is 2 for j = 0, else 0) on the Radau abscissas; exactness beyond degree
+    r - 1 is then automatic and checked in the tests.
     """
     nodes = radau_abscissas(r)
-    vander = np.vander(nodes, r, increasing=True).T
-    moments = np.array([2.0 / (j + 1) if j % 2 == 0 else 0.0 for j in range(r)])
-    weights = np.linalg.solve(vander, moments)
+    moments = np.zeros(r)
+    moments[0] = 2.0
+    weights = np.linalg.solve(legvander(nodes, r - 1).T, moments)
     return nodes, weights
 
 
 def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre rule on [-1, 1], exact for degree <= 2m - 1.
-
-    Nodes from Newton iteration on P_m; weights 2 / ((1 - x^2) P_m'(x)^2).
-    """
+    """m-point Gauss-Legendre rule on [-1, 1], exact for degree <= 2m - 1."""
     if m < 1:
         raise ValueError("rule size must be at least 1")
-    if m > MAX_GAUSS_SIZE:
-        raise ValueError(f"rule size {m} exceeds supported maximum {MAX_GAUSS_SIZE}")
-    i = np.arange(m)
-    x = np.cos(np.pi * (4 * i + 3) / (4 * m + 2))
-    for _ in range(100):
-        p = legendre_eval(m, x)
-        dp = legendre_deriv(m, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    dp = legendre_deriv(m, x)
-    weights = 2.0 / ((1.0 - x * x) * dp * dp)
-    # enforce the exact +-symmetry of the rule
-    x = 0.5 * (x - x[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    order = np.argsort(x)
-    return x[order], weights[order]
+    return leggauss(m)
 
 
 def legendre_coeff(v: Callable, interval: tuple[float, float], j: int,
@@ -231,7 +132,6 @@ class LegendreWorkspace:
     r: int
     G: np.ndarray
     H: np.ndarray
-    radau: np.ndarray
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
 
@@ -242,7 +142,7 @@ class LegendreWorkspace:
 
 @lru_cache(maxsize=None)
 def _cached_workspace(r: int, quad_size: int) -> LegendreWorkspace:
-    arrays = (g_matrix(r), h_diag(r), radau_abscissas(r), *gauss_rule(quad_size))
+    arrays = (g_matrix(r), h_diag(r), *gauss_rule(quad_size))
     for arr in arrays:
         arr.setflags(write=False)
     return LegendreWorkspace(r, *arrays)

@@ -23,7 +23,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,12 +166,16 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     return worst if many else worst[0]
 
 
+def _check_doubling(n_values: Sequence[int]) -> None:
+    for a, b in zip(n_values, n_values[1:]):
+        if b != 2 * a:
+            raise ValueError(f"N values must double between rows, got {list(n_values)}")
+
+
 def observed_rates(errors: Sequence[float], n_values: Sequence[int] | None = None) -> list[float]:
     """Rates log2(e_i / e_{i+1}) between consecutive rows of a halving study."""
     if n_values is not None:
-        for a, b in zip(n_values, n_values[1:]):
-            if b != 2 * a:
-                raise ValueError("N values must double between rows")
+        _check_doubling(n_values)
     return [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
 
 
@@ -281,6 +285,83 @@ def _reference_floor(T: float, n_list: Sequence[int], cutoff: bool, samples: int
     return min(floors)
 
 
+# per-experiment defaults of (r, P, N list, samples, moment quadrature); the
+# ODE has no spatial grid and reports P = 1
+_DEFAULTS = {
+    "ode": (4, 1, ODE_N_LIST, DEFAULT_SAMPLES, "gauss"),
+    "heat1d": (3, 500, HEAT_N_LIST, DEFAULT_SAMPLES, "gauss"),
+    "heat2d": (3, 50, HEAT_N_LIST, HEAT2D_SAMPLES, "radau"),
+}
+
+
+def _with_defaults(experiment: str, *values) -> list:
+    """(r, P, N list, samples, moments) with each None replaced by its default."""
+    if experiment not in _DEFAULTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return [d if v is None else v for v, d in zip(values, _DEFAULTS[experiment])]
+
+
+def _check_request(r: int, n_list: Sequence[int], samples: int) -> None:
+    """Reject a bad request before anything is built or solved."""
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    if len(n_list) == 0:
+        raise ValueError("the N list is empty")
+    _check_doubling(n_list)
+    if samples < 2:
+        raise ValueError("need at least 2 samples per interval (both endpoints)")
+
+
+@dataclass
+class _Study:
+    """A built-in experiment as the tables measure it.
+
+    solve maps a time mesh to the measured solution and its reconstruction;
+    reference maps t_lo to the exact solution on [t_lo, T].  Weighted PDE
+    runs measure the sampled sups from I_2 on (skip_first).
+    """
+
+    T: float
+    P: int
+    norm: str
+    solve: Callable
+    reference: Callable
+    skip_first: bool
+
+
+def _solver(problem, r, moments):
+    def solve(mesh):
+        sol = dg_solve(problem, mesh, r, moment_quadrature=moments)
+        return sol, reconstruct(sol)
+
+    return solve
+
+
+def _study(experiment, r, p, moments, homogeneous=False, half_nodes=None) -> _Study:
+    kwargs = {} if half_nodes is None else {"half_nodes": half_nodes}
+    if experiment == "ode":
+        problem = ode_problem()
+        return _Study(problem.T, 1, "abs", _solver(problem, r, moments),
+                      lambda t_lo: _OdeReference(), False)
+    if experiment == "heat1d":
+        # Richardson extrapolation from the spatial grids P and 2P
+        cfg = Heat1dConfig(P=p, with_forcing=not homogeneous)
+        prob_c, prob_f = heat1d_problem(cfg), heat1d_problem(cfg.refined())
+
+        def solve(mesh):
+            sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments)
+            sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments)
+            return (ExtrapolatedSolution(sol_c, sol_f),
+                    ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f)))
+
+        return _Study(cfg.T, p, "discrete-L2(h)", solve,
+                      lambda t_lo: Heat1dReference(cfg, t_lo, cfg.T, **kwargs), True)
+    cfg = Heat2dConfig(Px=p, Py=p, with_forcing=not homogeneous)
+    problem = heat2d_problem(cfg)
+    return _Study(cfg.T, p, "discrete-L2(hx*hy)", _solver(problem, r, moments),
+                  lambda t_lo: Heat2dReference(problem, t_lo, cfg.T, **kwargs), True)
+
+
 def run_experiment(experiment: str, r: int | None = None,
                    n_list: Sequence[int] | None = None, p: int | None = None,
                    weighted: float | None = None, cutoff: bool = False,
@@ -292,23 +373,31 @@ def run_experiment(experiment: str, r: int | None = None,
     weighted, when given, is the regularity deficit alpha of the initial
     data; see _weight_exponents.  homogeneous switches off the forcing.
     half_nodes overrides the contour node count of the PDE references.
-    samples and moments default per experiment: the 2D study measures on a
-    coarse grid of 4 points per interval and integrates the forcing moments
-    by the Radau rule (the Radau IIA form of the stepper); the others use
-    50 points and near-exact Gauss moments.
+    Arguments left None take per-experiment defaults: the 2D study measures
+    on a coarse grid of 4 points per interval and integrates the forcing
+    moments by the Radau rule (the Radau IIA form of the stepper); the
+    others use 50 points and near-exact Gauss moments.  heat1d is
+    Richardson-extrapolated from the grids P and 2P.  Raises ValueError for
+    r < 1, an empty or non-doubling N list or fewer than 2 samples, before
+    anything is solved.
     """
-    if experiment == "ode":
-        return _run_ode(r or 4, tuple(n_list or ODE_N_LIST), weighted, cutoff,
-                        samples or DEFAULT_SAMPLES)
-    if experiment == "heat1d":
-        return _run_heat1d(r or 3, tuple(n_list or HEAT_N_LIST), p or 500,
-                           weighted, cutoff, homogeneous, samples or DEFAULT_SAMPLES,
-                           half_nodes, moments or "gauss")
-    if experiment == "heat2d":
-        return _run_heat2d(r or 3, tuple(n_list or HEAT_N_LIST), p or 50,
-                           weighted, cutoff, homogeneous, samples or HEAT2D_SAMPLES,
-                           half_nodes, moments or "radau")
-    raise ValueError(f"unknown experiment {experiment!r}")
+    r, p, n_list, samples, moments = _with_defaults(experiment, r, p, n_list, samples, moments)
+    n_list = tuple(n_list)
+    _check_request(r, n_list, samples)
+    study = _study(experiment, r, p, moments, homogeneous, half_nodes)
+    reference = study.reference(_reference_floor(study.T, n_list, cutoff, samples))
+    exps = _weight_exponents(r, weighted)
+    window = _window(study.T, cutoff)
+    skip_first = study.skip_first and weighted is not None
+    raw = []
+    for n in n_list:
+        # no name holds a row's solutions, so they are freed before the next solve
+        errors = _row_errors(*study.solve(uniform_mesh(study.T, n)), reference, exps,
+                             window, samples, skip_first)
+        raw.append((n, study.P, *errors))
+    weight_desc, window_desc = _descriptors(weighted, cutoff, study.T)
+    return ConvergenceTable(experiment, study.norm, weight_desc, window_desc,
+                            _attach_rates(raw))
 
 
 def _descriptors(weighted, cutoff, T):
@@ -327,92 +416,24 @@ def _row_errors(approx, approx_star, reference, exps, window, samples, skip_firs
                                    min_interval=[first, first, 1]))
 
 
-def _run_ode(r, n_list, weighted, cutoff, samples) -> ConvergenceTable:
-    problem = ode_problem()
-    reference = _OdeReference()
-    exps = _weight_exponents(r, weighted)
-    window = _window(problem.T, cutoff)
-    raw = []
-    for n in n_list:
-        mesh = uniform_mesh(problem.T, n)
-        sol = dg_solve(problem, mesh, r)
-        recon = reconstruct(sol)
-        raw.append((n, 1, *_row_errors(sol, recon, reference, exps, window, samples)))
-    weight_desc, window_desc = _descriptors(weighted, cutoff, problem.T)
-    return ConvergenceTable("ode", "abs", weight_desc, window_desc, _attach_rates(raw))
-
-
-def _run_heat1d(r, n_list, p, weighted, cutoff, homogeneous, samples, half_nodes,
-                moments="gauss") -> ConvergenceTable:
-    cfg = Heat1dConfig(P=p, with_forcing=not homogeneous)
-    prob_c = heat1d_problem(cfg)
-    prob_f = heat1d_problem(cfg.refined())
-    t_lo = _reference_floor(cfg.T, n_list, cutoff, samples)
-    kwargs = {} if half_nodes is None else {"half_nodes": half_nodes}
-    reference = Heat1dReference(cfg, t_lo, cfg.T, **kwargs)
-    exps = _weight_exponents(r, weighted)
-    window = _window(cfg.T, cutoff)
-    raw = []
-    for n in n_list:
-        mesh = uniform_mesh(cfg.T, n)
-        sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments)
-        sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments)
-        sol = ExtrapolatedSolution(sol_c, sol_f)
-        recon = ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f))
-        raw.append((n, p, *_row_errors(sol, recon, reference, exps, window, samples,
-                                       skip_first=weighted is not None)))
-    weight_desc, window_desc = _descriptors(weighted, cutoff, cfg.T)
-    return ConvergenceTable("heat1d", "discrete-L2(h)", weight_desc, window_desc,
-                            _attach_rates(raw))
-
-
-def _run_heat2d(r, n_list, p, weighted, cutoff, homogeneous, samples, half_nodes,
-                moments="radau") -> ConvergenceTable:
-    cfg = Heat2dConfig(Px=p, Py=p, with_forcing=not homogeneous)
-    problem = heat2d_problem(cfg)
-    t_lo = _reference_floor(cfg.T, n_list, cutoff, samples)
-    kwargs = {} if half_nodes is None else {"half_nodes": half_nodes}
-    reference = Heat2dReference(problem, t_lo, cfg.T, **kwargs)
-    exps = _weight_exponents(r, weighted)
-    window = _window(cfg.T, cutoff)
-    raw = []
-    for n in n_list:
-        mesh = uniform_mesh(cfg.T, n)
-        sol = dg_solve(problem, mesh, r, moment_quadrature=moments)
-        recon = reconstruct(sol)
-        raw.append((n, p, *_row_errors(sol, recon, reference, exps, window, samples,
-                                       skip_first=weighted is not None)))
-    weight_desc, window_desc = _descriptors(weighted, cutoff, cfg.T)
-    return ConvergenceTable("heat2d", "discrete-L2(hx*hy)", weight_desc, window_desc,
-                            _attach_rates(raw))
-
-
 def run_profile(experiment: str, r: int | None = None, n: int = 8,
-                p: int | None = None, samples: int = DEFAULT_SAMPLES) -> str:
+                p: int | None = None, samples: int | None = None) -> str:
     """Per-sample error profile data: t, U - u, U - U* (norms for PDE states).
 
-    For the scalar ODE the two columns are signed differences, matching the
-    usual error-profile plots; for the PDEs they are discrete norms.
+    The profiled solution is the one run_experiment measures: heat1d is
+    Richardson-extrapolated from the grids P and 2P, heat2d uses Radau
+    moments.  samples defaults to 50 for every experiment.  For the scalar
+    ODE the two columns are signed differences, matching the usual
+    error-profile plots; for the PDEs they are discrete norms.
     """
-    if experiment == "ode":
-        problem, reference, r = ode_problem(), _OdeReference(), (r or 4)
-        scalar = True
-    elif experiment == "heat1d":
-        cfg = Heat1dConfig(P=p or 500)
-        problem, r = heat1d_problem(cfg), (r or 3)
-        reference = Heat1dReference(cfg, _sample_floor(cfg.T, n, samples), cfg.T)
-        scalar = False
-    elif experiment == "heat2d":
-        cfg = Heat2dConfig(Px=p or 50, Py=p or 50)
-        problem, r = heat2d_problem(cfg), (r or 3)
-        reference = Heat2dReference(problem, _sample_floor(cfg.T, n, samples), cfg.T)
-        scalar = False
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
-
-    mesh = uniform_mesh(problem.T, n)
-    sol = dg_solve(problem, mesh, r)
-    recon = reconstruct(sol)
+    r, p, _, _, moments = _with_defaults(experiment, r, p, None, None, None)
+    samples = DEFAULT_SAMPLES if samples is None else samples
+    _check_request(r, (n,), samples)
+    study = _study(experiment, r, p, moments)
+    reference = study.reference(_sample_floor(study.T, n, samples))
+    mesh = uniform_mesh(study.T, n)
+    sol, recon = study.solve(mesh)
+    scalar = experiment == "ode"
     taus = np.linspace(-1.0, 1.0, samples)
     lines = ["t,U_minus_u,U_minus_Ustar"]
     for m in range(1, mesh.N + 1):
@@ -425,8 +446,8 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
                 a = uvals[i, 0] - rvals[i, 0]
                 b = uvals[i, 0] - svals[i, 0]
             else:
-                a = state_norm(uvals[i] - rvals[i], problem.norm_weight)
-                b = state_norm(uvals[i] - svals[i], problem.norm_weight)
+                a = state_norm(uvals[i] - rvals[i], sol.norm_weight)
+                b = state_norm(uvals[i] - svals[i], sol.norm_weight)
             lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r}")
     return "\n".join(lines) + "\n"
 
@@ -471,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if n_list is None or len(n_list) != 1:
             raise SystemExit("--profile needs exactly one value in --N")
         text = run_profile(args.experiment, r=args.r, n=n_list[0], p=args.P,
-                           samples=args.samples or DEFAULT_SAMPLES)
+                           samples=args.samples)
     else:
         table = run_experiment(args.experiment, r=args.r, n_list=n_list, p=args.P,
                                weighted=args.weighted, cutoff=args.cutoff,

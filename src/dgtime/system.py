@@ -65,12 +65,11 @@ class LinearOperator:
     eigendecompositions of its x and y factors.
     """
 
-    def __init__(self, matrix: sp.spmatrix, kind: str = "sparse", eigenbasis=None):
+    def __init__(self, matrix: sp.spmatrix, eigenbasis=None):
         matrix = sp.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         self.matrix = matrix
-        self.kind = kind
         self.dim = matrix.shape[0]
         self.eigenbasis = eigenbasis
 
@@ -78,12 +77,12 @@ class LinearOperator:
         return self.matrix @ v
 
     def __repr__(self):
-        return f"LinearOperator(kind={self.kind!r}, dim={self.dim})"
+        return f"LinearOperator(dim={self.dim})"
 
 
 def scalar_operator(lam: float) -> LinearOperator:
     """The multiplication operator u -> lam * u on a one-dimensional state."""
-    return LinearOperator(sp.csr_matrix(np.array([[float(lam)]])), kind="scalar")
+    return LinearOperator(sp.csr_matrix(np.array([[float(lam)]])))
 
 
 def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> LinearOperator:
@@ -93,11 +92,11 @@ def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray)
     if len(lower) != n - 1 or len(upper) != n - 1:
         raise ValueError("band lengths incompatible with the diagonal")
     mat = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
-    return LinearOperator(mat, kind="tridiagonal")
+    return LinearOperator(mat)
 
 
 def sparse_operator(matrix: sp.spmatrix) -> LinearOperator:
-    return LinearOperator(matrix, kind="sparse")
+    return LinearOperator(matrix)
 
 
 def kronecker_sum_operator(tx, ty) -> LinearOperator:
@@ -120,7 +119,7 @@ def kronecker_sum_operator(tx, ty) -> LinearOperator:
                          f"{mux[0] + muy[0]!r}")
     matrix = (sp.kron(sp.identity(muy.size), tx_mat, format="csr")
               + sp.kron(ty_mat, sp.identity(mux.size), format="csr"))
-    return LinearOperator(matrix, kind="kronecker-sum", eigenbasis=(mux, qx, muy, qy))
+    return LinearOperator(matrix, eigenbasis=(mux, qx, muy, qy))
 
 
 class _EigenbasisSolve:

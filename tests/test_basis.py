@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from dgtime.basis import (
     g_matrix,
     gauss_rule,
     h_diag,
     legendre_coeff,
-    legendre_deriv,
     legendre_eval,
     legendre_table,
     make_workspace,
@@ -56,14 +56,6 @@ def test_legendre_table_matches_eval():
         np.testing.assert_allclose(table[:, j], legendre_eval(j, taus), atol=1e-14)
 
 
-def test_legendre_deriv_endpoints():
-    for j in range(1, 7):
-        assert legendre_deriv(j, 1.0) == pytest.approx(j * (j + 1) / 2, rel=1e-14)
-        assert legendre_deriv(j, -1.0) == pytest.approx(
-            (-1.0) ** (j - 1) * j * (j + 1) / 2, rel=1e-14
-        )
-
-
 def test_g_matrix_r1():
     np.testing.assert_array_equal(g_matrix(1), [[1.0]])
 
@@ -85,7 +77,8 @@ def test_g_matrix_integral_oracle(r):
     G = np.empty((r, r))
     for i in range(r):
         for j in range(r):
-            integrand = legendre_deriv(j, nodes) * legendre_eval(i, nodes)
+            dpj = legendre.legval(nodes, legendre.legder(np.eye(r)[j]))
+            integrand = dpj * legendre_eval(i, nodes)
             G[i, j] = legendre_eval(j, -1.0) * legendre_eval(i, -1.0) + weights @ integrand
     assert np.max(np.abs(G - g_matrix(r))) <= 1e-12
 
@@ -154,7 +147,7 @@ def test_gauss_rule_analytic_cases():
     np.testing.assert_allclose(weights, [5 / 9, 8 / 9, 5 / 9], rtol=1e-14)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 20, 40, 64])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 20, 40, 64, 100])
 def test_gauss_rule_degree_exactness(m):
     nodes, weights = gauss_rule(m)
     assert weights.sum() == pytest.approx(2.0, rel=1e-14)
@@ -165,10 +158,10 @@ def test_gauss_rule_degree_exactness(m):
     assert quad == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("m", [1, 5, 16, 33, 64])
+@pytest.mark.parametrize("m", [1, 5, 16, 33, 64, 100])
 def test_gauss_rule_matches_library(m):
     nodes, weights = gauss_rule(m)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+    ref_nodes, ref_weights = legendre.leggauss(m)
     np.testing.assert_allclose(nodes, ref_nodes, atol=1e-14)
     np.testing.assert_allclose(weights, ref_weights, atol=1e-14)
 
@@ -176,8 +169,41 @@ def test_gauss_rule_matches_library(m):
 def test_gauss_rule_rejects_out_of_range():
     with pytest.raises(ValueError):
         gauss_rule(0)
-    with pytest.raises(ValueError):
-        gauss_rule(65)
+
+
+def _mp_roots(poly, guesses):
+    import mpmath
+
+    return [mpmath.findroot(poly, mpmath.mpf(float(x))) for x in guesses]
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_radau_rule_matches_mpmath(r):
+    # 40-digit roots of P_r - P_{r-1}, seeded from the double nodes, and the
+    # closed-form right Radau weights (1 + x) / (r^2 P_{r-1}(x)^2), 2 / r^2 at x = 1
+    import mpmath
+
+    nodes, weights = radau_rule(r)
+    with mpmath.workdps(40):
+        roots = _mp_roots(lambda x: mpmath.legendre(r, x) - mpmath.legendre(r - 1, x),
+                          nodes[:-1]) + [mpmath.mpf(1)]
+        exact = [(1 + x) / (r**2 * mpmath.legendre(r - 1, x) ** 2) for x in roots[:-1]]
+        exact.append(mpmath.mpf(2) / r**2)
+        node_err = max(abs(float(x - y)) for x, y in zip(roots, nodes))
+        weight_err = max(abs(float((w - v) / w)) for w, v in zip(exact, weights))
+    assert node_err <= 2e-16
+    assert weight_err <= 5e-14
+
+
+@pytest.mark.parametrize("m", [1, 5, 16, 33, 64, 100])
+def test_gauss_rule_nodes_match_mpmath(m):
+    import mpmath
+
+    nodes, _ = gauss_rule(m)
+    with mpmath.workdps(40):
+        roots = _mp_roots(lambda x: mpmath.legendre(m, x), nodes)
+        node_err = max(abs(float(x - y)) for x, y in zip(roots, nodes))
+    assert node_err <= 2e-16
 
 
 def test_legendre_coeff_constant():

@@ -324,6 +324,58 @@ def test_run_profile_pde_emits_norms():
     assert np.all(values[:, 1] >= 0.0) and np.all(values[:, 2] >= 0.0)
 
 
+@pytest.mark.parametrize("experiment, p", [("ode", None), ("heat1d", 16), ("heat2d", 6)])
+def test_run_profile_matches_table_error(experiment, p):
+    # the profile shows the solution the table measures: extrapolated for
+    # heat1d, Radau moments for heat2d
+    text = run_profile(experiment, n=4, p=p, samples=10)
+    values = np.array([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]])
+    table = run_experiment(experiment, n_list=(4,), p=p, samples=10)
+    assert np.max(np.abs(values[:, 1])) == pytest.approx(table.rows[0].err_u, rel=1e-12, abs=0)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "dg_solve", lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def test_run_experiment_rejects_r_zero(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        run_experiment("ode", r=0)
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        run_profile("heat1d", r=0, n=4, p=16)
+    assert calls == []
+
+
+def test_run_experiment_rejects_empty_n_list(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="N list is empty"):
+        run_experiment("ode", n_list=())
+    with pytest.raises(ValueError, match="N list is empty"):
+        main(["heat1d", "--N", ",", "--P", "16"])
+    assert calls == []
+
+
+def test_run_experiment_rejects_non_doubling_before_solving(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="must double"):
+        run_experiment("heat1d", n_list=(8, 12), p=16)
+    with pytest.raises(ValueError, match="must double"):
+        main(["ode", "--N", "8,12"])
+    assert calls == []
+
+
+def test_run_experiment_rejects_too_few_samples(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        run_experiment("heat2d", n_list=(4,), p=6, samples=0)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        run_profile("ode", n=4, samples=1)
+    assert calls == []
+
+
 def test_cli_small_heat_experiments(tmp_path):
     out1 = tmp_path / "h1.csv"
     assert main(["heat1d", "--N", "4,8", "--P", "16", "--cutoff",
