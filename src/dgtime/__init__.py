@@ -24,7 +24,7 @@ from .bench import (
     run_experiment,
     run_profile,
 )
-from .dg import DgSolution, LinearProblem, PiecewiseLegendre, dg_solve, state_norm
+from .dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve, state_norm
 from .mesh import TimeMesh, uniform_mesh
 from .models import (
     Heat1dConfig,

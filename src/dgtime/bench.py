@@ -301,6 +301,14 @@ def _with_defaults(experiment: str, *values) -> list:
     return [d if v is None else v for v, d in zip(values, _DEFAULTS[experiment])]
 
 
+def _check_ode_options(experiment: str, p=None, homogeneous=False, half_nodes=None) -> None:
+    """Reject the PDE options for the ODE: it has no grid, forcing switch or contour."""
+    given = {"p": p is not None, "homogeneous": homogeneous, "half_nodes": half_nodes is not None}
+    if experiment == "ode" and any(given.values()):
+        raise ValueError("the ode experiment takes no "
+                         + ", ".join(name for name, value in given.items() if value))
+
+
 def _check_request(r: int, n_list: Sequence[int], samples: int) -> None:
     """Reject a bad request before anything is built or solved."""
     if r < 1:
@@ -379,8 +387,9 @@ def run_experiment(experiment: str, r: int | None = None,
     others use 50 points and near-exact Gauss moments.  heat1d is
     Richardson-extrapolated from the grids P and 2P.  Raises ValueError for
     r < 1, an empty or non-doubling N list or fewer than 2 samples, before
-    anything is solved.
+    anything is solved, and for the ode with p, homogeneous or half_nodes.
     """
+    _check_ode_options(experiment, p, homogeneous, half_nodes)
     r, p, n_list, samples, moments = _with_defaults(experiment, r, p, n_list, samples, moments)
     n_list = tuple(n_list)
     _check_request(r, n_list, samples)
@@ -424,8 +433,10 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     Richardson-extrapolated from the grids P and 2P, heat2d uses Radau
     moments.  samples defaults to 50 for every experiment.  For the scalar
     ODE the two columns are signed differences, matching the usual
-    error-profile plots; for the PDEs they are discrete norms.
+    error-profile plots; for the PDEs they are discrete norms.  Raises
+    ValueError for the ode with a p.
     """
+    _check_ode_options(experiment, p)
     r, p, _, _, moments = _with_defaults(experiment, r, p, None, None, None)
     samples = DEFAULT_SAMPLES if samples is None else samples
     _check_request(r, (n,), samples)
@@ -488,17 +499,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     n_list = _parse_n_list(args.N)
-    if args.profile:
-        if n_list is None or len(n_list) != 1:
-            raise SystemExit("--profile needs exactly one value in --N")
-        text = run_profile(args.experiment, r=args.r, n=n_list[0], p=args.P,
-                           samples=args.samples)
-    else:
-        table = run_experiment(args.experiment, r=args.r, n_list=n_list, p=args.P,
-                               weighted=args.weighted, cutoff=args.cutoff,
-                               homogeneous=args.homogeneous, samples=args.samples,
-                               moments=args.moments)
-        text = table.to_csv() if args.format == "csv" else table.to_markdown()
+    try:
+        if args.profile:
+            if n_list is None or len(n_list) != 1:
+                raise SystemExit("--profile needs exactly one value in --N")
+            text = run_profile(args.experiment, r=args.r, n=n_list[0], p=args.P,
+                               samples=args.samples)
+        else:
+            table = run_experiment(args.experiment, r=args.r, n_list=n_list, p=args.P,
+                                   weighted=args.weighted, cutoff=args.cutoff,
+                                   homogeneous=args.homogeneous, samples=args.samples,
+                                   moments=args.moments)
+            text = table.to_csv() if args.format == "csv" else table.to_markdown()
+    except ValueError as exc:  # a bad request ends with its message, not a traceback
+        raise SystemExit(str(exc)) from exc
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:

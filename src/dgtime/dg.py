@@ -4,7 +4,9 @@ The solution on each interval is a polynomial of degree at most r - 1 stored
 as local Legendre coefficients, so it may jump at the break points.  One step
 advances the expansion by solving the block system assembled in `system`;
 the right-hand side combines the outgoing value from the previous interval
-with moments of the forcing against the local test polynomials.
+with moments of the separable forcing phi(t) g (`Forcing`) against the local
+test polynomials.  The vectorised phi is evaluated once per solve, at every
+quadrature time of the mesh.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .basis import LegendreWorkspace, legendre_table, make_workspace, radau_rule
 from .mesh import TimeMesh
 from .system import LinearOperator, factorize_step_matrix, solve_step
 
-__all__ = ["LinearProblem", "PiecewiseLegendre", "DgSolution", "dg_solve", "state_norm"]
+__all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "DgSolution", "dg_solve",
+           "state_norm"]
 
 
 def state_norm(v: np.ndarray, weight: float = 1.0) -> float:
@@ -26,29 +29,51 @@ def state_norm(v: np.ndarray, weight: float = 1.0) -> float:
     return float(np.sqrt(weight) * np.linalg.norm(np.atleast_1d(v)))
 
 
+@dataclass(frozen=True, eq=False)
+class Forcing:
+    """Separable forcing f(t) = phi(t) g.
+
+    phi maps an array of times to an array of the same shape, profile is the
+    state vector g, and phi_hat is phi's Laplace transform or None.
+    """
+
+    phi: Callable[[np.ndarray], np.ndarray]
+    profile: np.ndarray
+    phi_hat: Callable[[complex], complex] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "profile", np.atleast_1d(np.asarray(self.profile, dtype=float)))
+
+
 @dataclass
 class LinearProblem:
     """Initial-value problem u' + A u = f on (0, T] with u(0) = u0.
 
     norm_weight is the mesh weight of the discrete spatial norm (1 for
-    scalar problems, h or hx*hy for grid states).  fhat, when present, is
-    the Laplace transform of the scalar time factor of a spatially constant
-    forcing; reference solvers use it to build resolvent right-hand sides.
+    scalar problems, h or hx*hy for grid states).  forcing is the separable
+    right-hand side phi(t) g, or None for the homogeneous problem.
     """
 
     A: LinearOperator
-    f: Callable[[float], np.ndarray] | None
     u0: np.ndarray
     T: float
     norm_weight: float = 1.0
-    fhat: Callable[[complex], complex] | None = None
+    forcing: Forcing | None = None
 
     def __post_init__(self):
         self.u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
         if self.u0.shape != (self.A.dim,):
             raise ValueError("initial state dimension does not match the operator")
+        if self.forcing is not None and self.forcing.profile.shape != (self.A.dim,):
+            raise ValueError("forcing profile dimension does not match the operator")
         if self.T <= 0:
             raise ValueError("final time must be positive")
+
+    def f(self, t) -> np.ndarray:
+        """Forcing state phi(t) g at one time (zero without a forcing)."""
+        if self.forcing is None:
+            return np.zeros(self.A.dim)
+        return self.forcing.phi(t) * self.forcing.profile
 
 
 class PiecewiseLegendre:
@@ -128,7 +153,8 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     makes the stepper coincide with the r-stage Radau IIA Runge-Kutta
     method.  The step factorization is kept while the step size repeats
     to a relative 1e-12, so a uniform mesh factors exactly once; raises
-    ValueError when a step produces non-finite coefficients.
+    ValueError when phi does not keep the shape of its (N, m) times and
+    when a step produces non-finite coefficients.
     """
     if ws is None:
         ws = make_workspace(r)
@@ -140,12 +166,22 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
         q_nodes, q_weights = radau_rule(r)
     else:
         raise ValueError(f"unknown moment quadrature {moment_quadrature!r}")
-    M = problem.A.dim
     N = mesh.N
     test_table = legendre_table(r - 1, q_nodes)  # (m, r)
     signs = (-1.0) ** np.arange(r)
 
-    coeffs = np.empty((N, r, M))
+    forcing = problem.forcing
+    if forcing is not None:
+        # phi at every quadrature time in one call, shape (N, m); row n - 1
+        # of moments holds step n's moments per unit of the profile
+        a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+        t_quad = 0.5 * ((1.0 - q_nodes) * a + (1.0 + q_nodes) * b)
+        phi = np.asarray(forcing.phi(t_quad), dtype=float)
+        if phi.shape != t_quad.shape:
+            raise ValueError(f"forcing phi returned shape {phi.shape} for times {t_quad.shape}")
+        moments = 0.5 * mesh.steps[:, None] * ((q_weights * phi) @ test_table)
+
+    coeffs = np.empty((N, r, problem.A.dim))
     fac = None
     prev_left = problem.u0.copy()
     for n in range(1, N + 1):
@@ -154,15 +190,8 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
             fac = factorize_step_matrix(problem.A, ws, k)
 
         rhs = signs[:, None] * prev_left[None, :]
-        if problem.f is not None:
-            t_quad = mesh.to_physical(n, q_nodes)
-            fvals = np.empty((t_quad.size, M))
-            for q, tq in enumerate(t_quad):
-                try:
-                    fvals[q] = np.atleast_1d(np.asarray(problem.f(tq), dtype=float))
-                except Exception as exc:
-                    raise RuntimeError(f"forcing evaluation failed at t={tq}") from exc
-            rhs = rhs + 0.5 * k * test_table.T @ (q_weights[:, None] * fvals)
+        if forcing is not None:
+            rhs = rhs + moments[n - 1][:, None] * forcing.profile
 
         U = solve_step(fac, rhs)
         if not np.all(np.isfinite(U)):

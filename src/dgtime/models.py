@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dg import LinearProblem
+from .dg import Forcing, LinearProblem
 from .reference import fhat
 from .system import kronecker_sum_operator, scalar_operator, tridiagonal_operator
 
@@ -29,17 +29,18 @@ __all__ = [
 ]
 
 
-def _forcing_value(t: float) -> float:
-    return (1.0 + t) * math.exp(-t)
+def _heat_forcing(dim: int) -> Forcing:
+    """The heat models' spatially constant forcing (1 + t) exp(-t), with its transform."""
+    return Forcing(lambda t: (1.0 + t) * np.exp(-t), np.ones(dim), fhat)
 
 
 def ode_problem() -> LinearProblem:
     """u' + u/2 = cos(pi t) on (0, 2] with u(0) = 1."""
     return LinearProblem(
         A=scalar_operator(0.5),
-        f=lambda t: np.array([math.cos(math.pi * t)]),
         u0=np.array([1.0]),
         T=2.0,
+        forcing=Forcing(lambda t: np.cos(math.pi * t), np.ones(1)),
     )
 
 
@@ -76,10 +77,6 @@ class Heat1dConfig:
     def u0(self, x):
         return np.polynomial.polynomial.polyval(np.asarray(x), self.u0_poly)
 
-    def f(self, x, t):
-        value = _forcing_value(t) if self.with_forcing else 0.0
-        return np.full(np.shape(x), value)
-
     def refined(self, factor: int = 2) -> "Heat1dConfig":
         """Same problem on a spatial grid refined by an integer factor."""
         return Heat1dConfig(self.L, self.kappa, factor * self.P, self.T,
@@ -91,15 +88,12 @@ def heat1d_problem(cfg: Heat1dConfig) -> LinearProblem:
     n = cfg.P - 1
     c = cfg.kappa / cfg.h**2
     A = tridiagonal_operator(np.full(n - 1, -c), np.full(n, 2.0 * c), np.full(n - 1, -c))
-    x = cfg.x_interior
-    forcing = (lambda t: cfg.f(x, t)) if cfg.with_forcing else None
     return LinearProblem(
         A=A,
-        f=forcing,
-        u0=cfg.u0(x),
+        u0=cfg.u0(cfg.x_interior),
         T=cfg.T,
         norm_weight=cfg.h,
-        fhat=fhat if cfg.with_forcing else None,
+        forcing=_heat_forcing(n) if cfg.with_forcing else None,
     )
 
 
@@ -145,10 +139,6 @@ class Heat2dConfig:
     def dim(self) -> int:
         return (self.Px - 1) * (self.Py - 1)
 
-    def f(self, x, y, t):
-        value = _forcing_value(t) if self.with_forcing else 0.0
-        return np.full(np.broadcast(x, y).shape, value)
-
 
 def heat2d_problem(cfg: Heat2dConfig) -> LinearProblem:
     """Semidiscrete system from the 5-point Laplacian on the interior grid."""
@@ -166,18 +156,12 @@ def heat2d_problem(cfg: Heat2dConfig) -> LinearProblem:
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     u0 = cfg.u0(X, Y).ravel(order="F")  # Fortran ravel keeps the x index fastest
 
-    if cfg.with_forcing:
-        ones = np.ones(cfg.dim)
-        forcing = lambda t: _forcing_value(t) * ones
-    else:
-        forcing = None
     return LinearProblem(
         A=A,
-        f=forcing,
         u0=u0,
         T=cfg.T,
         norm_weight=cfg.hx * cfg.hy,
-        fhat=fhat if cfg.with_forcing else None,
+        forcing=_heat_forcing(cfg.dim) if cfg.with_forcing else None,
     )
 
 

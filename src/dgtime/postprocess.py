@@ -37,7 +37,7 @@ class Reconstruction(PiecewiseLegendre):
         self.norm_weight = norm_weight
 
 
-def reconstruct(sol: DgSolution, u0: np.ndarray | None = None) -> Reconstruction:
+def reconstruct(sol: DgSolution) -> Reconstruction:
     """Build the continuous reconstruction from the DG coefficients.
 
     On interval n the correction subtracts (-1)^r / 2 times the jump at
@@ -45,24 +45,17 @@ def reconstruct(sol: DgSolution, u0: np.ndarray | None = None) -> Reconstruction
     form means: keep coefficients 0..r-2, add half the signed jump to
     coefficient r-1, and set coefficient r to minus half the signed jump.
     The result matches the DG solution at the interior Radau points and the
-    left-limit nodal values, and it starts from u0.
+    left-limit nodal values, and it starts from sol.u0.
     """
-    if u0 is None:
-        u0 = sol.u0
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    mesh, r = sol.mesh, sol.r
-    N, _, M = sol.coeffs.shape
-    jumps = np.empty((N, M))
-    for n in range(1, N + 1):
-        outgoing = u0 if n == 1 else sol.left_limit(n - 1)
-        jumps[n - 1] = sol.right_limit(n - 1) - outgoing
+    r = sol.r
+    jumps = np.empty((sol.mesh.N, sol.dim))  # filled in place: no list of N states
+    for n in range(1, sol.mesh.N + 1):
+        jumps[n - 1] = sol.jump(n)
     half_signed = 0.5 * (-1.0) ** r * jumps
 
-    coeffs = np.empty((N, r + 1, M))
-    coeffs[:, :r, :] = sol.coeffs
+    coeffs = np.concatenate([sol.coeffs, -half_signed[:, None, :]], axis=1)
     coeffs[:, r - 1, :] += half_signed
-    coeffs[:, r, :] = -half_signed
-    return Reconstruction(mesh, r, coeffs, sol.norm_weight)
+    return Reconstruction(sol.mesh, r, coeffs, sol.norm_weight)
 
 
 def jump_indicator(sol: DgSolution, n: int) -> float:

@@ -264,11 +264,11 @@ def bromwich_invert(resolvent: Callable, t: float, rule: ContourRule):
 
 
 def resolvent_2d(z: complex, problem) -> np.ndarray:
-    """Solve (z I + A) uhat = u0 + fhat(z) * ones for the semidiscrete state."""
+    """Solve (z I + A) uhat = u0 + phi_hat(z) g for the state; the forcing is phi(t) g."""
     A = problem.A.matrix
     rhs = problem.u0.astype(complex)
-    if problem.fhat is not None:
-        rhs = rhs + problem.fhat(z) * np.ones(A.shape[0])
+    if problem.forcing is not None:
+        rhs = rhs + problem.forcing.phi_hat(z) * problem.forcing.profile
     lu = shifted_lu(problem.A, complex(z))
     out = lu.solve(rhs)
     # one refinement pass brings the forward error of the fine-grid solves
@@ -393,11 +393,13 @@ class Heat1dReference(_BandedContourReference):
 
 
 class Heat2dReference(_BandedContourReference):
-    """Semidiscrete 2D heat solution via complex resolvent solves."""
+    """Semidiscrete 2D heat solution via complex resolvent solves; needs phi_hat."""
 
     def __init__(self, problem, t_min: float, t_max: float,
                  half_nodes: int = DEFAULT_BAND_HALF_NODES,
                  band_ratio: float = DEFAULT_BAND_RATIO):
+        if problem.forcing is not None and problem.forcing.phi_hat is None:
+            raise ValueError("the forcing has no Laplace transform phi_hat")
         self.problem = problem
         super().__init__(t_min, t_max, half_nodes, band_ratio)
 

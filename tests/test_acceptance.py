@@ -22,7 +22,7 @@ from dgtime.basis import (
     radau_abscissas,
 )
 from dgtime.bench import HEAT_N_LIST, _reference_floor
-from dgtime.dg import LinearProblem, dg_solve
+from dgtime.dg import Forcing, LinearProblem, dg_solve
 from dgtime.mesh import uniform_mesh
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat2d_problem, ode_problem
 from dgtime.postprocess import error_profile_deviation, jump_indicator, pi_tilde_project, reconstruct
@@ -270,8 +270,8 @@ def test_criterion_5_property_suite():
         poly = lambda t: np.polynomial.polynomial.polyval(t, coef)
         problem = LinearProblem(
             A=scalar_operator(0.0),
-            f=lambda t: np.atleast_1d(np.polynomial.polynomial.polyval(t, dcoef)),
             u0=np.atleast_1d(poly(0.0)), T=1.0,
+            forcing=Forcing(lambda t: np.polynomial.polynomial.polyval(t, dcoef), np.ones(1)),
         )
         mesh = uniform_mesh(1.0, 4)
         sol = dg_solve(problem, mesh, 3)
@@ -288,7 +288,7 @@ def test_criterion_5_property_suite():
         A = tridiagonal_operator(off, diag, off)
         forcing = lambda t: np.full(dim, np.cos(t))
         u0 = np.linspace(0.1, 1.0, dim)
-        problem = LinearProblem(A=A, f=forcing, u0=u0, T=1.0)
+        problem = LinearProblem(A=A, u0=u0, T=1.0, forcing=Forcing(np.cos, np.ones(dim)))
         mesh = uniform_mesh(1.0, 5)
         sol = dg_solve(problem, mesh, 1)
         g_nodes, g_weights = gauss_rule(4)

@@ -353,7 +353,7 @@ def test_run_experiment_rejects_empty_n_list(monkeypatch):
     calls = _count_solves(monkeypatch)
     with pytest.raises(ValueError, match="N list is empty"):
         run_experiment("ode", n_list=())
-    with pytest.raises(ValueError, match="N list is empty"):
+    with pytest.raises(SystemExit, match="N list is empty"):
         main(["heat1d", "--N", ",", "--P", "16"])
     assert calls == []
 
@@ -362,7 +362,7 @@ def test_run_experiment_rejects_non_doubling_before_solving(monkeypatch):
     calls = _count_solves(monkeypatch)
     with pytest.raises(ValueError, match="must double"):
         run_experiment("heat1d", n_list=(8, 12), p=16)
-    with pytest.raises(ValueError, match="must double"):
+    with pytest.raises(SystemExit, match="must double"):
         main(["ode", "--N", "8,12"])
     assert calls == []
 
@@ -373,6 +373,21 @@ def test_run_experiment_rejects_too_few_samples(monkeypatch):
         run_experiment("heat2d", n_list=(4,), p=6, samples=0)
     with pytest.raises(ValueError, match="at least 2 samples"):
         run_profile("ode", n=4, samples=1)
+    assert calls == []
+
+
+def test_ode_rejects_pde_options_before_solving(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="ode experiment takes no homogeneous"):
+        run_experiment("ode", r=2, n_list=(4, 8), homogeneous=True)
+    with pytest.raises(ValueError, match="ode experiment takes no p"):
+        run_experiment("ode", p=16)
+    with pytest.raises(ValueError, match="ode experiment takes no half_nodes"):
+        run_experiment("ode", half_nodes=40)
+    with pytest.raises(ValueError, match="ode experiment takes no p"):
+        run_profile("ode", n=4, p=16)
+    with pytest.raises(SystemExit, match="ode experiment takes no homogeneous"):
+        main(["ode", "--r", "2", "--N", "4,8", "--homogeneous"])
     assert calls == []
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgtime.basis import gauss_rule, legendre_coeff, legendre_table, make_workspace
-from dgtime.dg import LinearProblem, dg_solve
+from dgtime.dg import Forcing, LinearProblem, dg_solve
 from dgtime.mesh import uniform_mesh
 from dgtime.models import ode_problem
 from dgtime.reference import ode_exact
@@ -32,7 +32,7 @@ def _zero_op(n):
 
 def test_constant_state_reproduced_exactly():
     u0 = np.array([0.3, -1.2, 2.0])
-    problem = LinearProblem(A=_zero_op(3), f=None, u0=u0, T=1.0)
+    problem = LinearProblem(A=_zero_op(3), u0=u0, T=1.0)
     mesh = uniform_mesh(1.0, 4)
     for r in (1, 2, 3):
         sol = dg_solve(problem, mesh, r)
@@ -49,7 +49,7 @@ def test_r1_matches_backward_euler_recurrence():
     c = rng.standard_normal(n_dim)
     f = lambda t: np.cos(3.0 * t) * c
     u0 = rng.standard_normal(n_dim)
-    problem = LinearProblem(A=A, f=f, u0=u0, T=T)
+    problem = LinearProblem(A=A, u0=u0, T=T, forcing=Forcing(lambda t: np.cos(3.0 * t), c))
     mesh = uniform_mesh(T, N)
     sol = dg_solve(problem, mesh, 1)
 
@@ -73,9 +73,9 @@ def test_degree_exactness(r):
     u = lambda t: np.polynomial.polynomial.polyval(t, coef)
     problem = LinearProblem(
         A=scalar_operator(0.0),
-        f=lambda t: np.atleast_1d(np.polynomial.polynomial.polyval(t, dcoef)),
         u0=np.atleast_1d(u(0.0)),
         T=2.0,
+        forcing=Forcing(lambda t: np.polynomial.polynomial.polyval(t, dcoef), np.ones(1)),
     )
     mesh = uniform_mesh(2.0, 5)
     sol = dg_solve(problem, mesh, r)
@@ -159,8 +159,8 @@ def test_jump_tracks_leading_coefficient_of_reference():
 @pytest.mark.parametrize("make_problem,r,N", [
     (ode_problem, 4, 6),
     (lambda: LinearProblem(A=spd_tridiagonal(8, seed=5),
-                           f=lambda t: np.full(8, np.sin(t)),
-                           u0=np.linspace(0, 1, 8), T=1.0), 3, 5),
+                           u0=np.linspace(0, 1, 8), T=1.0,
+                           forcing=Forcing(np.sin, np.ones(8))), 3, 5),
 ])
 def test_galerkin_residual(make_problem, r, N):
     problem = make_problem()
@@ -210,8 +210,8 @@ def test_galerkin_residual_on_nonuniform_mesh():
 
     r = 3
     problem = LinearProblem(A=spd_tridiagonal(5, seed=9),
-                            f=lambda t: np.full(5, np.exp(-t)),
-                            u0=np.ones(5), T=1.0)
+                            u0=np.ones(5), T=1.0,
+                            forcing=Forcing(lambda t: np.exp(-t), np.ones(5)))
     mesh = TimeMesh(np.array([0.0, 0.15, 0.2, 0.55, 1.0]))
     ws = make_workspace(r)
     sol = dg_solve(problem, mesh, r)
@@ -243,15 +243,29 @@ def test_nodal_superconvergence_rate():
         assert 6.7 <= rate <= 7.3
 
 
-def test_forcing_failure_reports_time():
-    def bad_forcing(t):
-        if t > 0.5:
-            raise FloatingPointError("boom")
-        return np.array([1.0])
-
-    problem = LinearProblem(A=scalar_operator(1.0), f=bad_forcing, u0=np.array([1.0]), T=1.0)
-    with pytest.raises(RuntimeError, match="forcing evaluation failed at t="):
+def test_forcing_shape_mismatch_rejected():
+    # phi must keep the shape of its (N, m) time array: a per-time scalar
+    # function is not vectorised
+    problem = LinearProblem(A=scalar_operator(1.0), u0=np.array([1.0]), T=1.0,
+                            forcing=Forcing(lambda t: 1.0, np.ones(1)))
+    with pytest.raises(ValueError, match=r"forcing phi returned shape \(\) for times \(2, 5\)"):
         dg_solve(problem, uniform_mesh(1.0, 2), 2)
+    with pytest.raises(ValueError, match="forcing profile dimension"):
+        LinearProblem(A=spd_tridiagonal(3), u0=np.ones(3), T=1.0,
+                      forcing=Forcing(np.cos, np.ones(4)))
+
+
+def test_forcing_phi_called_once_per_solve():
+    calls = []
+
+    def phi(t):
+        calls.append(np.shape(t))
+        return np.exp(-t)
+
+    problem = LinearProblem(A=spd_tridiagonal(4), u0=np.ones(4), T=1.0,
+                            forcing=Forcing(phi, np.ones(4)))
+    dg_solve(problem, uniform_mesh(1.0, 8), 3)
+    assert calls == [(8, make_workspace(3).quad_nodes.size)]
 
 
 def test_workspace_degree_mismatch_rejected():
@@ -273,8 +287,8 @@ def test_nonuniform_mesh_supported():
 def test_radau_moment_variant_matches_gauss_for_polynomial_forcing():
     # the two moment rules integrate low-degree forcings identically
     problem = LinearProblem(A=scalar_operator(1.0),
-                            f=lambda t: np.array([1.0 + 2.0 * t]),
-                            u0=np.array([0.5]), T=1.0)
+                            u0=np.array([0.5]), T=1.0,
+                            forcing=Forcing(lambda t: 1.0 + 2.0 * t, np.ones(1)))
     mesh = uniform_mesh(1.0, 3)
     a = dg_solve(problem, mesh, 3)
     b = dg_solve(problem, mesh, 3, moment_quadrature="radau")
@@ -301,7 +315,7 @@ def test_uniform_mesh_factors_once(monkeypatch):
     mesh = uniform_mesh(0.7, 1024)
     assert np.unique(mesh.steps).size > 1  # np.diff steps differ in the last ulps
     calls = _count_factorizations(monkeypatch)
-    problem = LinearProblem(A=spd_tridiagonal(4), f=None, u0=np.ones(4), T=0.7)
+    problem = LinearProblem(A=spd_tridiagonal(4), u0=np.ones(4), T=0.7)
     dg_solve(problem, mesh, 2)
     assert len(calls) == 1
 
@@ -314,16 +328,14 @@ def test_distinct_steps_are_not_merged(monkeypatch):
     steps = 0.1 * (1.0 + 1e-9 * np.arange(N))
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
     calls = _count_factorizations(monkeypatch)
-    problem = LinearProblem(A=spd_tridiagonal(4), f=None, u0=np.ones(4), T=mesh.T)
+    problem = LinearProblem(A=spd_tridiagonal(4), u0=np.ones(4), T=mesh.T)
     dg_solve(problem, mesh, 2)
     assert len(calls) == N
 
 
 @pytest.mark.parametrize("A", [scalar_operator(1.0), spd_tridiagonal(3)])
 def test_non_finite_coefficients_report_step(A):
-    def forcing(t):
-        return np.full(A.dim, np.nan if t > 0.5 else 1.0)
-
-    problem = LinearProblem(A=A, f=forcing, u0=np.ones(A.dim), T=1.0)
+    forcing = Forcing(lambda t: np.where(t > 0.5, np.nan, 1.0), np.ones(A.dim))
+    problem = LinearProblem(A=A, u0=np.ones(A.dim), T=1.0, forcing=forcing)
     with pytest.raises(ValueError, match=r"non-finite DG coefficients at step n=2, t_n=1\.0"):
         dg_solve(problem, uniform_mesh(1.0, 2), 2)

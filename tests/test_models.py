@@ -57,7 +57,7 @@ def test_heat1d_initial_profile():
 
 def test_heat1d_homogeneous_config():
     problem = heat1d_problem(Heat1dConfig(P=20, with_forcing=False))
-    assert problem.f is None and problem.fhat is None
+    assert problem.forcing is None
 
 
 def test_heat1d_forcing_is_spatially_constant():

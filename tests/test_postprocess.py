@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgtime.basis import legendre_eval, radau_abscissas
-from dgtime.dg import LinearProblem, dg_solve
+from dgtime.dg import Forcing, LinearProblem, dg_solve
 from dgtime.mesh import uniform_mesh
 from dgtime.models import ode_problem
 from dgtime.postprocess import (
@@ -39,7 +39,7 @@ def test_reconstruction_coefficient_table():
 def test_reconstruction_of_jumpless_solution_is_identity():
     problem = LinearProblem(
         A=tridiagonal_operator(np.zeros(2), np.zeros(3), np.zeros(2)),
-        f=None, u0=np.array([1.0, -2.0, 0.5]), T=1.0,
+        u0=np.array([1.0, -2.0, 0.5]), T=1.0,
     )
     sol = dg_solve(problem, uniform_mesh(1.0, 3), 2)
     recon = reconstruct(sol)
@@ -95,7 +95,7 @@ def test_u_minus_ustar_is_scaled_radau_polynomial():
 
 
 def test_jump_indicator_zero_without_jumps():
-    problem = LinearProblem(A=scalar_operator(0.0), f=None, u0=np.array([2.0]), T=1.0)
+    problem = LinearProblem(A=scalar_operator(0.0), u0=np.array([2.0]), T=1.0)
     sol = dg_solve(problem, uniform_mesh(1.0, 4), 2)
     assert jump_indicator(sol, 2) == 0.0
 
@@ -165,8 +165,8 @@ def test_error_profile_trivial_for_reproduced_polynomials():
     u = lambda t: np.polynomial.polynomial.polyval(t, coef)
     problem = LinearProblem(
         A=scalar_operator(0.0),
-        f=lambda t: np.atleast_1d(np.polynomial.polynomial.polyval(t, dcoef)),
         u0=np.atleast_1d(u(0.0)), T=1.0,
+        forcing=Forcing(lambda t: np.polynomial.polynomial.polyval(t, dcoef), np.ones(1)),
     )
     sol = dg_solve(problem, uniform_mesh(1.0, 3), r)
     anr, dev = error_profile_deviation(sol, u, 2)
