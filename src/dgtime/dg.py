@@ -7,6 +7,12 @@ the right-hand side combines the outgoing value from the previous interval
 with moments of the separable forcing phi(t) g (`Forcing`) against the local
 test polynomials.  The vectorised phi is evaluated once per solve, at every
 quadrature time of the mesh.
+
+An operator with a closed-form eigenbasis (`system.SineEigenbasis`) is
+stepped in that basis: u0 and the forcing profile are transformed once,
+the steps solve the diagonal operator of the eigenvalues (M independent
+r x r problems), and the coefficients are transformed back once, a
+bounded block of intervals at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ import numpy as np
 from .basis import LegendreWorkspace, legendre_table, make_workspace, radau_rule
 from .mesh import TimeMesh
 from .system import LinearOperator, factorize_step_matrix, solve_step
+
+# most coefficient entries one block of the back transform holds
+TRANSFORM_BLOCK_ELEMENTS = 2 ** 16
 
 __all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "DgSolution", "dg_solve",
            "state_norm"]
@@ -170,7 +179,14 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     test_table = legendre_table(r - 1, q_nodes)  # (m, r)
     signs = (-1.0) ** np.arange(r)
 
+    A, prev_left = problem.A, problem.u0
     forcing = problem.forcing
+    profile = None if forcing is None else forcing.profile
+    basis = A.eigenbasis
+    if basis is not None:
+        A, prev_left = basis.operator, basis.transform(prev_left)
+        if forcing is not None:
+            profile = basis.transform(profile)
     if forcing is not None:
         # phi at every quadrature time in one call, shape (N, m); row n - 1
         # of moments holds step n's moments per unit of the profile
@@ -181,17 +197,16 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
             raise ValueError(f"forcing phi returned shape {phi.shape} for times {t_quad.shape}")
         moments = 0.5 * mesh.steps[:, None] * ((q_weights * phi) @ test_table)
 
-    coeffs = np.empty((N, r, problem.A.dim))
+    coeffs = np.empty((N, r, A.dim))
     fac = None
-    prev_left = problem.u0.copy()
     for n in range(1, N + 1):
         k = float(mesh.steps[n - 1])
         if fac is None or abs(k - fac.k) > 1e-12 * k:
-            fac = factorize_step_matrix(problem.A, ws, k)
+            fac = factorize_step_matrix(A, ws, k)
 
         rhs = signs[:, None] * prev_left[None, :]
         if forcing is not None:
-            rhs = rhs + moments[n - 1][:, None] * forcing.profile
+            rhs = rhs + moments[n - 1][:, None] * profile
 
         U = solve_step(fac, rhs)
         if not np.all(np.isfinite(U)):
@@ -199,5 +214,11 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
                              f"t_n={float(mesh.nodes[n])!r}")
         coeffs[n - 1] = U
         prev_left = U.sum(axis=0)
+
+    if basis is not None:
+        # in place, so the peak memory grows by one block, not by the array
+        block = max(1, TRANSFORM_BLOCK_ELEMENTS // (r * A.dim))
+        for lo in range(0, N, block):
+            coeffs[lo:lo + block] = basis.transform(coeffs[lo:lo + block])
 
     return DgSolution(mesh, r, coeffs, problem.u0, problem.norm_weight)

@@ -18,15 +18,14 @@ transformation loses accuracy and the factorization refuses to build.
 A scalar state (M = 1) has nothing to decouple: its r x r block matrix is
 assembled and factored densely.
 
-`shifted_lu` is the one place that solves sigma I + c A; the Laplace
-reference uses it for its resolvent solves as well.  The operator's
-structure picks one of two forms.  A Kronecker sum kron(I, Tx) + kron(Ty, I)
-of symmetric tridiagonal factors (the 5-point Laplacian on a rectangle)
-carries the eigendecompositions Tx = Qx diag(mux) Qx^T and
-Ty = Qy diag(muy) Qy^T, computed once at construction; in that basis every
-shifted system is diagonal, so a solve is four small matrix products and
-nothing is factored (fast diagonalisation, Lynch, Rice & Thomas 1964).
-Every other operator gets a sparse LU.
+`shifted_lu` is the one place that solves sigma I + c A, for the steps and
+for the Laplace reference: by division for a diagonal operator, by sparse
+LU for any other.  A Kronecker sum kron(I, Tx) + kron(Ty, I) of
+constant-band tridiagonal factors (the 5-point Laplacian on a rectangle)
+carries its closed-form DST-I eigenbasis (`SineEigenbasis`); the stepper
+and the 2D reference transform into it once, work with the diagonal
+operator of the eigenvalues, and transform back once (fast
+diagonalisation, Lynch, Rice & Thomas 1964).
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ __all__ = [
     "tridiagonal_operator",
     "sparse_operator",
     "kronecker_sum_operator",
+    "diagonal_operator",
+    "SineEigenbasis",
     "MAX_DEGREE",
     "shifted_lu",
     "BlockSystemFactorization",
@@ -61,17 +62,19 @@ MAX_DEGREE = 12
 class LinearOperator:
     """A (sparse) symmetric positive-definite operator with a known structure.
 
-    eigenbasis, set only for a Kronecker sum, holds (mux, Qx, muy, Qy), the
-    eigendecompositions of its x and y factors.
+    diagonal holds the entries of a diagonal operator; eigenbasis is the
+    `SineEigenbasis` of a Kronecker sum of constant-band factors.  Both are
+    None for an operator without such structure.
     """
 
-    def __init__(self, matrix: sp.spmatrix, eigenbasis=None):
+    def __init__(self, matrix: sp.spmatrix, eigenbasis=None, diagonal=None):
         matrix = sp.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         self.matrix = matrix
         self.dim = matrix.shape[0]
         self.eigenbasis = eigenbasis
+        self.diagonal = diagonal
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -83,6 +86,12 @@ class LinearOperator:
 def scalar_operator(lam: float) -> LinearOperator:
     """The multiplication operator u -> lam * u on a one-dimensional state."""
     return LinearOperator(sp.csr_matrix(np.array([[float(lam)]])))
+
+
+def diagonal_operator(values: np.ndarray) -> LinearOperator:
+    """The operator diag(values); its shifted systems are solved by division."""
+    values = np.asarray(values, dtype=float)
+    return LinearOperator(sp.diags(values), diagonal=values)
 
 
 def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> LinearOperator:
@@ -99,59 +108,95 @@ def sparse_operator(matrix: sp.spmatrix) -> LinearOperator:
     return LinearOperator(matrix)
 
 
+def _sine_eigenpairs(diag: np.ndarray, off: np.ndarray):
+    """Closed-form eigenpairs of tridiag(a, d, a), or None for non-constant bands.
+
+    mu_j = (d + 2a) - 4a sin^2(j pi / (2(n + 1))) keeps the small eigenvalues
+    of a stiff factor to a few ulps, where a numerical eigensolver loses
+    about eps ||T|| in each.  Q_ij = sqrt(2/(n + 1)) sin(pi i j / (n + 1)),
+    with i j reduced modulo 2(n + 1) first, so Q stays orthogonal to roundoff.
+    """
+    n = diag.size
+    a = off[0] if n > 1 else 0.0
+    if np.any(diag != diag[0]) or np.any(off != a):
+        return None
+    j = np.arange(1, n + 1)
+    mu = (diag[0] + 2.0 * a) - 4.0 * a * np.sin(np.pi * j / (2 * (n + 1))) ** 2
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1))) / (n + 1))
+    return mu, q
+
+
+class SineEigenbasis:
+    """Eigenbasis of kron(I_ny, Tx) + kron(Ty, I_nx): Tx = Qx diag(mux) Qx, same for y.
+
+    The DST-I matrices Qx, Qy are symmetric and orthogonal, so `transform`
+    is its own inverse.  operator is the sum in this basis: the diagonal
+    operator of eigenvalues muy_i + mux_j, x index fastest.
+    """
+
+    def __init__(self, mux, qx, muy, qy):
+        self.mux, self.qx, self.muy, self.qy = mux, qx, muy, qy
+        self.eigenvalues = (muy[:, None] + mux[None, :]).ravel()
+        self.operator = diagonal_operator(self.eigenvalues)
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        """Q v = Q^T v for states stacked along the last axis (x index fastest)."""
+        grids = np.reshape(v, (-1, self.muy.size, self.mux.size))
+        return (self.qy @ (grids @ self.qx)).reshape(np.shape(v))
+
+
 def kronecker_sum_operator(tx, ty) -> LinearOperator:
-    """kron(I_ny, Tx) + kron(Ty, I_nx), x index fastest, with its eigenbasis.
+    """kron(I_ny, Tx) + kron(Ty, I_nx), x index fastest.
 
     tx and ty are the (lower, diag, upper) bands of symmetric tridiagonal
-    factors of sizes nx and ny.  Raises ValueError when a factor is not
-    symmetric or the sum is not positive definite.
+    factors of sizes nx and ny.  When both factors have constant bands the
+    operator carries their closed-form `SineEigenbasis`.  Raises ValueError
+    when a factor is not symmetric or the sum is not positive definite.
     """
     factors = []
     for name, (lower, diag, upper) in (("x", tx), ("y", ty)):
         mat = tridiagonal_operator(lower, diag, upper).matrix
         if not np.array_equal(lower, upper):
             raise ValueError(f"{name} factor is not symmetric: lower and upper bands differ")
-        mu, q = eigh_tridiagonal(np.asarray(diag, dtype=float), np.asarray(upper, dtype=float))
-        factors.append((mat, mu, q))
-    (tx_mat, mux, qx), (ty_mat, muy, qy) = factors
-    if mux[0] + muy[0] <= 0.0:
+        diag, upper = np.asarray(diag, dtype=float), np.asarray(upper, dtype=float)
+        smallest = eigh_tridiagonal(diag, upper, eigvals_only=True, select="i",
+                                    select_range=(0, 0))[0]
+        factors.append((mat, smallest, _sine_eigenpairs(diag, upper)))
+    (tx_mat, minx, pairs_x), (ty_mat, miny, pairs_y) = factors
+    if minx + miny <= 0.0:
         raise ValueError(f"operator is not positive definite: smallest eigenvalue "
-                         f"{mux[0] + muy[0]!r}")
-    matrix = (sp.kron(sp.identity(muy.size), tx_mat, format="csr")
-              + sp.kron(ty_mat, sp.identity(mux.size), format="csr"))
-    return LinearOperator(matrix, eigenbasis=(mux, qx, muy, qy))
+                         f"{minx + miny!r}")
+    nx, ny = tx_mat.shape[0], ty_mat.shape[0]
+    matrix = (sp.kron(sp.identity(ny), tx_mat, format="csr")
+              + sp.kron(ty_mat, sp.identity(nx), format="csr"))
+    basis = None
+    if pairs_x is not None and pairs_y is not None:
+        basis = SineEigenbasis(*pairs_x, *pairs_y)
+    return LinearOperator(matrix, eigenbasis=basis)
 
 
-class _EigenbasisSolve:
-    """Solve of shift I + scale A for a Kronecker sum, diagonal in its eigenbasis.
-
-    With b reshaped to B (ny, nx), x fastest, A acts as Ty B + B Tx, so
-    x = Qy ((Qy^T B Qx) / (shift + scale (muy_i + mux_j))) Qx^T.
-    """
-
-    def __init__(self, eigenbasis, shift: complex, scale: float):
-        mux, self._qx, muy, self._qy = eigenbasis
-        self._denom = shift + scale * (muy[:, None] + mux[None, :])
-        if np.any(self._denom == 0):
-            raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular")
+class _DiagonalSolve:
+    def __init__(self, denom: np.ndarray):
+        self._denom = denom
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        qx, qy = self._qx, self._qy
-        C = qy.T @ np.reshape(b, self._denom.shape) @ qx
-        return (qy @ (C / self._denom) @ qx.T).ravel()
+        return b / self._denom
 
 
 def shifted_lu(A: LinearOperator, shift: complex, scale: float = 1.0):
     """Solver for shift I + scale A; complex when the shift is.
 
-    Returns an object with `.solve(b)`.  A Kronecker sum is solved in its
-    eigenbasis; any other operator gets a sparse LU, with the minimum-degree
+    Returns an object with `.solve(b)`.  A diagonal operator is solved by
+    division; any other operator gets a sparse LU, with the minimum-degree
     ordering on A^T + A, which suits the symmetric sparsity of the model
     operators.  Raises LinAlgError (a ValueError) when the shifted matrix is
     exactly singular.
     """
-    if A.eigenbasis is not None:
-        return _EigenbasisSolve(A.eigenbasis, shift, scale)
+    if A.diagonal is not None:
+        denom = shift + scale * A.diagonal
+        if np.any(denom == 0):
+            raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular")
+        return _DiagonalSolve(denom)
     mat = (scale * A.matrix + shift * sp.identity(A.dim, format="csc")).tocsc()
     try:
         return splu(mat, permc_spec="MMD_AT_PLUS_A")

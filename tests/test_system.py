@@ -8,6 +8,7 @@ from dgtime.basis import g_matrix, h_diag, make_workspace
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem
 from dgtime.system import (
     MAX_DEGREE,
+    diagonal_operator,
     factorize_step_matrix,
     kronecker_sum_operator,
     scalar_operator,
@@ -169,6 +170,8 @@ def test_singular_step_system_rejected_shifted():
     A = sparse_operator(-2.0 * sp.identity(3))
     with pytest.raises(ValueError, match=r"singular step system for k=0\.5, r=1"):
         factorize_step_matrix(A, ws, 0.5)
+    with pytest.raises(ValueError, match=r"singular step system for k=0\.5, r=1"):
+        factorize_step_matrix(diagonal_operator([1.0, -2.0, 3.0]), ws, 0.5)
 
 
 def test_degree_beyond_tested_range_rejected():
@@ -198,6 +201,12 @@ def test_shifted_lu_rejects_singular_shift():
     x = shifted_lu(K, 0.3 - 4.0j, 0.8).solve(b)
     resid = (0.3 - 4.0j) * x + 0.8 * (K.matrix @ x) - b
     assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(b)
+    # a diagonal operator is solved by division
+    D = diagonal_operator([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="singular"):
+        shifted_lu(D, -2.0)
+    x = shifted_lu(D, 1.0 + 2.0j, 0.5).solve(np.ones(3, dtype=complex))
+    assert np.array_equal(x, 1.0 / (1.0 + 2.0j + 0.5 * np.array([1.0, 2.0, 3.0])))
 
 
 def test_kronecker_sum_rejects_asymmetric_factor():
@@ -216,26 +225,30 @@ def test_kronecker_sum_rejects_indefinite_operator():
 
 @pytest.mark.parametrize("r", range(1, MAX_DEGREE + 1))
 def test_forward_error_against_extended_precision(r):
-    # stiff heat steps (1D P=1000 and 2D P=50, k = T/128): refine with
-    # residuals computed in long double until the solution is exact to
-    # working precision, then compare the plain double solve against it
-    for problem in (heat1d_problem(Heat1dConfig(P=1000)),
-                    heat2d_problem(Heat2dConfig(Px=50, Py=50))):
-        k = problem.T / 128
-        fac = factorize_step_matrix(problem.A, make_workspace(r), k)
+    # stiff heat steps (1D P=1000 and 2D P=50, k = T/128, both by sparse LU;
+    # and the diagonal operators of the 2D P=50 and P=100 eigenvalues, which
+    # dg_solve steps for the 2D problems): refine with residuals computed in
+    # long double until the solution is exact to working precision, then
+    # compare the plain double solve against it
+    heat2d = [heat2d_problem(Heat2dConfig(Px=p, Py=p)) for p in (50, 100)]
+    operators = [heat1d_problem(Heat1dConfig(P=1000)).A, heat2d[0].A]
+    operators += [diagonal_operator(problem.A.eigenbasis.eigenvalues) for problem in heat2d]
+    for A in operators:
+        k = 2.0 / 128
+        fac = factorize_step_matrix(A, make_workspace(r), k)
         rng = np.random.default_rng(r)
-        b = rng.standard_normal((r, problem.A.dim))
+        b = rng.standard_normal((r, A.dim))
         x = solve_step(fac, b)
 
         G = g_matrix(r).astype(np.longdouble)
         H = h_diag(r).astype(np.longdouble)
-        A = problem.A.matrix.astype(np.longdouble)
+        A_ld = A.matrix.astype(np.longdouble)
         exact = x.astype(np.longdouble)
         for _ in range(4):
-            resid = b - (G @ exact + np.longdouble(k) * H[:, None] * (A @ exact.T).T)
+            resid = b - (G @ exact + np.longdouble(k) * H[:, None] * (A_ld @ exact.T).T)
             exact = exact + solve_step(fac, resid.astype(float))
         err = np.linalg.norm((x - exact).ravel()) / np.linalg.norm(exact.ravel())
-        assert float(err) <= 5e-15, problem.A
+        assert float(err) <= 5e-15, A
 
 
 def _random_spd(dim, seed):
@@ -244,12 +257,18 @@ def _random_spd(dim, seed):
     return sparse_operator(B @ B.T + sp.diags(rng.uniform(0.1, 2.0, dim)))
 
 
-# random sparse SPD operators (splu) and Kronecker sums of random SPD
-# tridiagonal factors (eigenbasis solve)
+def _random_diagonal(dim, seed):
+    return diagonal_operator(np.exp(np.random.default_rng(seed).uniform(-3.0, 8.0, dim)))
+
+
+# random sparse SPD operators (splu), Kronecker sums of random SPD
+# tridiagonal factors (non-constant bands: sparse LU as well) and diagonal
+# operators (division)
 spd_operators = st.one_of(
     st.builds(_random_spd, st.integers(2, 30), st.integers(0, 2**32 - 1)),
     st.builds(random_kronecker_sum, st.integers(2, 8), st.integers(2, 8),
               st.integers(0, 2**32 - 1)),
+    st.builds(_random_diagonal, st.integers(2, 30), st.integers(0, 2**32 - 1)),
 )
 
 
@@ -265,3 +284,49 @@ def test_shifted_solve_matches_dense_block_solve(A, r, k, seed):
     expected = np.linalg.solve(dense, b)
     out = solve_step(fac, b.reshape(r, dim)).ravel()
     assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _constant_factor(n, a, d):
+    return np.full(n - 1, a), np.full(n, d), np.full(n - 1, a)
+
+
+@pytest.mark.parametrize("n,a,d", [(40, -506.6, 1013.2), (5, 0.3, 1.7), (1, 0.0, 2.5)])
+def test_sine_eigenvalues_match_mpmath(n, a, d):
+    # a stiff factor's smallest eigenvalues are ~1e-3 of its norm: a numerical
+    # eigensolver (eigh_tridiagonal) loses them to ~1.7e-14 relative, the
+    # closed form keeps every one to a few ulps
+    import mpmath
+
+    K = kronecker_sum_operator(_constant_factor(n, a, d), _constant_factor(1, 0.0, 0.0))
+    mux = np.sort(K.eigenbasis.mux)
+    with mpmath.workdps(30):
+        T = mpmath.matrix(n, n)
+        for i in range(n):
+            T[i, i] = d
+            if i:
+                T[i, i - 1] = T[i - 1, i] = a
+        exact = sorted(mpmath.eigsy(T, eigvals_only=True))
+        rel = max(abs((mpmath.mpf(float(m)) - e) / e) for m, e in zip(mux, exact))
+    assert rel <= 1e-15
+
+
+def test_sine_eigenvectors_orthonormal_and_diagonalising():
+    K = kronecker_sum_operator(_constant_factor(99, -1.0, 2.0), _constant_factor(7, 0.4, 1.5))
+    basis = K.eigenbasis
+    for q in (basis.qx, basis.qy):
+        assert np.array_equal(q, q.T)
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[0]), 2) <= 4e-15
+    v = np.random.default_rng(7).standard_normal((2, K.dim))
+    np.testing.assert_allclose(basis.transform(basis.transform(v)), v, atol=1e-14)
+    modal = basis.transform(K.matrix @ basis.transform(v[0]))
+    np.testing.assert_allclose(modal, basis.eigenvalues * v[0], atol=1e-13)
+    assert np.array_equal(basis.operator.diagonal, basis.eigenvalues)
+
+
+def test_non_constant_factor_has_no_eigenbasis():
+    assert random_kronecker_sum(5, 4).eigenbasis is None
+    rng = np.random.default_rng(2)
+    mixed = kronecker_sum_operator(_constant_factor(4, -1.0, 2.0), spd_tridiagonal_bands(3, rng))
+    assert mixed.eigenbasis is None
+    assert kronecker_sum_operator(_constant_factor(4, -1.0, 2.0),
+                                  _constant_factor(3, -1.0, 2.0)).eigenbasis is not None
