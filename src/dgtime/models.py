@@ -49,8 +49,9 @@ class Heat1dConfig:
     """1D heat equation u_t - kappa u_xx = f on (0, L) with zero boundary values.
 
     u0_poly lists the polynomial coefficients of the initial profile in
-    increasing powers of x; the default is x(L - x).  The forcing, when
-    enabled, is the spatially constant (1 + t) exp(-t).
+    increasing powers of x; the default is x(L - x).  An empty or
+    non-finite u0_poly raises ValueError.  The forcing, when enabled, is the
+    spatially constant (1 + t) exp(-t).
     """
 
     L: float = 2.0
@@ -65,6 +66,10 @@ class Heat1dConfig:
             raise ValueError("need at least two spatial intervals")
         if self.kappa <= 0:
             raise ValueError("conductivity must be positive")
+        if len(self.u0_poly) == 0:
+            raise ValueError("u0_poly needs at least one coefficient")
+        if not np.all(np.isfinite(self.u0_poly)):
+            raise ValueError("u0_poly coefficients must be finite")
 
     @property
     def h(self) -> float:

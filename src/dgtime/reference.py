@@ -1,10 +1,12 @@
 """High-accuracy reference solutions.
 
 The scalar ODE has a closed form.  The heat equations are handled through
-the Laplace transform: a two-point boundary-value formula in closed form for
-the 1D continuous solution, and the resolvent of the 2D semidiscrete
-operator, diagonal in its sine eigenbasis, for the 2D solution; both are
-inverted numerically on a hyperbolic Bromwich contour.  One step of
+the Laplace transform: for the 1D continuous solution, the transformed
+two-point problem with polynomial data is solved in closed form, as a
+polynomial particular solution plus two sinh boundary-layer terms; for the
+2D solution, the resolvent of the semidiscrete operator is diagonal in its
+sine eigenbasis.  Both are inverted numerically on a hyperbolic Bromwich
+contour (Weideman & Trefethen, Math. Comp. 76, 2007).  One step of
 Richardson extrapolation removes the leading spatial error of the 1D
 method-of-lines solutions.
 
@@ -70,114 +72,51 @@ def fhat(z):
     return 1.0 / w + 1.0 / (w * w)
 
 
-def _sinh_cosh_antiderivatives(degree: int, omega: np.ndarray):
-    """Closed-form antiderivatives of x^d sinh(omega x) on (0, x).
-
-    Returns, for d = 0..degree, triples (a, b, e) of polynomial coefficients
-    (in x) and a constant such that
-
-        int_0^x xi^d sinh(omega xi) dxi = a(x) cosh(omega x) + b(x) sinh(omega x) + e.
-
-    omega is an array of frequencies: a and b have shape (d + 1, len(omega))
-    and e has shape (len(omega),).
-    """
-    inv = 1.0 / omega
-    zero = np.zeros_like(inv)
-    s = [(inv[None, :], zero[None, :], -inv)]
-    c = [(zero[None, :], inv[None, :], zero)]
-    for d in range(1, degree + 1):
-        mono = np.zeros((d + 1, inv.size), dtype=complex)
-        mono[d] = inv
-        ca, cb, ce = c[d - 1]
-        s.append((_poly_sub(mono, d * inv * ca), -d * inv * cb, -d * inv * ce))
-        sa, sb, se = s[d - 1]
-        c.append((-d * inv * sa, _poly_sub(mono, d * inv * sb), -d * inv * se))
-    return s
-
-
-def _poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Difference of coefficient stacks (power along axis 0) of any lengths."""
-    out = np.zeros((max(len(a), len(b)),) + a.shape[1:], dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return out
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _poly_sub(a, -np.asarray(b))
-
-
-def _reflect(coeffs: np.ndarray, L: float) -> np.ndarray:
-    """Coefficients of p(L - eta) in eta for a stack of polynomials p, by Horner's rule."""
-    out = coeffs[-1:]
-    for c in coeffs[-2::-1]:
-        out = _poly_sub(L * out, np.concatenate([np.zeros_like(out[:1]), out]))
-        out[0] += c
-    return out
-
-
 def uhat_1d(x, z, cfg) -> np.ndarray:
     """Laplace transform of the continuous 1D heat solution at position(s) x.
 
-    Evaluates the variation-of-constants formula
+    Solves the two-point problem z uhat - kappa uhat'' = g, uhat(0) =
+    uhat(L) = 0, with g = u0 + fhat(z) (the forcing term only when cfg has
+    one).  For the polynomial data of cfg it has the polynomial particular
+    solution p = sum_m kappa^m g^(2m) / z^(m+1), a finite sum, and
 
-        uhat(x) = sinh(w(L-x))/(w sinh wL) * int_0^x g sinh(w xi) dxi
-                + sinh(w x)/(w sinh wL)   * int_x^L g sinh(w(L-xi)) dxi,
+        uhat(x) = p(x) - p(0) s(L - x) - p(L) s(x),
+        s(xi) = sinh(w xi) / sinh(w L)
+              = exp(-w (L - xi)) (1 - exp(-2 w xi)) / (1 - exp(-2 w L)),
 
-    with w = sqrt(z/kappa) and g = (u0 + fhat(z)) / kappa, for the polynomial
-    initial profile of cfg.  The sinh integrals are expanded in closed form
-    and every hyperbolic ratio is rewritten with exponentials of nonpositive
-    real part, so the evaluation stays finite for arbitrarily large |w|.
-    z may be an array of transform variables: the result then has shape
-    (len(z), len(x)), one row per z.  Not meant for z near 0 or on the
-    negative real axis.
+    with w = sqrt(z/kappa), Re w > 0, so every exponential has a
+    nonpositive real part and the evaluation stays finite for arbitrarily
+    large |w|.  z may be an array of transform variables: the result then
+    has shape (len(z), len(x)), one row per z.  Raises ValueError for a z
+    on the closed negative real axis, where the formula divides by z or by
+    sinh(w L) = 0.
     """
     L = cfg.L
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    omega = np.sqrt(zs / cfg.kappa)
-    omega = np.where(omega.real < 0, -omega, omega)
+    on_axis = (zs.imag == 0.0) & (zs.real <= 0.0)
+    if np.any(on_axis):
+        raise ValueError(f"uhat_1d needs z off the closed negative real axis, "
+                         f"got z = {complex(zs[on_axis][0])}")
 
-    g = np.repeat(np.asarray(cfg.u0_poly, dtype=complex)[:, None] / cfg.kappa, zs.size, axis=1)
+    # coefficient stacks: powers of x along axis 0, one column per z
+    poly = np.polynomial.polynomial
+    g = np.repeat(np.asarray(cfg.u0_poly, dtype=complex)[:, None], zs.size, axis=1)
     if cfg.with_forcing:
-        g[0] += fhat(zs) / cfg.kappa
-    degree = len(g) - 1
-    # coefficients of g(L - eta) as a polynomial in eta
-    g_reflected = _reflect(g, L)
+        g[0] += fhat(zs)
+    p = g / zs
+    term = p
+    while len(term) > 2:
+        term = poly.polyder(term, 2) * (cfg.kappa / zs)
+        p[: len(term)] += term
 
-    anti = _sinh_cosh_antiderivatives(degree, omega)
-
-    def combine(coeffs):
-        a = np.zeros((1, zs.size), dtype=complex)
-        b = np.zeros((1, zs.size), dtype=complex)
-        e = np.zeros(zs.size, dtype=complex)
-        for d in range(len(coeffs)):
-            sa, sb, se = anti[d]
-            a = _poly_add(a, coeffs[d] * sa)
-            b = _poly_add(b, coeffs[d] * sb)
-            e = e + coeffs[d] * se
-        return a, b, e[:, None]
-
-    a1, b1, e1 = combine(g)
-    a2, b2, e2 = combine(g_reflected)
-
-    y = L - xs
-    w = omega[:, None]
+    w = np.sqrt(zs / cfg.kappa)[:, None]
     E = lambda arg: np.exp(-w * arg)
-    e2x, e2y = E(2.0 * xs), E(2.0 * y)
     denom = 1.0 - E(2.0 * L)
-    r2 = 0.5 * (1.0 - e2y) * (1.0 - e2x) / denom
-
-    # polyval broadcasts the trailing z axis of the coefficients to shape
-    # (len(z), len(x)); the six terms are summed in place, in order
-    pv = np.polynomial.polynomial.polyval
-    out = pv(xs, a1) * (0.5 * (1.0 - e2y) * (1.0 + e2x) / denom)
-    out += pv(xs, b1) * r2
-    out += e1 * (E(xs) * (1.0 - e2y) / denom)
-    out += pv(y, a2) * (0.5 * (1.0 + e2y) * (1.0 - e2x) / denom)
-    out += pv(y, b2) * r2
-    out += e2 * (E(y) * (1.0 - e2x) / denom)
-    out /= w
+    s_left = E(xs) * (1.0 - E(2.0 * (L - xs))) / denom  # s(L - x)
+    s_right = E(L - xs) * (1.0 - E(2.0 * xs)) / denom  # s(x)
+    # polyval broadcasts the trailing z axis of p to shape (len(z), len(x))
+    out = poly.polyval(xs, p) - p[0][:, None] * s_left - poly.polyval(L, p)[:, None] * s_right
     return out.reshape(np.shape(z) + np.shape(x))[()]
 
 

@@ -125,5 +125,9 @@ def test_config_validation():
         Heat1dConfig(P=1)
     with pytest.raises(ValueError):
         Heat1dConfig(kappa=0.0)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Heat1dConfig(u0_poly=())
+    with pytest.raises(ValueError, match="must be finite"):
+        Heat1dConfig(u0_poly=(np.nan, 1.0))
     with pytest.raises(ValueError):
         Heat2dConfig(Px=1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,64 @@ def test_uhat_finite_at_large_frequencies():
     z = rule.z[-1]
     vals = uhat_1d(cfg.x_interior, z, cfg)
     assert np.all(np.isfinite(vals.view(float)))
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, -2.5, complex(-3.0, -0.0)])
+def test_uhat_rejects_the_closed_negative_real_axis(z):
+    cfg = Heat1dConfig(P=10)
+    message = re.escape(f"negative real axis, got z = {complex(z)}")
+    with pytest.raises(ValueError, match=message):
+        uhat_1d(cfg.x_interior, z, cfg)
+    with pytest.raises(ValueError, match=message):
+        uhat_1d(cfg.x_interior, np.array([2.0 + 1.0j, z]), cfg)
+
+
+_GREEN_X = (0.05, 0.6, 1.3, 1.95)
+_GREEN_NODES = hyperbolic_contour(0.25, 2.0, 48).upper()[0][::16]
+
+
+@pytest.fixture(scope="module")
+def greens_monomials():
+    """Green's-function transform of x^d, d <= 4, by 30-digit quadrature, as [node][x][d].
+
+    For z uhat - kappa uhat'' = g with zero boundary values and w = sqrt(z/kappa),
+    uhat(x) = [sinh(w(L-x)) int_0^x g sinh(w xi) + sinh(w x) int_x^L g sinh(w(L-xi))]
+    / (kappa w sinh(w L)); every test case is a combination of the monomial columns.
+    """
+    import mpmath
+
+    cfg = Heat1dConfig()
+    with mpmath.workdps(30):
+        L = mpmath.mpf(cfg.L)
+
+        def green(w, x, d):
+            left = mpmath.quad(lambda xi: xi**d * mpmath.sinh(w * xi), [0, x])
+            right = mpmath.quad(lambda xi: xi**d * mpmath.sinh(w * (L - xi)), [x, L])
+            return ((mpmath.sinh(w * (L - x)) * left + mpmath.sinh(w * x) * right)
+                    / (cfg.kappa * w * mpmath.sinh(w * L)))
+
+        ws = [mpmath.sqrt(mpmath.mpc(z) / cfg.kappa) for z in _GREEN_NODES]
+        return [[[green(w, mpmath.mpf(x), d) for d in range(5)] for x in _GREEN_X] for w in ws]
+
+
+@pytest.mark.parametrize("with_forcing", [True, False])
+@pytest.mark.parametrize("u0_poly", [(1.5,), (0.0, 2.0, -1.0), (1.0, -0.5, 0.75, -0.25),
+                                     (0.0, 0.0, 0.0, 0.0, 1.0)])
+def test_uhat_matches_greens_function_quadrature(greens_monomials, u0_poly, with_forcing):
+    # measured at most 5.3e-16 relative up to degree 3 and 2.0e-15 for x^4
+    import mpmath
+
+    cfg = Heat1dConfig(P=10, u0_poly=u0_poly, with_forcing=with_forcing)
+    got = uhat_1d(np.array(_GREEN_X), _GREEN_NODES, cfg)
+    with mpmath.workdps(30):
+        for z, row, monomials in zip(_GREEN_NODES, got, greens_monomials):
+            g = [mpmath.mpf(c) for c in u0_poly]
+            if with_forcing:
+                g[0] += 1 / (mpmath.mpc(z) + 1) + 1 / (mpmath.mpc(z) + 1) ** 2
+            expected = np.array([complex(mpmath.fsum(c * m for c, m in zip(g, at_x)))
+                                 for at_x in monomials])
+            err = np.max(np.abs(row - expected)) / np.max(np.abs(expected))
+            assert err <= 5e-15, f"z = {z}"
 
 
 def test_contour_structure():
