@@ -8,11 +8,12 @@ with moments of the separable forcing phi(t) g (`Forcing`) against the local
 test polynomials.  The vectorised phi is evaluated once per solve, at every
 quadrature time of the mesh.
 
-An operator with a closed-form eigenbasis (`system.SineEigenbasis`) is
-stepped in that basis: u0 and the forcing profile are transformed once,
-the steps solve the diagonal operator of the eigenvalues (M independent
-r x r problems), and the coefficients are transformed back once, a
-bounded block of intervals at a time.
+An operator with a closed-form eigenbasis (`system.SineEigenbasis`: the
+1D and 2D heat operators) is stepped in that basis: u0 and the forcing
+profile are transformed once, the steps solve the diagonal operator of the
+eigenvalues (M independent r x r problems, one broadcast division per
+step), and the coefficients are transformed back once, a bounded block of
+intervals at a time.
 """
 
 from __future__ import annotations

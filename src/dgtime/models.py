@@ -34,6 +34,14 @@ def _heat_forcing(dim: int) -> Forcing:
     return Forcing(lambda t: (1.0 + t) * np.exp(-t), np.ones(dim), fhat)
 
 
+def _check_positive(cfg, *names: str):
+    """Raise ValueError naming the first of cfg's fields that is not finite and positive."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def ode_problem() -> LinearProblem:
     """u' + u/2 = cos(pi t) on (0, 2] with u(0) = 1."""
     return LinearProblem(
@@ -50,7 +58,8 @@ class Heat1dConfig:
 
     u0_poly lists the polynomial coefficients of the initial profile in
     increasing powers of x; the default is x(L - x).  An empty or
-    non-finite u0_poly raises ValueError.  The forcing, when enabled, is the
+    non-finite u0_poly, and a kappa, L or T that is not finite and
+    positive, raise ValueError.  The forcing, when enabled, is the
     spatially constant (1 + t) exp(-t).
     """
 
@@ -64,8 +73,7 @@ class Heat1dConfig:
     def __post_init__(self):
         if self.P < 2:
             raise ValueError("need at least two spatial intervals")
-        if self.kappa <= 0:
-            raise ValueError("conductivity must be positive")
+        _check_positive(self, "kappa", "L", "T")
         if len(self.u0_poly) == 0:
             raise ValueError("u0_poly needs at least one coefficient")
         if not np.all(np.isfinite(self.u0_poly)):
@@ -116,7 +124,8 @@ class Heat2dConfig:
     """2D heat equation on (0, Lx) x (0, Ly) with the 5-point Laplacian.
 
     Unknowns are ordered column-major: the x index varies fastest, so the
-    state vector has dimension M = (Px - 1)(Py - 1).
+    state vector has dimension M = (Px - 1)(Py - 1).  A kappa, Lx, Ly or T
+    that is not finite and positive raises ValueError.
     """
 
     Lx: float = 2.0
@@ -131,6 +140,7 @@ class Heat2dConfig:
     def __post_init__(self):
         if self.Px < 2 or self.Py < 2:
             raise ValueError("need at least two spatial intervals per direction")
+        _check_positive(self, "kappa", "Lx", "Ly", "T")
 
     @property
     def hx(self) -> float:

@@ -177,13 +177,23 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int = 32) -> Cont
     return ContourRule(z, zprime, h, float(t_min), float(t_max))
 
 
-def _invert_values(rule: ContourRule, upper_values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Trapezoid inversion for cached transform values at the upper nodes."""
+def _stack_values(values: np.ndarray) -> np.ndarray:
+    """Complex transform values V at the upper nodes as the real stack [Im V; Re V]."""
+    return np.concatenate([values.imag, values.real])
+
+
+def _invert_values(rule: ContourRule, stacked: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Trapezoid inversion for cached transform values at the upper nodes.
+
+    stacked is `_stack_values` of the values V.  Only Im(K V) is needed, and
+    Im(K V) = Re K Im V + Im K Re V = [Re K, Im K] @ stacked, one real
+    product in place of a complex one.
+    """
     zu, zpu = rule.upper()
     coeff = np.ones(zu.size)
     coeff[0] = 0.5  # the real node is shared between the two half sums
     kernel = (rule.step / math.pi) * np.exp(np.outer(ts, zu)) * (coeff * zpu)[None, :]
-    return (kernel @ upper_values).imag
+    return np.concatenate([kernel.real, kernel.imag], axis=1) @ stacked
 
 
 def bromwich_invert(resolvent: Callable, t: float, rule: ContourRule):
@@ -199,7 +209,7 @@ def bromwich_invert(resolvent: Callable, t: float, rule: ContourRule):
     raw = [resolvent(zk) for zk in zu]
     scalar = np.ndim(raw[0]) == 0
     values = np.stack([np.atleast_1d(np.asarray(v, dtype=complex)) for v in raw])
-    out = _invert_values(rule, values, np.array([t]))[0]
+    out = _invert_values(rule, _stack_values(values), np.array([t]))[0]
     return float(out[0]) if scalar else out
 
 
@@ -259,7 +269,8 @@ class _BandedContourReference:
     One contour cannot cover a window like [T/6400, T] at full accuracy with
     a fixed node budget, so the window splits into geometric bands of ratio
     at most DEFAULT_BAND_RATIO, each with its own rule and cached transform
-    values at the upper nodes, fetched in one `_transforms` call per band.
+    values at the upper nodes, fetched in one `_transforms` call per band
+    and kept as the real stack of `_stack_values`.
     """
 
     def __init__(self, t_min: float, t_max: float, half_nodes: int, band_ratio: float):
@@ -276,7 +287,7 @@ class _BandedContourReference:
             rule = hyperbolic_contour(lo, hi, half_nodes)
             zu, _ = rule.upper()
             self._rules.append(rule)
-            self._values.append(self._transforms(zu))
+            self._values.append(_stack_values(self._transforms(zu)))
             if lo <= self.t_min * (1.0 + 1e-12):
                 break
             hi = lo

@@ -16,26 +16,29 @@ transformation.  Degrees 1 <= r <= MAX_DEGREE are supported; beyond it the
 transformation loses accuracy and the factorization refuses to build.
 
 A scalar state (M = 1) has nothing to decouple: its r x r block matrix is
-assembled and factored densely.
+assembled and factored densely.  For a diagonal operator the shifted
+systems of a step are one (ceil(r/2), M) array of lam_j + k mu, and a solve
+is one broadcast division.
 
-`shifted_lu` is the one place that solves sigma I + c A, for the steps and
-for the Laplace reference: by division for a diagonal operator, by sparse
-LU for any other.  A Kronecker sum kron(I, Tx) + kron(Ty, I) of
-constant-band tridiagonal factors (the 5-point Laplacian on a rectangle)
-carries its closed-form DST-I eigenbasis (`SineEigenbasis`); the stepper
-and the 2D reference transform into it once, work with the diagonal
-operator of the eigenvalues, and transform back once (fast
-diagonalisation, Lynch, Rice & Thomas 1964).
+`shifted_lu` solves sigma I + c A for the Laplace reference: by division
+for a diagonal operator, by sparse LU for any other.  A constant-band
+symmetric tridiagonal operator (the 1D Laplacian) and a Kronecker sum
+kron(I, Tx) + kron(Ty, I) of such factors (the 5-point Laplacian on a
+rectangle) carry their closed-form DST-I eigenbasis (`SineEigenbasis`);
+the stepper and the 2D reference transform into it once, work with the
+diagonal operator of the eigenvalues, and transform back once (fast
+diagonalisation, Lynch, Rice & Thomas 1964).  The transform multiplies by
+the dense sine matrix on short axes and takes an rfft on long ones.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgWarning, eigh_tridiagonal, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigvalsh_tridiagonal, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .basis import LegendreWorkspace, g_matrix, h_diag
@@ -57,14 +60,17 @@ __all__ = [
 
 # largest r the shifted step solve is tested for
 MAX_DEGREE = 12
+# shortest axis the sine transform takes by FFT; shorter axes use the dense matrix
+SINE_FFT_LENGTH = 400
 
 
 class LinearOperator:
     """A (sparse) symmetric positive-definite operator with a known structure.
 
     diagonal holds the entries of a diagonal operator; eigenbasis is the
-    `SineEigenbasis` of a Kronecker sum of constant-band factors.  Both are
-    None for an operator without such structure.
+    `SineEigenbasis` of a constant-band tridiagonal operator or of a
+    Kronecker sum of such factors.  Both are None for an operator without
+    such structure.
     """
 
     def __init__(self, matrix: sp.spmatrix, eigenbasis=None, diagonal=None):
@@ -94,55 +100,124 @@ def diagonal_operator(values: np.ndarray) -> LinearOperator:
     return LinearOperator(sp.diags(values), diagonal=values)
 
 
-def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> LinearOperator:
-    """Tridiagonal operator from its three bands (lower/upper of length n - 1)."""
-    diag = np.asarray(diag, dtype=float)
+def _symmetric_tridiagonal(lower, diag, upper, name: str):
+    """Checked bands of a symmetric tridiagonal matrix.
+
+    Returns (matrix, eigenvalues, smallest): the closed-form eigenvalues for
+    constant bands (None otherwise) and the smallest eigenvalue.  Raises
+    ValueError, naming the matrix, for bands of the wrong length, non-finite
+    entries or lower != upper.
+    """
+    lower, diag, upper = (np.asarray(band, dtype=float) for band in (lower, diag, upper))
     n = diag.size
-    if len(lower) != n - 1 or len(upper) != n - 1:
+    if lower.shape != (n - 1,) or upper.shape != (n - 1,):
         raise ValueError("band lengths incompatible with the diagonal")
-    mat = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
-    return LinearOperator(mat)
+    if not all(np.all(np.isfinite(band)) for band in (lower, diag, upper)):
+        raise ValueError(f"{name} has non-finite band entries")
+    if not np.array_equal(lower, upper):
+        raise ValueError(f"{name} is not symmetric: lower and upper bands differ")
+    mu = _sine_eigenvalues(diag, upper)
+    if mu is None:
+        smallest = eigvalsh_tridiagonal(diag, upper, select="i", select_range=(0, 0))[0]
+    else:
+        smallest = mu.min()
+    matrix = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
+    return matrix, mu, float(smallest)
+
+
+def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> LinearOperator:
+    """Symmetric positive-semidefinite tridiagonal operator from its bands.
+
+    lower and upper have length n - 1 and must be equal.  Constant bands
+    carry their closed-form `SineEigenbasis`.  Raises ValueError for bands
+    of the wrong length, non-finite or asymmetric bands and a negative
+    eigenvalue.
+    """
+    matrix, mu, smallest = _symmetric_tridiagonal(lower, diag, upper, "tridiagonal operator")
+    # the eigensolver is accurate to about eps ||T||, so a zero eigenvalue of
+    # a semidefinite matrix may come out a few ulps of ||T|| below zero
+    norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(upper), initial=0.0)
+    if smallest < -8.0 * np.finfo(float).eps * norm:
+        raise ValueError(f"tridiagonal operator has a negative eigenvalue {smallest!r}")
+    return LinearOperator(matrix, eigenbasis=None if mu is None else SineEigenbasis(mu))
 
 
 def sparse_operator(matrix: sp.spmatrix) -> LinearOperator:
     return LinearOperator(matrix)
 
 
-def _sine_eigenpairs(diag: np.ndarray, off: np.ndarray):
-    """Closed-form eigenpairs of tridiag(a, d, a), or None for non-constant bands.
+def _sine_eigenvalues(diag: np.ndarray, off: np.ndarray):
+    """Closed-form eigenvalues of tridiag(a, d, a), or None for non-constant bands.
 
     mu_j = (d + 2a) - 4a sin^2(j pi / (2(n + 1))) keeps the small eigenvalues
-    of a stiff factor to a few ulps, where a numerical eigensolver loses
-    about eps ||T|| in each.  Q_ij = sqrt(2/(n + 1)) sin(pi i j / (n + 1)),
-    with i j reduced modulo 2(n + 1) first, so Q stays orthogonal to roundoff.
+    of a stiff matrix to a few ulps, where a numerical eigensolver loses
+    about eps ||T|| in each.  The eigenvectors are the columns of
+    `_sine_matrix(n)`.
     """
     n = diag.size
     a = off[0] if n > 1 else 0.0
     if np.any(diag != diag[0]) or np.any(off != a):
         return None
     j = np.arange(1, n + 1)
-    mu = (diag[0] + 2.0 * a) - 4.0 * a * np.sin(np.pi * j / (2 * (n + 1))) ** 2
+    return (diag[0] + 2.0 * a) - 4.0 * a * np.sin(np.pi * j / (2 * (n + 1))) ** 2
+
+
+@lru_cache(maxsize=None)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix Q_ij = sqrt(2/(n + 1)) sin(pi i j / (n + 1)).
+
+    i j is reduced modulo 2(n + 1) first, so Q stays orthogonal to roundoff.
+    Q is symmetric and its own inverse.
+    """
+    j = np.arange(1, n + 1)
     q = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1))) / (n + 1))
-    return mu, q
+    q.setflags(write=False)
+    return q
+
+
+def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
+    """Q v along axis -1 or -2, Q = `_sine_matrix(n)`.
+
+    Axes shorter than SINE_FFT_LENGTH multiply by the cached dense matrix;
+    longer ones take the rfft of the odd extension (0, v, 0, -reversed v),
+    whose imaginary part is -2 sum_j v_j sin(pi k j / (n + 1)) (Strang, SIAM
+    Rev. 41, 1999), in O(n log n) and without building Q.
+    """
+    n = v.shape[axis]
+    if n < SINE_FFT_LENGTH:
+        q = _sine_matrix(n)
+        return v @ q if axis == -1 else q @ v
+    v = np.moveaxis(v, axis, -1)
+    odd = np.zeros(v.shape[:-1] + (2 * n + 2,))
+    odd[..., 1:n + 1] = v
+    odd[..., n + 2:] = -v[..., ::-1]
+    out = np.fft.rfft(odd)[..., 1:n + 1].imag
+    out *= -np.sqrt(0.5 / (n + 1))
+    return np.moveaxis(out, -1, axis)
 
 
 class SineEigenbasis:
-    """Eigenbasis of kron(I_ny, Tx) + kron(Ty, I_nx): Tx = Qx diag(mux) Qx, same for y.
+    """Eigenbasis of a sum of constant-band symmetric tridiagonal matrices, one per axis.
 
-    The DST-I matrices Qx, Qy are symmetric and orthogonal, so `transform`
-    is its own inverse.  operator is the sum in this basis: the diagonal
-    operator of eigenvalues muy_i + mux_j, x index fastest.
+    axis_eigenvalues lists each axis' eigenvalues, slowest axis first: (mu,)
+    for tridiag(a, d, a) = Q diag(mu) Q, (muy, mux) for kron(I_ny, Tx) +
+    kron(Ty, I_nx), x index fastest.  The DST-I matrices are symmetric and
+    orthogonal, so `transform` is its own inverse.  operator is the sum in
+    this basis: the diagonal operator of the eigenvalues, in state order.
     """
 
-    def __init__(self, mux, qx, muy, qy):
-        self.mux, self.qx, self.muy, self.qy = mux, qx, muy, qy
-        self.eigenvalues = (muy[:, None] + mux[None, :]).ravel()
+    def __init__(self, *axis_eigenvalues: np.ndarray):
+        self.axis_eigenvalues = axis_eigenvalues
+        self.shape = tuple(mu.size for mu in axis_eigenvalues)
+        self.eigenvalues = reduce(np.add.outer, axis_eigenvalues).ravel()
         self.operator = diagonal_operator(self.eigenvalues)
 
     def transform(self, v: np.ndarray) -> np.ndarray:
-        """Q v = Q^T v for states stacked along the last axis (x index fastest)."""
-        grids = np.reshape(v, (-1, self.muy.size, self.mux.size))
-        return (self.qy @ (grids @ self.qx)).reshape(np.shape(v))
+        """Q v = Q^T v for states stacked along the last axis."""
+        grids = np.reshape(v, (-1,) + self.shape)
+        for axis in (-1, -2)[:len(self.shape)]:
+            grids = _sine_transform(grids, axis)
+        return grids.reshape(np.shape(v))
 
 
 def kronecker_sum_operator(tx, ty) -> LinearOperator:
@@ -153,16 +228,8 @@ def kronecker_sum_operator(tx, ty) -> LinearOperator:
     operator carries their closed-form `SineEigenbasis`.  Raises ValueError
     when a factor is not symmetric or the sum is not positive definite.
     """
-    factors = []
-    for name, (lower, diag, upper) in (("x", tx), ("y", ty)):
-        mat = tridiagonal_operator(lower, diag, upper).matrix
-        if not np.array_equal(lower, upper):
-            raise ValueError(f"{name} factor is not symmetric: lower and upper bands differ")
-        diag, upper = np.asarray(diag, dtype=float), np.asarray(upper, dtype=float)
-        smallest = eigh_tridiagonal(diag, upper, eigvals_only=True, select="i",
-                                    select_range=(0, 0))[0]
-        factors.append((mat, smallest, _sine_eigenpairs(diag, upper)))
-    (tx_mat, minx, pairs_x), (ty_mat, miny, pairs_y) = factors
+    (tx_mat, mux, minx), (ty_mat, muy, miny) = (
+        _symmetric_tridiagonal(*bands, f"{name} factor") for name, bands in (("x", tx), ("y", ty)))
     if minx + miny <= 0.0:
         raise ValueError(f"operator is not positive definite: smallest eigenvalue "
                          f"{minx + miny!r}")
@@ -170,8 +237,8 @@ def kronecker_sum_operator(tx, ty) -> LinearOperator:
     matrix = (sp.kron(sp.identity(ny), tx_mat, format="csr")
               + sp.kron(ty_mat, sp.identity(nx), format="csr"))
     basis = None
-    if pairs_x is not None and pairs_y is not None:
-        basis = SineEigenbasis(*pairs_x, *pairs_y)
+    if mux is not None and muy is not None:
+        basis = SineEigenbasis(muy, mux)
     return LinearOperator(matrix, eigenbasis=basis)
 
 
@@ -245,6 +312,7 @@ class BlockSystemFactorization:
         self.k = float(k)
         self.dim = A.dim
         self._A = A.matrix
+        self._diagonal = A.diagonal
         self._G = ws.G
         self._H = ws.H
         try:
@@ -254,7 +322,13 @@ class BlockSystemFactorization:
                     self._dense = lu_factor(self.matrix.toarray())
             else:
                 self._lam, self._V, self._T = _decoupling(self.r)
-                self._lus = [shifted_lu(A, lam, self.k) for lam in self._lam]
+                if A.diagonal is not None:
+                    # every shifted system at once: row j holds lam_j + k mu
+                    self._denom = self._lam[:, None] + self.k * A.diagonal
+                    if np.any(self._denom == 0):
+                        raise np.linalg.LinAlgError("a shifted diagonal system is singular")
+                else:
+                    self._lus = [shifted_lu(A, lam, self.k) for lam in self._lam]
         except (LinAlgWarning, np.linalg.LinAlgError) as exc:
             raise ValueError(f"singular step system for k={self.k!r}, r={self.r}: "
                              "the operator has an eigenvalue the scheme cannot take") from exc
@@ -268,12 +342,16 @@ class BlockSystemFactorization:
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
         S = self._T @ rhs
-        W = np.stack([lu.solve(s if lam.imag else s.real)
-                      for lu, lam, s in zip(self._lus, self._lam, S)])
+        if self._diagonal is not None:
+            W = S / self._denom
+        else:
+            W = np.stack([lu.solve(s if lam.imag else s.real)
+                          for lu, lam, s in zip(self._lus, self._lam, S)])
         return (self._V @ W).real
 
     def _apply(self, U: np.ndarray) -> np.ndarray:
-        return self._G @ U + self.k * self._H[:, None] * (self._A @ U.T).T
+        AU = U * self._diagonal if self._diagonal is not None else (self._A @ U.T).T
+        return self._G @ U + self.k * self._H[:, None] * AU
 
     def solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         if rhs_flat.shape != (self.r * self.dim,):

@@ -1,4 +1,4 @@
-"""The eigenbasis path: dg_solve and Heat2dReference on constant-band Kronecker sums."""
+"""The eigenbasis path: dg_solve and Heat2dReference on constant-band operators."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 from dgtime.basis import g_matrix, h_diag, legendre_table, make_workspace
 from dgtime.dg import Forcing, LinearProblem, dg_solve
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.models import Heat2dConfig, heat2d_problem
+from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem
 from dgtime.reference import Heat2dReference
-from dgtime.system import MAX_DEGREE, kronecker_sum_operator, sparse_operator
+from dgtime.system import (
+    MAX_DEGREE,
+    SINE_FFT_LENGTH,
+    kronecker_sum_operator,
+    sparse_operator,
+    tridiagonal_operator,
+)
 
 LD = np.longdouble
 
@@ -44,25 +50,29 @@ def _batched_solve(A, B):
     return X
 
 
-def _long_double_modal_solve(cfg, N, r):
-    """DG coefficients of heat2d on a uniform mesh by a long-double modal recurrence.
+def _long_double_modal_solve(problem, factors, N, r):
+    """DG coefficients on a uniform mesh by a long-double modal recurrence.
 
+    factors lists the (n, a, d) of the operator's constant-band factors
+    tridiag(a, d, a), slowest axis first: one for heat1d, (y, x) for heat2d.
     Same operator bands and same (double) forcing moments as dg_solve; the
     eigenpairs, the per-mode r x r solves and both transforms are long double.
     """
-    problem = heat2d_problem(cfg)
-    nx, ny = cfg.Px - 1, cfg.Py - 1
-    cx, cy = cfg.kappa / cfg.hx**2, cfg.kappa / cfg.hy**2
-    mux, qx = _sine_pairs_ld(nx, -cx, 2.0 * cx)
-    muy, qy = _sine_pairs_ld(ny, -cy, 2.0 * cy)
-    mu = (muy[:, None] + mux[None, :]).ravel()
+    pairs = [_sine_pairs_ld(n, a, d) for n, a, d in factors]
+    shape = tuple(n for n, _, _ in factors)
+    mu = pairs[0][0]
+    for axis_mu, _ in pairs[1:]:
+        mu = (mu[:, None] + axis_mu[None, :]).ravel()
 
     def transform(v):
-        grids = v.astype(LD).reshape(-1, ny, nx)
-        return np.stack([qy @ g @ qx for g in grids]).reshape(v.shape)
+        grids = v.astype(LD).reshape((-1,) + shape)
+        grids = grids @ pairs[-1][1]
+        if len(pairs) == 2:
+            grids = pairs[0][1] @ grids
+        return grids.reshape(v.shape)
 
-    mesh = uniform_mesh(cfg.T, N)
-    k = cfg.T / N
+    mesh = uniform_mesh(problem.T, N)
+    k = problem.T / N
     ws = make_workspace(r)
     nodes, weights = ws.quad
     a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
@@ -81,16 +91,32 @@ def _long_double_modal_solve(cfg, N, r):
         rhs = signs[:, None] * prev[None, :] + moments[n].astype(LD)[:, None] * g_hat[None, :]
         coeffs[n] = np.einsum("mij,jm->im", inverse, rhs)
         prev = coeffs[n].sum(axis=0)
-    return problem, mesh, transform(coeffs)
+    return mesh, transform(coeffs)
+
+
+def _check_against_long_double(problem, factors, N, r):
+    assert problem.A.eigenbasis is not None
+    mesh, exact = _long_double_modal_solve(problem, factors, N, r)
+    coeffs = dg_solve(problem, mesh, r).coeffs
+    err = np.linalg.norm((coeffs - exact).ravel()) / np.linalg.norm(exact.ravel())
+    assert float(err) <= 5e-15
 
 
 @pytest.mark.parametrize("p,r,N", [(50, 3, 32), (100, 5, 8)])
 def test_dg_solve_against_long_double_modal_recurrence(p, r, N):
-    problem, mesh, exact = _long_double_modal_solve(Heat2dConfig(Px=p, Py=p), N, r)
-    assert problem.A.eigenbasis is not None
-    coeffs = dg_solve(problem, mesh, r).coeffs
-    err = np.linalg.norm((coeffs - exact).ravel()) / np.linalg.norm(exact.ravel())
-    assert float(err) <= 5e-15
+    cfg = Heat2dConfig(Px=p, Py=p)
+    cx, cy = cfg.kappa / cfg.hx**2, cfg.kappa / cfg.hy**2
+    factors = [(cfg.Py - 1, -cy, 2.0 * cy), (cfg.Px - 1, -cx, 2.0 * cx)]
+    _check_against_long_double(heat2d_problem(cfg), factors, N, r)
+
+
+@pytest.mark.parametrize("p", [500, 1000])
+def test_heat1d_dg_solve_against_long_double_modal_recurrence(p):
+    cfg = Heat1dConfig(P=p)
+    # n = 499 and 999 are long axes: their sine transforms take the rfft path
+    assert cfg.P - 1 >= SINE_FFT_LENGTH
+    c = cfg.kappa / cfg.h**2
+    _check_against_long_double(heat1d_problem(cfg), [(cfg.P - 1, -c, 2.0 * c)], 16, 3)
 
 
 def test_single_point_grid_steps_in_its_eigenbasis():
@@ -106,18 +132,27 @@ def test_single_point_grid_steps_in_its_eigenbasis():
 
 @st.composite
 def constant_band_problems(draw):
-    """A constant-band Kronecker sum scaled to smallest eigenvalue 1, with u0 and forcing."""
+    """A constant-band tridiagonal operator or Kronecker sum, with u0 and forcing.
+
+    The operator is scaled to smallest eigenvalue 1, as the heat models are.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     factors = []
-    for n in (draw(st.integers(1, 8)), draw(st.integers(1, 8))):
+    if draw(st.booleans()):
+        # short axes multiply by the sine matrix, long ones take the rfft
+        sizes = (draw(st.one_of(st.integers(1, 40),
+                                st.integers(SINE_FFT_LENGTH, SINE_FFT_LENGTH + 40))),)
+    else:
+        sizes = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    for n in sizes:
         a = rng.uniform(0.05, 50.0) * rng.choice([-1.0, 1.0])
         d = 2.0 * abs(a) + rng.uniform(0.0, 1.0)
         factors.append((n, a, d))
     smallest = sum(d - 2.0 * abs(a) * np.cos(np.pi / (n + 1)) for n, a, d in factors)
     bands = [(np.full(n - 1, a / smallest), np.full(n, d / smallest), np.full(n - 1, a / smallest))
              for n, a, d in factors]
-    A = kronecker_sum_operator(*bands)
+    A = tridiagonal_operator(*bands[0]) if len(bands) == 1 else kronecker_sum_operator(*bands)
     forcing = None
     if draw(st.booleans()):
         forcing = Forcing(lambda t: (1.0 + t) * np.exp(-t), rng.standard_normal(A.dim),

@@ -131,3 +131,12 @@ def test_config_validation():
         Heat1dConfig(u0_poly=(np.nan, 1.0))
     with pytest.raises(ValueError):
         Heat2dConfig(Px=1)
+    # non-finite or non-positive lengths, conductivities and final times
+    for field in ("kappa", "L", "T"):
+        for value in (np.nan, np.inf, -2.0, 0.0):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+                Heat1dConfig(**{field: value})
+    for field in ("kappa", "Lx", "Ly", "T"):
+        for value in (np.nan, np.inf, -2.0, 0.0):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+                Heat2dConfig(**{field: value})

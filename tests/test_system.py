@@ -8,6 +8,9 @@ from dgtime.basis import g_matrix, h_diag, make_workspace
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem
 from dgtime.system import (
     MAX_DEGREE,
+    SINE_FFT_LENGTH,
+    _sine_matrix,
+    _sine_transform,
     diagonal_operator,
     factorize_step_matrix,
     kronecker_sum_operator,
@@ -298,7 +301,7 @@ def test_sine_eigenvalues_match_mpmath(n, a, d):
     import mpmath
 
     K = kronecker_sum_operator(_constant_factor(n, a, d), _constant_factor(1, 0.0, 0.0))
-    mux = np.sort(K.eigenbasis.mux)
+    mux = np.sort(K.eigenbasis.axis_eigenvalues[-1])
     with mpmath.workdps(30):
         T = mpmath.matrix(n, n)
         for i in range(n):
@@ -313,7 +316,8 @@ def test_sine_eigenvalues_match_mpmath(n, a, d):
 def test_sine_eigenvectors_orthonormal_and_diagonalising():
     K = kronecker_sum_operator(_constant_factor(99, -1.0, 2.0), _constant_factor(7, 0.4, 1.5))
     basis = K.eigenbasis
-    for q in (basis.qx, basis.qy):
+    assert basis.shape == (7, 99)
+    for q in (_sine_matrix(n) for n in basis.shape):
         assert np.array_equal(q, q.T)
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[0]), 2) <= 4e-15
     v = np.random.default_rng(7).standard_normal((2, K.dim))
@@ -330,3 +334,61 @@ def test_non_constant_factor_has_no_eigenbasis():
     assert mixed.eigenbasis is None
     assert kronecker_sum_operator(_constant_factor(4, -1.0, 2.0),
                                   _constant_factor(3, -1.0, 2.0)).eigenbasis is not None
+
+
+def test_tridiagonal_operator_rejects_bad_bands():
+    with pytest.raises(ValueError, match="band lengths"):
+        tridiagonal_operator(np.ones(2), np.ones(2), np.ones(1))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            tridiagonal_operator([bad, -1.0], [2.0, 2.0, 2.0], [bad, -1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            tridiagonal_operator([-1.0, -1.0], [2.0, bad, 2.0], [-1.0, -1.0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        tridiagonal_operator([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -0.9])
+    # constant bands (closed form): tridiag(-1, 1, -1) of size 3 has 1 - sqrt(2)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        tridiagonal_operator([-1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, -1.0])
+    # non-constant bands (eigensolver): the quadratic form at (1, 1, 1) is -2
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        tridiagonal_operator([-1.0, -1.0], [0.5, 1.0, 0.5], [-1.0, -1.0])
+
+
+def test_tridiagonal_operator_accepts_semidefinite_bands():
+    # zero operators and a path-graph Laplacian (smallest eigenvalue 0,
+    # which the eigensolver returns as about -5e-16 at n = 4)
+    for n in (1, 3):
+        assert tridiagonal_operator(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)).dim == n
+    for n in (3, 4, 50):
+        diag = np.full(n, 7.4)
+        diag[[0, -1]] = 3.7
+        A = tridiagonal_operator(np.full(n - 1, -3.7), diag, np.full(n - 1, -3.7))
+        assert A.eigenbasis is None
+
+
+def test_constant_band_tridiagonal_has_sine_eigenbasis():
+    n, a, d = 30, -2.0, 4.5
+    A = tridiagonal_operator(np.full(n - 1, a), np.full(n, d), np.full(n - 1, a))
+    basis = A.eigenbasis
+    assert basis.shape == (n,) and basis.operator.dim == n
+    v = np.random.default_rng(3).standard_normal((2, n))
+    modal = basis.transform(A.matrix @ basis.transform(v[0]))
+    np.testing.assert_allclose(modal, basis.eigenvalues * v[0], atol=1e-13)
+    assert tridiagonal_operator(np.full(n - 1, a), np.linspace(5.0, 6.0, n),
+                                np.full(n - 1, a)).eigenbasis is None
+
+
+@pytest.mark.parametrize("n", [1, 2, SINE_FFT_LENGTH - 1, SINE_FFT_LENGTH, 999])
+def test_sine_transform_matches_dense_matrix(n):
+    # below SINE_FFT_LENGTH the transform is the cached matrix; from it on,
+    # an rfft; both must agree with the matrix and be their own inverse
+    rng = np.random.default_rng(n)
+    q = _sine_matrix(n)
+    for shape, axis in (((6, n), -1), ((2, n, 3), -2)):
+        v = rng.standard_normal(shape)
+        exact = v @ q if axis == -1 else q @ v
+        out = _sine_transform(v, axis)
+        assert out.shape == v.shape
+        assert np.linalg.norm(out - exact) <= 2e-15 * np.linalg.norm(exact)
+        back = _sine_transform(out, axis)
+        assert np.linalg.norm(back - v) <= 2e-15 * np.linalg.norm(v)
