@@ -48,9 +48,11 @@ def reconstruct(sol: DgSolution) -> Reconstruction:
     left-limit nodal values, and it starts from sol.u0.
     """
     r = sol.r
-    jumps = np.empty((sol.mesh.N, sol.dim))  # filled in place: no list of N states
-    for n in range(1, sol.mesh.N + 1):
-        jumps[n - 1] = sol.jump(n)
+    # jump at t_{n-1}: right limit from interval n minus the left limit
+    # from interval n - 1 (u0 for n = 1), as in DgSolution.jump
+    jumps = (-1.0) ** np.arange(r) @ sol.coeffs
+    jumps[0] -= sol.u0
+    jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
     half_signed = 0.5 * (-1.0) ** r * jumps
 
     coeffs = np.concatenate([sol.coeffs, -half_signed[:, None, :]], axis=1)

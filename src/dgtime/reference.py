@@ -320,7 +320,7 @@ class _BandedContourReference:
                              f"[{self.t_min}, {self.t_max}]")
         out[zero] = self._initial_state()
         live = np.nonzero(live)[0]
-        for b in np.unique(bands[live]):
+        for b in np.flatnonzero(np.bincount(bands[live])):
             rows = live[bands[live] == b]
             out[rows] = _invert_values(self._rules[b], self._values[b], ts[rows])
         return out

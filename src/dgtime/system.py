@@ -15,10 +15,11 @@ removes the error that cond(V) (about 6e5 at r = 12) adds to the
 transformation.  Degrees 1 <= r <= MAX_DEGREE are supported; beyond it the
 transformation loses accuracy and the factorization refuses to build.
 
-A scalar state (M = 1) has nothing to decouple: its r x r block matrix is
-assembled and factored densely.  For a diagonal operator the shifted
-systems of a step are one (ceil(r/2), M) array of lam_j + k mu, and a solve
-is one broadcast division.
+A scalar state (M = 1) has nothing to decouple: its dense r x r block
+matrix G + k diag(H lam) is solved by `np.linalg.solve` (LU with partial
+pivoting) and refined once against the same matrix.  For a diagonal
+operator the shifted systems of a step are one (ceil(r/2), M) array of
+lam_j + k mu, and a solve is one broadcast division.
 
 `shifted_lu` solves sigma I + c A for the Laplace reference: by division
 for a diagonal operator, by sparse LU for any other.  A constant-band
@@ -29,17 +30,20 @@ the stepper and the 2D reference transform into it once, work with the
 diagonal operator of the eigenvalues, and transform back once (fast
 diagonalisation, Lynch, Rice & Thomas 1964).  The transform multiplies by
 the dense sine matrix on short axes and takes an rfft on long ones.
+
+Only numpy is imported at module load.  scipy is imported on first use, by
+`sparse_operator`, a sparse `shifted_lu`, the eigensolver of non-constant
+tridiagonal bands and the `.matrix` of an operator or a factorization,
+which is a scipy sparse matrix built on first access.  The built-in
+experiments reach none of these.
 """
 
 from __future__ import annotations
 
-import warnings
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgWarning, eigvalsh_tridiagonal, lu_factor, lu_solve
-from scipy.sparse.linalg import splu
+import numpy.fft  # noqa: F401 -- a lazy submodule: load it here, not at the first rfft
 
 from .basis import LegendreWorkspace, g_matrix, h_diag
 
@@ -64,26 +68,49 @@ MAX_DEGREE = 12
 SINE_FFT_LENGTH = 400
 
 
-class LinearOperator:
-    """A (sparse) symmetric positive-definite operator with a known structure.
+def _sparse():
+    """scipy.sparse, imported on first use."""
+    import scipy.sparse
 
-    diagonal holds the entries of a diagonal operator; eigenbasis is the
-    `SineEigenbasis` of a constant-band tridiagonal operator or of a
-    Kronecker sum of such factors.  Both are None for an operator without
-    such structure.
+    return scipy.sparse
+
+
+def _diags(*args, **kwargs):
+    return _sparse().diags(*args, **kwargs)
+
+
+def _kronecker_sum(build_x, build_y):
+    """kron(I_ny, Tx) + kron(Ty, I_nx) from the builders of Tx and Ty."""
+    sp, tx, ty = _sparse(), build_x(), build_y()
+    return (sp.kron(sp.identity(ty.shape[0]), tx, format="csr")
+            + sp.kron(ty, sp.identity(tx.shape[0]), format="csr"))
+
+
+class LinearOperator:
+    """A symmetric positive-(semi)definite operator with a known structure.
+
+    build returns the operator's sparse matrix; `matrix` calls it on first
+    access and keeps the result as a scipy CSR matrix.  diagonal holds the
+    entries of a diagonal operator; eigenbasis is the `SineEigenbasis` of a
+    constant-band tridiagonal operator or of a Kronecker sum of such
+    factors.  Both are None for an operator without such structure.
     """
 
-    def __init__(self, matrix: sp.spmatrix, eigenbasis=None, diagonal=None):
-        matrix = sp.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
+    def __init__(self, dim: int, build, eigenbasis=None, diagonal=None):
+        self.dim = dim
+        self._build = build
         self.eigenbasis = eigenbasis
         self.diagonal = diagonal
 
+    @cached_property
+    def matrix(self):
+        return _sparse().csr_matrix(self._build())
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        """A v for a state or a stack of states along the columns of v."""
+        if self.diagonal is None:
+            return self.matrix @ v
+        return (self.diagonal if np.ndim(v) < 2 else self.diagonal[:, None]) * v
 
     def __repr__(self):
         return f"LinearOperator(dim={self.dim})"
@@ -91,22 +118,28 @@ class LinearOperator:
 
 def scalar_operator(lam: float) -> LinearOperator:
     """The multiplication operator u -> lam * u on a one-dimensional state."""
-    return LinearOperator(sp.csr_matrix(np.array([[float(lam)]])))
+    return diagonal_operator([float(lam)])
 
 
 def diagonal_operator(values: np.ndarray) -> LinearOperator:
-    """The operator diag(values); its shifted systems are solved by division."""
+    """The operator diag(values); its shifted systems are solved by division.
+
+    Raises ValueError for non-finite values.
+    """
     values = np.asarray(values, dtype=float)
-    return LinearOperator(sp.diags(values), diagonal=values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("diagonal operator has non-finite entries")
+    return LinearOperator(values.size, partial(_diags, values), diagonal=values)
 
 
 def _symmetric_tridiagonal(lower, diag, upper, name: str):
     """Checked bands of a symmetric tridiagonal matrix.
 
-    Returns (matrix, eigenvalues, smallest): the closed-form eigenvalues for
-    constant bands (None otherwise) and the smallest eigenvalue.  Raises
-    ValueError, naming the matrix, for bands of the wrong length, non-finite
-    entries or lower != upper.
+    Returns (build, eigenvalues, smallest): a function that builds the
+    sparse matrix, the closed-form eigenvalues for constant bands (None
+    otherwise) and the smallest eigenvalue.  Raises ValueError, naming the
+    matrix, for bands of the wrong length, non-finite entries or lower !=
+    upper.
     """
     lower, diag, upper = (np.asarray(band, dtype=float) for band in (lower, diag, upper))
     n = diag.size
@@ -118,11 +151,13 @@ def _symmetric_tridiagonal(lower, diag, upper, name: str):
         raise ValueError(f"{name} is not symmetric: lower and upper bands differ")
     mu = _sine_eigenvalues(diag, upper)
     if mu is None:
+        from scipy.linalg import eigvalsh_tridiagonal
+
         smallest = eigvalsh_tridiagonal(diag, upper, select="i", select_range=(0, 0))[0]
     else:
         smallest = mu.min()
-    matrix = sp.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
-    return matrix, mu, float(smallest)
+    build = partial(_diags, [lower, diag, upper], offsets=[-1, 0, 1], format="csr")
+    return build, mu, float(smallest)
 
 
 def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> LinearOperator:
@@ -133,17 +168,32 @@ def tridiagonal_operator(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray)
     of the wrong length, non-finite or asymmetric bands and a negative
     eigenvalue.
     """
-    matrix, mu, smallest = _symmetric_tridiagonal(lower, diag, upper, "tridiagonal operator")
+    build, mu, smallest = _symmetric_tridiagonal(lower, diag, upper, "tridiagonal operator")
     # the eigensolver is accurate to about eps ||T||, so a zero eigenvalue of
     # a semidefinite matrix may come out a few ulps of ||T|| below zero
     norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(upper), initial=0.0)
     if smallest < -8.0 * np.finfo(float).eps * norm:
         raise ValueError(f"tridiagonal operator has a negative eigenvalue {smallest!r}")
-    return LinearOperator(matrix, eigenbasis=None if mu is None else SineEigenbasis(mu))
+    return LinearOperator(np.size(diag), build,
+                          eigenbasis=None if mu is None else SineEigenbasis(mu))
 
 
-def sparse_operator(matrix: sp.spmatrix) -> LinearOperator:
-    return LinearOperator(matrix)
+def sparse_operator(matrix) -> LinearOperator:
+    """Symmetric operator from a square sparse (or dense) matrix.
+
+    Its shifted systems get a sparse LU.  Raises ValueError for a matrix
+    that is not square, has non-finite entries or is not exactly symmetric.
+    Definiteness is not checked: a step or shift the operator makes singular
+    fails when it is factored.
+    """
+    matrix = _sparse().csr_matrix(matrix, dtype=float)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("operator matrix must be square")
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValueError("sparse operator has non-finite entries")
+    if (matrix != matrix.T).nnz:
+        raise ValueError("sparse operator is not symmetric")
+    return LinearOperator(matrix.shape[0], partial(_sparse().csr_matrix, matrix))
 
 
 def _sine_eigenvalues(diag: np.ndarray, off: np.ndarray):
@@ -228,18 +278,16 @@ def kronecker_sum_operator(tx, ty) -> LinearOperator:
     operator carries their closed-form `SineEigenbasis`.  Raises ValueError
     when a factor is not symmetric or the sum is not positive definite.
     """
-    (tx_mat, mux, minx), (ty_mat, muy, miny) = (
+    (build_x, mux, minx), (build_y, muy, miny) = (
         _symmetric_tridiagonal(*bands, f"{name} factor") for name, bands in (("x", tx), ("y", ty)))
     if minx + miny <= 0.0:
         raise ValueError(f"operator is not positive definite: smallest eigenvalue "
                          f"{minx + miny!r}")
-    nx, ny = tx_mat.shape[0], ty_mat.shape[0]
-    matrix = (sp.kron(sp.identity(ny), tx_mat, format="csr")
-              + sp.kron(ty_mat, sp.identity(nx), format="csr"))
     basis = None
     if mux is not None and muy is not None:
         basis = SineEigenbasis(muy, mux)
-    return LinearOperator(matrix, eigenbasis=basis)
+    build = partial(_kronecker_sum, build_x, build_y)
+    return LinearOperator(np.size(tx[1]) * np.size(ty[1]), build, eigenbasis=basis)
 
 
 class _DiagonalSolve:
@@ -264,7 +312,9 @@ def shifted_lu(A: LinearOperator, shift: complex, scale: float = 1.0):
         if np.any(denom == 0):
             raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular")
         return _DiagonalSolve(denom)
-    mat = (scale * A.matrix + shift * sp.identity(A.dim, format="csc")).tocsc()
+    from scipy.sparse.linalg import splu
+
+    mat = (scale * A.matrix + shift * _sparse().identity(A.dim, format="csc")).tocsc()
     try:
         return splu(mat, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -311,15 +361,16 @@ class BlockSystemFactorization:
         self.r = ws.r
         self.k = float(k)
         self.dim = A.dim
-        self._A = A.matrix
+        self._A = A
         self._diagonal = A.diagonal
         self._G = ws.G
         self._H = ws.H
         try:
             if A.dim == 1:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", LinAlgWarning)
-                    self._dense = lu_factor(self.matrix.toarray())
+                # solve raises LinAlgError on an exactly zero pivot: probe once
+                # so that a singular step fails here, not at its first solve
+                self._dense = self._G + self.k * np.diag(self._H * A.apply(np.ones(1))[0])
+                np.linalg.solve(self._dense, np.zeros(self.r))
             else:
                 self._lam, self._V, self._T = _decoupling(self.r)
                 if A.diagonal is not None:
@@ -329,15 +380,17 @@ class BlockSystemFactorization:
                         raise np.linalg.LinAlgError("a shifted diagonal system is singular")
                 else:
                     self._lus = [shifted_lu(A, lam, self.k) for lam in self._lam]
-        except (LinAlgWarning, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular step system for k={self.k!r}, r={self.r}: "
                              "the operator has an eigenvalue the scheme cannot take") from exc
 
     @cached_property
-    def matrix(self) -> sp.csc_matrix:
+    def matrix(self):
+        """The block operator as a scipy CSC matrix, assembled on first access."""
+        sp = _sparse()
         eye = sp.identity(self.dim, format="csr")
         return sp.kron(self._G, eye, format="csc") + self.k * sp.kron(
-            sp.diags(self._H), self._A, format="csc"
+            sp.diags(self._H), self._A.matrix, format="csc"
         )
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -350,8 +403,7 @@ class BlockSystemFactorization:
         return (self._V @ W).real
 
     def _apply(self, U: np.ndarray) -> np.ndarray:
-        AU = U * self._diagonal if self._diagonal is not None else (self._A @ U.T).T
-        return self._G @ U + self.k * self._H[:, None] * AU
+        return self._G @ U + self.k * self._H[:, None] * self._A.apply(U.T).T
 
     def solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         if rhs_flat.shape != (self.r * self.dim,):
@@ -361,8 +413,11 @@ class BlockSystemFactorization:
         # over a long run, which is visible next to superconvergent nodal
         # errors near the roundoff floor
         if self.dim == 1:
-            x = lu_solve(self._dense, rhs_flat, check_finite=False)
-            x += lu_solve(self._dense, rhs_flat - self.matrix @ x, check_finite=False)
+            # the residual's row sums run left to right (cumsum), not in the
+            # blocked order of a BLAS product, which moves the last digits
+            # of every ODE table cell
+            x = np.linalg.solve(self._dense, rhs_flat)
+            x += np.linalg.solve(self._dense, rhs_flat - np.cumsum(self._dense * x, axis=1)[:, -1])
             return x
         R = rhs_flat.reshape(self.r, self.dim)
         U = self._shifted_solve(R)

@@ -339,3 +339,47 @@ def test_non_finite_coefficients_report_step(A):
     problem = LinearProblem(A=A, u0=np.ones(A.dim), T=1.0, forcing=forcing)
     with pytest.raises(ValueError, match=r"non-finite DG coefficients at step n=2, t_n=1\.0"):
         dg_solve(problem, uniform_mesh(1.0, 2), 2)
+
+
+def _mpmath_ode_coefficients(problem, mesh, r):
+    """DG coefficients of a scalar problem by a 30-digit recurrence.
+
+    Same double-precision forcing moments as dg_solve; the step matrix
+    G + k lam diag(H), its inverse and every step are carried in mpmath.
+    """
+    import mpmath
+
+    ws = make_workspace(r)
+    nodes, weights = ws.quad
+    a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+    phi = problem.forcing.phi(0.5 * ((1.0 - nodes) * a + (1.0 + nodes) * b))
+    moments = 0.5 * mesh.steps[:, None] * ((weights * phi) @ legendre_table(r - 1, nodes))
+    lam, g = float(problem.A.diagonal[0]), float(problem.forcing.profile[0])
+    out = np.empty((mesh.N, r))
+    with mpmath.workdps(30):
+        k = mpmath.mpf(float(mesh.steps[0]))
+        step = mpmath.matrix(r, r)
+        for i in range(r):
+            for j in range(r):
+                step[i, j] = mpmath.mpf(float(ws.G[i, j])) + (
+                    k * mpmath.mpf(lam) * mpmath.mpf(float(ws.H[i])) if i == j else 0)
+        inverse = step ** -1
+        prev = mpmath.mpf(float(problem.u0[0]))
+        for n in range(mesh.N):
+            rhs = mpmath.matrix([(-1) ** i * prev + mpmath.mpf(float(moments[n, i])) * g
+                                 for i in range(r)])
+            U = inverse * rhs
+            out[n] = [float(u) for u in U]
+            prev = mpmath.fsum(U)
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_scalar_step_solve_against_mpmath_recurrence(r, N):
+    problem = ode_problem()
+    mesh = uniform_mesh(problem.T, N)
+    exact = _mpmath_ode_coefficients(problem, mesh, r)
+    coeffs = dg_solve(problem, mesh, r).coeffs[:, :, 0]
+    err = np.linalg.norm(coeffs - exact) / np.linalg.norm(exact)
+    assert err <= 5e-15

@@ -354,6 +354,20 @@ def test_tridiagonal_operator_rejects_bad_bands():
         tridiagonal_operator([-1.0, -1.0], [0.5, 1.0, 0.5], [-1.0, -1.0])
 
 
+def test_sparse_operator_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="square"):
+        sparse_operator(sp.random(3, 4, density=0.5, random_state=1))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            sparse_operator(sp.diags([1.0, bad, 3.0]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sparse_operator(sp.diags([[2.0] * 3, [-1.0] * 2, [-0.9] * 2], [0, 1, -1]))
+    with pytest.raises(ValueError, match="non-finite"):
+        diagonal_operator([1.0, np.nan])
+    # definiteness is left to the factorization (see the singular-step tests)
+    assert sparse_operator(-2.0 * sp.identity(3)).dim == 3
+
+
 def test_tridiagonal_operator_accepts_semidefinite_bands():
     # zero operators and a path-graph Laplacian (smallest eigenvalue 0,
     # which the eigensolver returns as about -5e-16 at n = 4)
