@@ -13,8 +13,11 @@ times x state entries (or one interval, when that alone holds more).  Per block 
 values are shared by the three columns: the nodal value at t_n is the
 tau = 1 sample of interval n.  Each piecewise solution is sampled on all
 intervals of a block by one stacked matrix product.  The Richardson
-extrapolation of the 1D solutions is linear, so it is applied once to the
-Legendre coefficients rather than to every sample.
+extrapolation of the 1D solutions is linear, so it is applied to the
+Legendre coefficients rather than to every sample, one block at a time:
+the extrapolated solution and the reconstruction are views that derive
+the coefficients of a block when it is measured, so no full coefficient
+array besides the DG solutions is held.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import legendre_table
-from .dg import PiecewiseLegendre, dg_solve, state_norm
+from .dg import PiecewiseLegendreView, dg_solve, state_norm
 from .mesh import uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from .postprocess import reconstruct
@@ -53,19 +56,30 @@ HEAT_N_LIST = (8, 16, 32, 64, 128)
 MEASURE_BLOCK_ELEMENTS = 2 ** 16
 
 
-class ExtrapolatedSolution(PiecewiseLegendre):
+class ExtrapolatedSolution(PiecewiseLegendreView):
     """Richardson combination of solutions on spatial grids h and h/2.
 
-    Both members must share the time mesh.  Richardson extrapolation is
-    linear, so it is applied once to the two coefficient stacks; the result
-    lives on the coarse grid, which also supplies the norm weight.
+    Both members must share the time mesh and the coefficient count.
+    Richardson extrapolation is linear, so it is applied to the Legendre
+    coefficients rather than to every sample; the view keeps its two
+    members and combines their coefficients one block of intervals at a
+    time.  The result lives on the coarse grid, which also supplies the
+    norm weight.
     """
 
     def __init__(self, coarse, fine):
         if not np.array_equal(coarse.mesh.nodes, fine.mesh.nodes):
             raise ValueError("extrapolation partners must share the time mesh")
-        super().__init__(coarse.mesh, richardson(coarse.coeffs, fine.coeffs))
-        self.norm_weight = coarse.norm_weight
+        if fine.degree_count != coarse.degree_count:
+            raise ValueError("extrapolation partners must share the coefficient count")
+        if fine.dim != 2 * coarse.dim + 1:
+            raise ValueError("fine grid must refine the coarse grid by exactly 2")
+        self.mesh, self.norm_weight = coarse.mesh, coarse.norm_weight
+        self.degree_count, self.dim = coarse.degree_count, coarse.dim
+        self._coarse, self._fine = coarse, fine
+
+    def coefficients(self, idx) -> np.ndarray:
+        return richardson(self._coarse.coefficients(idx), self._fine.coefficients(idx))
 
 
 class _OdeReference:
@@ -87,7 +101,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
                       nodal=False, min_interval=1):
     """Maximum sampled (weighted) error of a piecewise solution.
 
-    approx is a PiecewiseLegendre (.mesh, .coeffs) with a .norm_weight;
+    approx is a PiecewiseLegendre (.mesh, .coefficients) with a .norm_weight;
     reference maps t to the exact state, or offers eval_many(ts).  With
     nodal=True only the left limits at the mesh nodes enter.  weight is the
     exponent alpha of min(t^alpha, 1).  The window selects whole intervals:
@@ -137,24 +151,32 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
         if not np.any(mask):
             raise ValueError(f"no interval to measure: window [{lo}, {hi}] holds no node "
                              f"t_n with n >= {first} of the N = {mesh.N} mesh")
+    # the window and the leading skips leave one contiguous run of intervals
     measured = np.nonzero(np.any(counted, axis=0))[0]  # interval n - 1, 0-based
+    first_measured, end_measured = int(measured[0]), int(measured[-1]) + 1
 
     # nodal values are the tau = 1 samples, the last of the grid
     taus = np.array([1.0]) if all(nodals) else np.linspace(-1.0, 1.0, samples_per_interval)
-    tables = [legendre_table(a.coeffs.shape[1] - 1, taus) for a in approxes]
-    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * approxes[0].coeffs.shape[2]))
+    tables = [legendre_table(a.degree_count - 1, taus) for a in approxes]
+    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * approxes[0].dim))
     worst = [0.0] * len(approxes)
-    for start in range(0, measured.size, block):
-        idx = measured[start:start + block]
+    for start in range(first_measured, end_measured, block):
+        stop = min(start + block, end_measured)
+        idx = slice(start, stop)
         # TimeMesh.to_physical for every interval of the block, shape (B, S)
-        a, b = mesh.nodes[idx, None], mesh.nodes[idx + 1, None]
+        a, b = mesh.nodes[start:stop, None], mesh.nodes[start + 1:stop + 1, None]
         ts = 0.5 * ((1.0 - taus) * a + (1.0 + taus) * b)
-        refs = _reference_values(reference, ts.ravel()).reshape(idx.size, taus.size, -1)
+        refs = _reference_values(reference, ts.ravel()).reshape(stop - start, taus.size, -1)
+        # one coefficient block per distinct solution: U is measured twice
+        # in [U, U*, U], and a view computes its block on every call
+        blocks = {}
         for c, sol in enumerate(approxes):
             rows = counted[c][idx]
             if not np.any(rows):
                 continue
-            coeffs = sol.coeffs[idx]
+            if id(sol) not in blocks:
+                blocks[id(sol)] = sol.coefficients(idx)
+            coeffs = blocks[id(sol)]
             if nodals[c]:
                 t, diff = ts[:, -1], coeffs.sum(axis=1) - refs[:, -1]
             else:

@@ -30,8 +30,8 @@ from .system import LinearOperator, factorize_step_matrix, solve_step
 # most coefficient entries one block of the back transform holds
 TRANSFORM_BLOCK_ELEMENTS = 2 ** 16
 
-__all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "DgSolution", "dg_solve",
-           "state_norm"]
+__all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "PiecewiseLegendreView",
+           "DgSolution", "dg_solve", "state_norm"]
 
 
 def state_norm(v: np.ndarray, weight: float = 1.0) -> float:
@@ -91,6 +91,8 @@ class PiecewiseLegendre:
 
     coeffs has shape (N, q, M): N intervals, q coefficients per interval,
     state dimension M.  Evaluation at a break point returns the left limit.
+    Every read goes through `coefficients`, so a subclass may compute its
+    coefficients one block of intervals at a time instead of storing them.
     """
 
     def __init__(self, mesh: TimeMesh, coeffs: np.ndarray):
@@ -99,20 +101,17 @@ class PiecewiseLegendre:
             raise ValueError("coefficient array must have shape (N, q, M)")
         self.mesh = mesh
         self.coeffs = coeffs
+        self.degree_count, self.dim = coeffs.shape[1:]
 
-    @property
-    def degree_count(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[2]
+    def coefficients(self, idx) -> np.ndarray:
+        """Coefficients of the intervals idx (0-based slice or index array), (len(idx), q, M)."""
+        return self.coeffs[idx]
 
     def sample_interval(self, n: int, taus) -> np.ndarray:
         """Values on interval n at reference coordinates, shape (S, M)."""
         self.mesh._check_index(n)
         table = legendre_table(self.degree_count - 1, taus)
-        return table @ self.coeffs[n - 1]
+        return table @ self.coefficients(slice(n - 1, n))[0]
 
     def eval(self, t: float) -> np.ndarray:
         n = self.mesh.interval_of(t)
@@ -122,13 +121,25 @@ class PiecewiseLegendre:
     def left_limit(self, n: int) -> np.ndarray:
         """Value at t_n from interval n (all local polynomials equal 1 there)."""
         self.mesh._check_index(n)
-        return self.coeffs[n - 1].sum(axis=0)
+        return self.coefficients(slice(n - 1, n))[0].sum(axis=0)
 
     def right_limit(self, n: int) -> np.ndarray:
         """Value at t_n from interval n + 1, for 0 <= n <= N - 1."""
         self.mesh._check_index(n + 1)
         signs = (-1.0) ** np.arange(self.degree_count)
-        return signs @ self.coeffs[n]
+        return signs @ self.coefficients(slice(n, n + 1))[0]
+
+
+class PiecewiseLegendreView(PiecewiseLegendre):
+    """A piecewise polynomial whose coefficients are derived block by block.
+
+    Subclasses set mesh, degree_count and dim and implement `coefficients`;
+    `coeffs` builds the whole (N, q, M) array on every access.
+    """
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.coefficients(slice(None))
 
 
 class DgSolution(PiecewiseLegendre):

@@ -5,6 +5,11 @@ reconstruction, the jump error indicator, and the interpolating projector
 that fixes the value at the right node of each interval.  A diagnostic
 measures how far the actual error deviates from its leading Radau-polynomial
 profile.
+
+The reconstruction is a rank-one correction of the DG solution on each
+interval, so it is kept as a view: the DG solution plus one (N, M) array
+of half signed jumps, from which the coefficients of a block of intervals
+are derived when they are read.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import LegendreWorkspace, legendre_coeff, legendre_eval, legendre_table, make_workspace
-from .dg import DgSolution, PiecewiseLegendre, state_norm
+from .dg import DgSolution, PiecewiseLegendre, PiecewiseLegendreView, state_norm
 from .mesh import TimeMesh
 
 __all__ = [
@@ -26,15 +31,31 @@ __all__ = [
 ]
 
 
-class Reconstruction(PiecewiseLegendre):
-    """Continuous piecewise polynomial of degree r correcting the DG solution."""
+class Reconstruction(PiecewiseLegendreView):
+    """Continuous piecewise polynomial of degree r correcting the DG solution.
 
-    def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray, norm_weight: float = 1.0):
-        super().__init__(mesh, coeffs)
-        if coeffs.shape[1] != r + 1:
-            raise ValueError("reconstruction must carry r + 1 coefficients")
-        self.r = r
-        self.norm_weight = norm_weight
+    A view: it keeps the DG solution by reference and the (N, M) array
+    half_signed of (-1)^r / 2 times the jump at t_{n-1}, row n - 1.  The
+    coefficients of a block of intervals are those of the DG solution with
+    half_signed added to coefficient r - 1 and its negative appended as
+    coefficient r, so the (N, r + 1, M) array is built only when `coeffs`
+    is read.
+    """
+
+    def __init__(self, sol: DgSolution, half_signed: np.ndarray):
+        half_signed = np.asarray(half_signed, dtype=float)
+        if half_signed.shape != (sol.mesh.N, sol.dim):
+            raise ValueError("half_signed must have shape (N, M) of the DG solution")
+        self.mesh, self.r, self.norm_weight = sol.mesh, sol.r, sol.norm_weight
+        self.degree_count, self.dim = sol.r + 1, sol.dim
+        self._sol = sol
+        self._half_signed = half_signed
+
+    def coefficients(self, idx) -> np.ndarray:
+        half = self._half_signed[idx]
+        coeffs = np.concatenate([self._sol.coefficients(idx), -half[:, None, :]], axis=1)
+        coeffs[:, self.r - 1, :] += half
+        return coeffs
 
 
 def reconstruct(sol: DgSolution) -> Reconstruction:
@@ -45,7 +66,9 @@ def reconstruct(sol: DgSolution) -> Reconstruction:
     form means: keep coefficients 0..r-2, add half the signed jump to
     coefficient r-1, and set coefficient r to minus half the signed jump.
     The result matches the DG solution at the interior Radau points and the
-    left-limit nodal values, and it starts from sol.u0.
+    left-limit nodal values, and it starts from sol.u0.  Only the jumps are
+    computed here, one (N, M) array; the returned view derives the
+    coefficients of each block of intervals when they are read.
     """
     r = sol.r
     # jump at t_{n-1}: right limit from interval n minus the left limit
@@ -53,11 +76,8 @@ def reconstruct(sol: DgSolution) -> Reconstruction:
     jumps = (-1.0) ** np.arange(r) @ sol.coeffs
     jumps[0] -= sol.u0
     jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
-    half_signed = 0.5 * (-1.0) ** r * jumps
-
-    coeffs = np.concatenate([sol.coeffs, -half_signed[:, None, :]], axis=1)
-    coeffs[:, r - 1, :] += half_signed
-    return Reconstruction(sol.mesh, r, coeffs, sol.norm_weight)
+    jumps *= 0.5 * (-1.0) ** r
+    return Reconstruction(sol, jumps)
 
 
 def jump_indicator(sol: DgSolution, n: int) -> float:

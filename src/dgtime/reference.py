@@ -159,7 +159,12 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int = 32) -> Cont
     real axis, i.e. an operator A with nonnegative real spectrum (the heat
     equations here).  A negative eigenvalue of A puts a pole right of the
     origin, which the contour may pass on the wrong side; the budget says
-    nothing about complex eigenvalues.  Nothing checks this at run time.
+    nothing about complex eigenvalues.  Nothing here checks it: the 1D
+    reference inverts the continuous problem, whose spectrum is positive,
+    and `Heat2dReference` raises ValueError for a negative value in a
+    spectrum it knows, the entries of a diagonal operator or the
+    eigenvalues of a `SineEigenbasis`.  A sparse operator without an
+    eigenbasis stays unchecked.
     """
     if not 0.0 < t_min <= t_max:
         raise ValueError("need 0 < t_min <= t_max")
@@ -365,7 +370,9 @@ class Heat1dReference(_BandedContourReference):
 class Heat2dReference(_BandedContourReference):
     """Semidiscrete 2D heat solution via the resolvent; needs phi_hat.
 
-    Each band's transform values come from one `resolvent_2d` call.
+    Each band's transform values come from one `resolvent_2d` call.  Raises
+    ValueError when the operator's known spectrum (`hyperbolic_contour`)
+    has a negative value.
     """
 
     def __init__(self, problem, t_min: float, t_max: float,
@@ -373,6 +380,11 @@ class Heat2dReference(_BandedContourReference):
                  band_ratio: float = DEFAULT_BAND_RATIO):
         if problem.forcing is not None and problem.forcing.phi_hat is None:
             raise ValueError("the forcing has no Laplace transform phi_hat")
+        A = problem.A
+        spectrum = A.diagonal if A.eigenbasis is None else A.eigenbasis.eigenvalues
+        if spectrum is not None and np.min(spectrum) < 0.0:
+            raise ValueError(f"the operator has a negative eigenvalue {float(np.min(spectrum))!r}: "
+                             "the contour needs a nonnegative spectrum")
         self.problem = problem
         super().__init__(t_min, t_max, half_nodes, band_ratio)
 

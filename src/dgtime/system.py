@@ -405,9 +405,11 @@ class BlockSystemFactorization:
     def _apply(self, U: np.ndarray) -> np.ndarray:
         return self._G @ U + self.k * self._H[:, None] * self._A.apply(U.T).T
 
-    def solve(self, rhs_flat: np.ndarray) -> np.ndarray:
-        if rhs_flat.shape != (self.r * self.dim,):
-            raise ValueError(f"rhs must have length {self.r * self.dim}")
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for the (r, M) coefficients of one step from the (r, M) rhs."""
+        if rhs.shape != (self.r, self.dim):
+            raise ValueError(f"rhs shape {rhs.shape} incompatible with (r, M) = "
+                             f"({self.r}, {self.dim})")
         # one step of iterative refinement; without it the forward error of
         # the stiff fine-grid systems (cond ~ k ||A||) accumulates to ~1e-11
         # over a long run, which is visible next to superconvergent nodal
@@ -416,13 +418,13 @@ class BlockSystemFactorization:
             # the residual's row sums run left to right (cumsum), not in the
             # blocked order of a BLAS product, which moves the last digits
             # of every ODE table cell
-            x = np.linalg.solve(self._dense, rhs_flat)
-            x += np.linalg.solve(self._dense, rhs_flat - np.cumsum(self._dense * x, axis=1)[:, -1])
-            return x
-        R = rhs_flat.reshape(self.r, self.dim)
-        U = self._shifted_solve(R)
-        U += self._shifted_solve(R - self._apply(U))
-        return U.ravel()
+            b = rhs[:, 0]
+            x = np.linalg.solve(self._dense, b)
+            x += np.linalg.solve(self._dense, b - np.cumsum(self._dense * x, axis=1)[:, -1])
+            return x[:, None]
+        U = self._shifted_solve(rhs)
+        U += self._shifted_solve(rhs - self._apply(U))
+        return U
 
 
 def factorize_step_matrix(A: LinearOperator, ws: LegendreWorkspace, k: float) -> BlockSystemFactorization:
@@ -435,10 +437,11 @@ def factorize_step_matrix(A: LinearOperator, ws: LegendreWorkspace, k: float) ->
 
 
 def solve_step(fac: BlockSystemFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve the block system for stacked right-hand sides of shape (r, M)."""
+    """Solve the block system for stacked right-hand sides of shape (r, M).
+
+    A flat rhs of length r M is taken as its (r, M) stack, row by row.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (fac.r * fac.dim,):
         rhs = rhs.reshape(fac.r, fac.dim)
-    if rhs.shape != (fac.r, fac.dim):
-        raise ValueError(f"rhs shape {rhs.shape} incompatible with (r, M) = ({fac.r}, {fac.dim})")
-    return fac.solve(rhs.ravel()).reshape(fac.r, fac.dim)
+    return fac.solve(rhs)

@@ -13,10 +13,12 @@ from dgtime.bench import (
     run_experiment,
     run_profile,
 )
+from dgtime.basis import legendre_table
 from dgtime.dg import DgSolution, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.models import ode_problem
-from dgtime.reference import ode_exact, richardson
+from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
+from dgtime.postprocess import reconstruct
+from dgtime.reference import Heat1dReference, Heat2dReference, ode_exact, richardson
 
 
 def ode_solution(r=3, N=4):
@@ -228,6 +230,80 @@ def test_extrapolated_solution_samples_richardson_of_samples():
                                    richardson(coarse.left_limit(n), fine.left_limit(n)),
                                    rtol=1e-14, atol=1e-14)
     assert ext.norm_weight == 0.25
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 10),
+       dim=st.sampled_from([1, 7]), reconstructed=st.booleans())
+def test_extrapolated_blocks_equal_full_array_richardson(seed, n, r, dim, reconstructed):
+    rng = np.random.default_rng(seed)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))]))
+    coarse, fine = (DgSolution(mesh, r, rng.standard_normal((n, r, m)),
+                               rng.standard_normal(m), rng.uniform(0.01, 1.0))
+                    for m in (dim, 2 * dim + 1))
+    if reconstructed:
+        coarse, fine = reconstruct(coarse), reconstruct(fine)
+    ext = ExtrapolatedSolution(coarse, fine)
+    full = richardson(coarse.coeffs, fine.coeffs)
+    assert (ext.degree_count, ext.dim, ext.norm_weight) == (full.shape[1], dim,
+                                                            coarse.norm_weight)
+    assert np.array_equal(ext.coeffs, full)
+    stop, start = int(rng.integers(1, n + 1)), int(rng.integers(0, n))
+    picks = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    # blocks from interval 1 include the jump from u0 in a reconstruction
+    for idx in (slice(0, stop), slice(start, n), np.arange(stop), np.sort(picks), picks):
+        assert np.array_equal(ext.coefficients(idx), full[idx])
+    taus = np.linspace(-1.0, 1.0, 4)
+    for m in (1, n):
+        assert np.array_equal(ext.left_limit(m), full[m - 1].sum(axis=0))
+        assert np.array_equal(ext.sample_interval(m, taus),
+                              legendre_table(full.shape[1] - 1, taus) @ full[m - 1])
+
+
+def test_extrapolated_solution_rejects_mismatched_members():
+    mesh = uniform_mesh(1.0, 2)
+    coarse = DgSolution(mesh, 2, np.zeros((2, 2, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="refine the coarse grid"):
+        ExtrapolatedSolution(coarse, DgSolution(mesh, 2, np.zeros((2, 2, 8)), np.zeros(8)))
+    with pytest.raises(ValueError, match="coefficient count"):
+        ExtrapolatedSolution(coarse, DgSolution(mesh, 3, np.zeros((2, 3, 7)), np.zeros(7)))
+
+
+def _profile_text(mesh, coeffs_u, coeffs_star, norm_weight, reference, samples):
+    """run_profile's CSV for a PDE, sampled from whole coefficient arrays."""
+    taus = np.linspace(-1.0, 1.0, samples)
+    lines = ["t,U_minus_u,U_minus_Ustar"]
+    for m in range(1, mesh.N + 1):
+        ts = mesh.to_physical(m, taus)
+        uvals = legendre_table(coeffs_u.shape[1] - 1, taus) @ coeffs_u[m - 1]
+        svals = legendre_table(coeffs_star.shape[1] - 1, taus) @ coeffs_star[m - 1]
+        rvals = reference.eval_many(ts)
+        for t, u, s, ref in zip(ts, uvals, svals, rvals):
+            a, b = state_norm(u - ref, norm_weight), state_norm(u - s, norm_weight)
+            lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("experiment, p", [("heat1d", 12), ("heat2d", 6)])
+def test_run_profile_equals_materialized_computation(experiment, p):
+    n, samples = 4, 50
+    if experiment == "heat1d":
+        cfg = Heat1dConfig(P=p)
+        mesh = uniform_mesh(cfg.T, n)
+        sols = [dg_solve(heat1d_problem(c), mesh, 3) for c in (cfg, cfg.refined())]
+        coeffs_u = richardson(*(s.coeffs for s in sols))
+        coeffs_star = richardson(*(reconstruct(s).coeffs for s in sols))
+        reference = Heat1dReference(cfg, bench._sample_floor(cfg.T, n, samples), cfg.T)
+    else:
+        problem = heat2d_problem(Heat2dConfig(Px=p, Py=p))
+        mesh = uniform_mesh(problem.T, n)
+        sols = [dg_solve(problem, mesh, 3, moment_quadrature="radau")]
+        coeffs_u, coeffs_star = sols[0].coeffs, reconstruct(sols[0]).coeffs
+        reference = Heat2dReference(problem, bench._sample_floor(problem.T, n, samples),
+                                    problem.T)
+    expected = _profile_text(mesh, coeffs_u, coeffs_star, sols[0].norm_weight, reference,
+                             samples)
+    assert run_profile(experiment, n=n, p=p) == expected
 
 
 def test_observed_rates_examples():

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgtime.basis import legendre_eval, radau_abscissas
-from dgtime.dg import Forcing, LinearProblem, dg_solve
-from dgtime.mesh import uniform_mesh
+from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve
+from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import ode_problem
 from dgtime.postprocess import (
+    Reconstruction,
     error_profile_deviation,
     jump_indicator,
     pi_tilde_project,
@@ -34,6 +39,80 @@ def test_reconstruction_coefficient_table():
         np.testing.assert_allclose(recon.coeffs[n - 1][:2], sol.coeffs[n - 1][:2], rtol=1e-14)
         np.testing.assert_allclose(recon.coeffs[n - 1][2], sol.coeffs[n - 1][2] + half, rtol=1e-13)
         np.testing.assert_allclose(recon.coeffs[n - 1][3], -half, rtol=1e-13)
+
+
+def random_solution(rng, n, r, dim):
+    """DG solution with random coefficients on a random nonuniform mesh."""
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))]))
+    return DgSolution(mesh, r, rng.standard_normal((n, r, dim)), rng.standard_normal(dim),
+                      rng.uniform(0.01, 1.0))
+
+
+def materialized_reconstruction(sol):
+    """The whole (N, r + 1, M) reconstruction, built as one array."""
+    r = sol.r
+    jumps = (-1.0) ** np.arange(r) @ sol.coeffs
+    jumps[0] -= sol.u0
+    jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
+    half_signed = 0.5 * (-1.0) ** r * jumps
+    coeffs = np.concatenate([sol.coeffs, -half_signed[:, None, :]], axis=1)
+    coeffs[:, r - 1, :] += half_signed
+    return coeffs
+
+
+def interval_blocks(rng, n):
+    """Slices and index arrays of intervals, the first always starting at interval 1."""
+    stop = int(rng.integers(1, n + 1))
+    start = int(rng.integers(0, n))
+    picks = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    return [slice(0, stop), slice(start, n), slice(None), np.arange(stop), np.sort(picks),
+            picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 10),
+       dim=st.sampled_from([1, 7]))
+def test_reconstruction_blocks_equal_the_materialized_array(seed, n, r, dim):
+    rng = np.random.default_rng(seed)
+    sol = random_solution(rng, n, r, dim)
+    recon = reconstruct(sol)
+    full = materialized_reconstruction(sol)
+    assert (recon.degree_count, recon.dim, recon.r) == (r + 1, dim, r)
+    assert recon.norm_weight == sol.norm_weight
+    assert np.array_equal(recon.coeffs, full)
+    for idx in interval_blocks(rng, n):
+        block = recon.coefficients(idx)
+        assert block.shape == full[idx].shape
+        assert np.array_equal(block, full[idx])
+    taus = np.linspace(-1.0, 1.0, 5)
+    for m in (1, n):
+        assert np.array_equal(recon.left_limit(m), full[m - 1].sum(axis=0))
+        assert np.array_equal(recon.right_limit(m - 1),
+                              (-1.0) ** np.arange(r + 1) @ full[m - 1])
+        np.testing.assert_array_equal(recon.sample_interval(m, taus),
+                                      np.polynomial.legendre.legvander(taus, r) @ full[m - 1])
+
+
+def test_reconstruction_rejects_misshapen_jumps():
+    sol = ode_solution(3, 4)
+    with pytest.raises(ValueError, match="half_signed"):
+        Reconstruction(sol, np.zeros((3, 1)))
+
+
+def test_reconstruct_allocates_no_coefficient_array():
+    n, r, dim = 64, 4, 50
+    sol = random_solution(np.random.default_rng(3), n, r, dim)
+    full_bytes = n * (r + 1) * dim * 8
+    tracemalloc.start()
+    try:
+        recon = reconstruct(sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the view holds one (N, M) array of half jumps; the old full copy
+    # alone was (r + 1) times that
+    assert peak < full_bytes / 2
+    assert recon.coefficients(slice(0, 1)).shape == (1, r + 1, dim)
 
 
 def test_reconstruction_of_jumpless_solution_is_identity():

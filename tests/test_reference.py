@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from dgtime.dg import Forcing, LinearProblem
+from dgtime.system import LinearOperator, SineEigenbasis, diagonal_operator, sparse_operator
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem
 from dgtime.reference import (
     Heat1dReference,
@@ -88,6 +89,29 @@ def test_heat2d_reference_rejects_forcing_without_transform():
                                   Forcing(problem.forcing.phi, problem.forcing.profile))
     with pytest.raises(ValueError, match="no Laplace transform phi_hat"):
         Heat2dReference(untransformed, 0.5, 2.0)
+
+
+def test_heat2d_reference_rejects_a_negative_known_spectrum():
+    # a pole right of the origin: unchecked, this contour returned 6.51 at
+    # t = 0.5 for the first entry, whose exact value is e^1.5 = 4.48
+    negative = diagonal_operator([-3.0, 2.0])
+    with pytest.raises(ValueError, match="negative eigenvalue -3.0"):
+        Heat2dReference(LinearProblem(negative, np.ones(2), 1.0), 0.25, 1.0)
+    basis = SineEigenbasis(np.array([-1.0, 2.0, 5.0]))
+    modal = LinearOperator(3, None, eigenbasis=basis)
+    with pytest.raises(ValueError, match="negative eigenvalue -1.0"):
+        Heat2dReference(LinearProblem(modal, np.ones(3), 1.0), 0.25, 1.0)
+    # a nonnegative diagonal spectrum passes and inverts to the exact exponentials
+    ref = Heat2dReference(LinearProblem(diagonal_operator([0.0, 2.0]), np.ones(2), 1.0),
+                          0.25, 1.0)
+    np.testing.assert_allclose(ref(0.5), [1.0, math.exp(-1.0)], rtol=1e-12)
+
+
+def test_heat2d_reference_leaves_sparse_spectra_unchecked():
+    # no eigenbasis and no diagonal: the spectrum is unknown and not computed
+    A = sparse_operator(np.array([[-3.0, 0.0], [0.0, 2.0]]))
+    ref = Heat2dReference(LinearProblem(A, np.ones(2), 1.0), 0.25, 1.0)
+    assert ref.eval_many([0.5]).shape == (1, 2)
 
 
 def test_uhat_boundary_values():

@@ -151,6 +151,21 @@ def test_operator_probes():
     assert abs(sym) <= 1e-12
 
 
+@pytest.mark.parametrize("A", [scalar_operator(1.5), diagonal_operator([0.5, 2.0, 7.0]),
+                               random_spd_tridiagonal(5, seed=2)])
+def test_step_solve_takes_and_returns_stacked_coefficients(A):
+    r = 3
+    fac = factorize_step_matrix(A, make_workspace(r), 0.3)
+    rhs = np.random.default_rng(4).standard_normal((r, A.dim))
+    out = fac.solve(rhs)
+    assert out.shape == (r, A.dim)
+    # the flat form of solve_step is the same stack, row by row, to the bit
+    assert np.array_equal(solve_step(fac, rhs.ravel()), out)
+    assert np.array_equal(solve_step(fac, rhs), out)
+    with pytest.raises(ValueError, match="incompatible"):
+        fac.solve(rhs.ravel())
+
+
 def test_dimension_mismatch_rejected():
     ws = make_workspace(2)
     fac = factorize_step_matrix(scalar_operator(1.0), ws, 0.1)
