@@ -141,21 +141,15 @@ class LegendreWorkspace:
 
 
 @lru_cache(maxsize=None)
-def _cached_workspace(r: int, quad_size: int) -> LegendreWorkspace:
-    arrays = (g_matrix(r), h_diag(r), *gauss_rule(quad_size))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return LegendreWorkspace(r, *arrays)
-
-
-def make_workspace(r: int, quad_size: int | None = None) -> LegendreWorkspace:
+def make_workspace(r: int) -> LegendreWorkspace:
     """Build (or fetch the cached) workspace for degree count r.
 
-    The default quadrature size r + 3 integrates all polynomial terms of the
-    scheme exactly and resolves the smooth model forcings to ~1e-14.
+    The quadrature size r + 3 integrates all polynomial terms of the scheme
+    exactly and resolves the smooth model forcings to ~1e-14.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if quad_size is None:
-        quad_size = r + 3
-    return _cached_workspace(r, quad_size)
+    arrays = (g_matrix(r), h_diag(r), *gauss_rule(r + 3))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return LegendreWorkspace(r, *arrays)

@@ -323,9 +323,9 @@ def _with_defaults(experiment: str, *values) -> list:
     return [d if v is None else v for v, d in zip(values, _DEFAULTS[experiment])]
 
 
-def _check_ode_options(experiment: str, p=None, homogeneous=False, half_nodes=None) -> None:
-    """Reject the PDE options for the ODE: it has no grid, forcing switch or contour."""
-    given = {"p": p is not None, "homogeneous": homogeneous, "half_nodes": half_nodes is not None}
+def _check_ode_options(experiment: str, p=None, homogeneous=False) -> None:
+    """Reject the PDE options for the ODE: it has no grid or forcing switch."""
+    given = {"p": p is not None, "homogeneous": homogeneous}
     if experiment == "ode" and any(given.values()):
         raise ValueError("the ode experiment takes no "
                          + ", ".join(name for name, value in given.items() if value))
@@ -367,8 +367,7 @@ def _solver(problem, r, moments):
     return solve
 
 
-def _study(experiment, r, p, moments, homogeneous=False, half_nodes=None) -> _Study:
-    kwargs = {} if half_nodes is None else {"half_nodes": half_nodes}
+def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
     if experiment == "ode":
         problem = ode_problem()
         return _Study(problem.T, 1, "abs", _solver(problem, r, moments),
@@ -385,37 +384,35 @@ def _study(experiment, r, p, moments, homogeneous=False, half_nodes=None) -> _St
                     ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f)))
 
         return _Study(cfg.T, p, "discrete-L2(h)", solve,
-                      lambda t_lo: Heat1dReference(cfg, t_lo, cfg.T, **kwargs), True)
+                      lambda t_lo: Heat1dReference(cfg, t_lo, cfg.T), True)
     cfg = Heat2dConfig(Px=p, Py=p, with_forcing=not homogeneous)
     problem = heat2d_problem(cfg)
     return _Study(cfg.T, p, "discrete-L2(hx*hy)", _solver(problem, r, moments),
-                  lambda t_lo: Heat2dReference(problem, t_lo, cfg.T, **kwargs), True)
+                  lambda t_lo: Heat2dReference(problem, t_lo, cfg.T), True)
 
 
 def run_experiment(experiment: str, r: int | None = None,
                    n_list: Sequence[int] | None = None, p: int | None = None,
                    weighted: float | None = None, cutoff: bool = False,
                    homogeneous: bool = False, samples: int | None = None,
-                   half_nodes: int | None = None,
                    moments: str | None = None) -> ConvergenceTable:
     """Run one of the built-in convergence experiments.
 
     weighted, when given, is the regularity deficit alpha of the initial
     data; see _weight_exponents.  homogeneous switches off the forcing.
-    half_nodes overrides the contour node count of the PDE references.
     Arguments left None take per-experiment defaults: the 2D study measures
     on a coarse grid of 4 points per interval and integrates the forcing
     moments by the Radau rule (the Radau IIA form of the stepper); the
     others use 50 points and near-exact Gauss moments.  heat1d is
     Richardson-extrapolated from the grids P and 2P.  Raises ValueError for
     r < 1, an empty or non-doubling N list or fewer than 2 samples, before
-    anything is solved, and for the ode with p, homogeneous or half_nodes.
+    anything is solved, and for the ode with p or homogeneous.
     """
-    _check_ode_options(experiment, p, homogeneous, half_nodes)
+    _check_ode_options(experiment, p, homogeneous)
     r, p, n_list, samples, moments = _with_defaults(experiment, r, p, n_list, samples, moments)
     n_list = tuple(n_list)
     _check_request(r, n_list, samples)
-    study = _study(experiment, r, p, moments, homogeneous, half_nodes)
+    study = _study(experiment, r, p, moments, homogeneous)
     reference = study.reference(_reference_floor(study.T, n_list, cutoff, samples))
     exps = _weight_exponents(r, weighted)
     window = _window(study.T, cutoff)

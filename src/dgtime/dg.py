@@ -9,11 +9,11 @@ test polynomials.  The vectorised phi is evaluated once per solve, at every
 quadrature time of the mesh.
 
 An operator with a closed-form eigenbasis (`system.SineEigenbasis`: the
-1D and 2D heat operators) is stepped in that basis: u0 and the forcing
-profile are transformed once, the steps solve the diagonal operator of the
-eigenvalues (M independent r x r problems, one broadcast division per
-step), and the coefficients are transformed back once, a bounded block of
-intervals at a time.
+1D and 2D heat operators) is stepped in that basis: `LinearProblem.modal`
+transforms u0 and the forcing profile once, the steps solve the diagonal
+operator of the eigenvalues (M independent r x r problems, one broadcast
+division per step), and the coefficients are transformed back once, a
+bounded block of intervals at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import LegendreWorkspace, legendre_table, make_workspace, radau_rule
+from .basis import legendre_table, make_workspace, radau_rule
 from .mesh import TimeMesh
 from .system import LinearOperator, factorize_step_matrix, solve_step
 
@@ -84,6 +84,22 @@ class LinearProblem:
         if self.forcing is None:
             return np.zeros(self.A.dim)
         return self.forcing.phi(t) * self.forcing.profile
+
+    def modal(self):
+        """(operator, u0, profile, basis) in the operator's eigenbasis.
+
+        With a `SineEigenbasis` the operator is the diagonal operator of its
+        eigenvalues and u0 and the forcing profile are transformed into the
+        basis; without one they are the problem's own and basis is None.
+        profile is None without a forcing.
+        """
+        basis = self.A.eigenbasis
+        profile = None if self.forcing is None else self.forcing.profile
+        if basis is None:
+            return self.A, self.u0, profile, None
+        if profile is not None:
+            profile = basis.transform(profile)
+        return basis.operator, basis.transform(self.u0), profile, basis
 
 
 class PiecewiseLegendre:
@@ -162,7 +178,6 @@ class DgSolution(PiecewiseLegendre):
 
 
 def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
-             ws: LegendreWorkspace | None = None,
              moment_quadrature: str = "gauss") -> DgSolution:
     """Run the DG time stepping loop over the whole mesh.
 
@@ -177,10 +192,7 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     ValueError when phi does not keep the shape of its (N, m) times and
     when a step produces non-finite coefficients.
     """
-    if ws is None:
-        ws = make_workspace(r)
-    if ws.r != r:
-        raise ValueError("workspace degree does not match r")
+    ws = make_workspace(r)
     if moment_quadrature == "gauss":
         q_nodes, q_weights = ws.quad
     elif moment_quadrature == "radau":
@@ -191,14 +203,8 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     test_table = legendre_table(r - 1, q_nodes)  # (m, r)
     signs = (-1.0) ** np.arange(r)
 
-    A, prev_left = problem.A, problem.u0
+    A, prev_left, profile, basis = problem.modal()
     forcing = problem.forcing
-    profile = None if forcing is None else forcing.profile
-    basis = A.eigenbasis
-    if basis is not None:
-        A, prev_left = basis.operator, basis.transform(prev_left)
-        if forcing is not None:
-            profile = basis.transform(profile)
     if forcing is not None:
         # phi at every quadrature time in one call, shape (N, m); row n - 1
         # of moments holds step n's moments per unit of the profile

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import LegendreWorkspace, legendre_coeff, legendre_eval, legendre_table, make_workspace
+from .basis import legendre_coeff, legendre_eval, legendre_table, make_workspace
 from .dg import DgSolution, PiecewiseLegendre, PiecewiseLegendreView, state_norm
 from .mesh import TimeMesh
 
@@ -85,18 +85,14 @@ def jump_indicator(sol: DgSolution, n: int) -> float:
     return state_norm(sol.jump(n), sol.norm_weight)
 
 
-def pi_tilde_project(v: Callable, mesh: TimeMesh, r: int,
-                     ws: LegendreWorkspace | None = None) -> PiecewiseLegendre:
+def pi_tilde_project(v: Callable, mesh: TimeMesh, r: int) -> PiecewiseLegendre:
     """Project a continuous function onto piecewise polynomials of degree r - 1.
 
     Coefficients 0..r-2 are the plain Fourier-Legendre coefficients; the top
     coefficient is adjusted so the projection interpolates v at the right
     node of every interval.
     """
-    if ws is None:
-        ws = make_workspace(r)
-    if ws.r != r:
-        raise ValueError("workspace degree does not match r")
+    ws = make_workspace(r)
     table = legendre_table(max(r - 2, 0), ws.quad_nodes)  # (m, r-1) when r >= 2
     scale = 0.5 * (2.0 * np.arange(max(r - 1, 0)) + 1.0)
 
@@ -115,7 +111,6 @@ def pi_tilde_project(v: Callable, mesh: TimeMesh, r: int,
 
 
 def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
-                            ws: LegendreWorkspace | None = None,
                             samples: int = 50) -> tuple[np.ndarray, float]:
     """Leading Legendre coefficient of the reference and the profile residual.
 
@@ -124,11 +119,9 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
     U - u + a_nr (p_r - p_{r-1}), i.e. what is left of the error after
     removing its predicted Radau-polynomial profile.
     """
-    if ws is None:
-        ws = make_workspace(sol.r)
     r = sol.r
     a, b = sol.mesh.nodes[n - 1], sol.mesh.nodes[n]
-    anr = np.atleast_1d(legendre_coeff(u, (a, b), r, ws.quad))
+    anr = np.atleast_1d(legendre_coeff(u, (a, b), r, make_workspace(r).quad))
 
     taus = np.linspace(-1.0, 1.0, samples)
     profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)

@@ -221,33 +221,27 @@ def bromwich_invert(resolvent: Callable, t: float, rule: ContourRule):
 def resolvent_2d(z, problem) -> np.ndarray:
     """Solve (z I + A) uhat = u0 + phi_hat(z) g for the state; the forcing is phi(t) g.
 
-    z may be an array: the result then has one row per z.  With an
-    eigenbasis Q, uhat = Q ((Q^T u0 + phi_hat(z) Q^T g) / (z + mu)), u0 and g
-    transformed once per call.  Any other operator gets a sparse LU per z and
-    one refinement pass, which brings the forward error of the fine-grid
-    solves from ~1e-13 back to the roundoff level of the contour self-check.
+    z may be an array: the result then has one row per z.  The system is
+    solved by `shifted_lu` in the problem's modal form (`LinearProblem.modal`):
+    with an eigenbasis Q, uhat = Q ((Q^T u0 + phi_hat(z) Q^T g) / (z + mu)),
+    u0 and g transformed once per call.  Any other operator gets a sparse LU
+    per z and one refinement pass, which brings the forward error of the
+    fine-grid solves from ~1e-13 back to the roundoff level of the contour
+    self-check.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    op, u0, forcing = problem.A, problem.u0, problem.forcing
-    profile = None if forcing is None else forcing.profile
-    basis = op.eigenbasis
-    if basis is not None:
-        u0 = basis.transform(u0)
-        if forcing is not None:
-            profile = basis.transform(profile)
+    op, u0, profile, basis = problem.modal()
     out = np.empty((zs.size, op.dim), dtype=complex)
     for row, zk in zip(out, zs):
         rhs = u0.astype(complex)
-        if forcing is not None:
-            rhs += forcing.phi_hat(zk) * profile
-        if basis is not None:
-            modal = rhs / (zk + basis.eigenvalues)
-            row.real = basis.transform(modal.real)
-            row.imag = basis.transform(modal.imag)
+        if profile is not None:
+            rhs += problem.forcing.phi_hat(zk) * profile
+        solver = shifted_lu(op, zk)
+        row[:] = solver.solve(rhs)
+        if basis is None:
+            row += solver.solve(rhs - zk * row - op.matrix @ row)
         else:
-            lu = shifted_lu(op, zk)
-            row[:] = lu.solve(rhs)
-            row += lu.solve(rhs - zk * row - op.matrix @ row)
+            row.real, row.imag = basis.transform(row.real), basis.transform(row.imag)
     if not np.all(np.isfinite(out)):
         raise RuntimeError("singular resolvent system: contour crosses the spectrum")
     return out.reshape(np.shape(z) + (op.dim,))
@@ -275,20 +269,24 @@ class _BandedContourReference:
     a fixed node budget, so the window splits into geometric bands of ratio
     at most DEFAULT_BAND_RATIO, each with its own rule and cached transform
     values at the upper nodes, fetched in one `_transforms` call per band
-    and kept as the real stack of `_stack_values`.
+    and kept as the real stack of `_stack_values`.  source is what a
+    subclass is built from, so `type(self)(source, t_min, t_max,
+    half_nodes)` builds the same reference with other nodes; initial is the
+    state at t = 0.
     """
 
-    def __init__(self, t_min: float, t_max: float, half_nodes: int, band_ratio: float):
+    def __init__(self, source, initial: np.ndarray, t_min: float, t_max: float,
+                 half_nodes: int):
         if not 0.0 < t_min <= t_max:
             raise ValueError("need 0 < t_min <= t_max")
         self.t_min, self.t_max = float(t_min), float(t_max)
         self.half_nodes = half_nodes
-        self.band_ratio = band_ratio
+        self._source, self._initial = source, initial
         self._rules: list[ContourRule] = []
         self._values: list[np.ndarray] = []
         hi = self.t_max
         while True:
-            lo = max(hi / band_ratio, self.t_min)
+            lo = max(hi / DEFAULT_BAND_RATIO, self.t_min)
             rule = hyperbolic_contour(lo, hi, half_nodes)
             zu, _ = rule.upper()
             self._rules.append(rule)
@@ -301,9 +299,6 @@ class _BandedContourReference:
 
     def _transforms(self, zs: np.ndarray) -> np.ndarray:
         """Transform values at the contour nodes zs, shape (len(zs), M)."""
-        raise NotImplementedError
-
-    def _initial_state(self) -> np.ndarray:
         raise NotImplementedError
 
     def eval_many(self, ts) -> np.ndarray:
@@ -323,7 +318,7 @@ class _BandedContourReference:
         if np.any(outside):
             raise ValueError(f"time {ts[outside][0]!r} outside the reference window "
                              f"[{self.t_min}, {self.t_max}]")
-        out[zero] = self._initial_state()
+        out[zero] = self._initial
         live = np.nonzero(live)[0]
         for b in np.flatnonzero(np.bincount(bands[live])):
             rows = live[bands[live] == b]
@@ -333,12 +328,9 @@ class _BandedContourReference:
     def __call__(self, t: float) -> np.ndarray:
         return self.eval_many([t])[0]
 
-    def _refined_twin(self, extra: int):
-        raise NotImplementedError
-
     def refinement_check(self, ts, extra: int = 8) -> float:
         """Max relative change of the reference values under node refinement."""
-        twin = self._refined_twin(extra)
+        twin = type(self)(self._source, self.t_min, self.t_max, self.half_nodes + extra)
         base = self.eval_many(ts)
         other = twin.eval_many(ts)
         num = np.linalg.norm(base - other, axis=1)
@@ -350,21 +342,13 @@ class Heat1dReference(_BandedContourReference):
     """Continuous 1D heat solution sampled on the interior grid of cfg."""
 
     def __init__(self, cfg, t_min: float, t_max: float,
-                 half_nodes: int = DEFAULT_BAND_HALF_NODES,
-                 band_ratio: float = DEFAULT_BAND_RATIO):
+                 half_nodes: int = DEFAULT_BAND_HALF_NODES):
         self.cfg = cfg
         self._x = cfg.x_interior
-        super().__init__(t_min, t_max, half_nodes, band_ratio)
+        super().__init__(cfg, cfg.u0(self._x), t_min, t_max, half_nodes)
 
     def _transforms(self, zs: np.ndarray) -> np.ndarray:
         return uhat_1d(self._x, zs, self.cfg)
-
-    def _initial_state(self) -> np.ndarray:
-        return self.cfg.u0(self._x)
-
-    def _refined_twin(self, extra: int) -> "Heat1dReference":
-        return Heat1dReference(self.cfg, self.t_min, self.t_max,
-                               self.half_nodes + extra, self.band_ratio)
 
 
 class Heat2dReference(_BandedContourReference):
@@ -376,8 +360,7 @@ class Heat2dReference(_BandedContourReference):
     """
 
     def __init__(self, problem, t_min: float, t_max: float,
-                 half_nodes: int = DEFAULT_BAND_HALF_NODES,
-                 band_ratio: float = DEFAULT_BAND_RATIO):
+                 half_nodes: int = DEFAULT_BAND_HALF_NODES):
         if problem.forcing is not None and problem.forcing.phi_hat is None:
             raise ValueError("the forcing has no Laplace transform phi_hat")
         A = problem.A
@@ -386,14 +369,7 @@ class Heat2dReference(_BandedContourReference):
             raise ValueError(f"the operator has a negative eigenvalue {float(np.min(spectrum))!r}: "
                              "the contour needs a nonnegative spectrum")
         self.problem = problem
-        super().__init__(t_min, t_max, half_nodes, band_ratio)
+        super().__init__(problem, problem.u0, t_min, t_max, half_nodes)
 
     def _transforms(self, zs: np.ndarray) -> np.ndarray:
         return resolvent_2d(zs, self.problem)
-
-    def _initial_state(self) -> np.ndarray:
-        return self.problem.u0
-
-    def _refined_twin(self, extra: int) -> "Heat2dReference":
-        return Heat2dReference(self.problem, self.t_min, self.t_max,
-                               self.half_nodes + extra, self.band_ratio)

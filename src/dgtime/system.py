@@ -9,25 +9,26 @@ block rows by 1/H and diagonalising H^-1 G = V diag(lam) V^-1 (once per r)
 decouples it into r shifted systems (lam_j I + k A) w_j = s_j of size M,
 with S = V^-1 H^-1 R and U = V W.  The eigenvalues are one real value and
 complex conjugate pairs; the conjugate partner of a pair solves the
-conjugate system, so each step sets up ceil(r/2) shifted solvers.  One pass of
-iterative refinement against the true block operator, applied matrix-free,
+conjugate system, so each step sets up one `shifted_lu` solver for
+ceil(r/2) shifts.  One pass of iterative refinement against the true block operator, applied matrix-free,
 removes the error that cond(V) (about 6e5 at r = 12) adds to the
 transformation.  Degrees 1 <= r <= MAX_DEGREE are supported; beyond it the
 transformation loses accuracy and the factorization refuses to build.
 
 A scalar state (M = 1) has nothing to decouple: its dense r x r block
 matrix G + k diag(H lam) is solved by `np.linalg.solve` (LU with partial
-pivoting) and refined once against the same matrix.  For a diagonal
-operator the shifted systems of a step are one (ceil(r/2), M) array of
-lam_j + k mu, and a solve is one broadcast division.
+pivoting) and refined once against the same matrix.
 
-`shifted_lu` solves sigma I + c A for the Laplace reference: by division
-for a diagonal operator, by sparse LU for any other.  A constant-band
-symmetric tridiagonal operator (the 1D Laplacian) and a Kronecker sum
-kron(I, Tx) + kron(Ty, I) of such factors (the 5-point Laplacian on a
-rectangle) carry their closed-form DST-I eigenbasis (`SineEigenbasis`);
-the stepper and the 2D reference transform into it once, work with the
-diagonal operator of the eigenvalues, and transform back once (fast
+`shifted_lu` is the one solver of shifted systems sigma I + c A, for the
+steps and for the Laplace reference alike.  It takes one shift or an
+array of them: for a diagonal operator the systems are one array of
+sigma_j + c mu, solved by one broadcast division; any other operator gets
+one sparse LU per shift.  A constant-band symmetric tridiagonal operator
+(the 1D Laplacian) and a Kronecker sum kron(I, Tx) + kron(Ty, I) of such
+factors (the 5-point Laplacian on a rectangle) carry their closed-form
+DST-I eigenbasis (`SineEigenbasis`); the stepper and the 2D reference
+transform into it once (`LinearProblem.modal`), solve with the diagonal
+operator of the eigenvalues, and transform back once (fast
 diagonalisation, Lynch, Rice & Thomas 1964).  The transform multiplies by
 the dense sine matrix on short axes and takes an rfft on long ones.
 
@@ -298,27 +299,40 @@ class _DiagonalSolve:
         return b / self._denom
 
 
-def shifted_lu(A: LinearOperator, shift: complex, scale: float = 1.0):
-    """Solver for shift I + scale A; complex when the shift is.
+class _LuStack:
+    def __init__(self, lus: list):
+        self._lus = lus
 
-    Returns an object with `.solve(b)`.  A diagonal operator is solved by
-    division; any other operator gets a sparse LU, with the minimum-degree
-    ordering on A^T + A, which suits the symmetric sparsity of the model
-    operators.  Raises LinAlgError (a ValueError) when the shifted matrix is
-    exactly singular.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return np.stack([lu.solve(row) for lu, row in zip(self._lus, b)])
+
+
+def shifted_lu(A: LinearOperator, shifts, scale: float = 1.0):
+    """Solver for shift I + scale A, one system per shift; complex when a shift is.
+
+    shifts is one shift or a 1-D array of them.  Returns an object whose
+    `.solve(b)` takes a state for one shift and a stack with one row per
+    shift for an array.  A diagonal operator is solved by one broadcast
+    division by shift_j + scale mu; any other operator gets a sparse LU per
+    shift, with the minimum-degree ordering on A^T + A, which suits the
+    symmetric sparsity of the model operators.  Raises LinAlgError (a
+    ValueError) when a shifted matrix is exactly singular.
     """
     if A.diagonal is not None:
-        denom = shift + scale * A.diagonal
+        denom = np.add.outer(shifts, scale * A.diagonal)
         if np.any(denom == 0):
-            raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular")
+            raise np.linalg.LinAlgError(f"shifted system {shifts} I + {scale} A is singular")
         return _DiagonalSolve(denom)
     from scipy.sparse.linalg import splu
 
-    mat = (scale * A.matrix + shift * _sparse().identity(A.dim, format="csc")).tocsc()
-    try:
-        return splu(mat, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular") from exc
+    lus = []
+    for shift in np.atleast_1d(shifts):
+        mat = (scale * A.matrix + shift * _sparse().identity(A.dim, format="csc")).tocsc()
+        try:
+            lus.append(splu(mat, permc_spec="MMD_AT_PLUS_A"))
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(f"shifted system {shift} I + {scale} A is singular") from exc
+    return _LuStack(lus) if np.ndim(shifts) else lus[0]
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +376,6 @@ class BlockSystemFactorization:
         self.k = float(k)
         self.dim = A.dim
         self._A = A
-        self._diagonal = A.diagonal
         self._G = ws.G
         self._H = ws.H
         try:
@@ -372,14 +385,8 @@ class BlockSystemFactorization:
                 self._dense = self._G + self.k * np.diag(self._H * A.apply(np.ones(1))[0])
                 np.linalg.solve(self._dense, np.zeros(self.r))
             else:
-                self._lam, self._V, self._T = _decoupling(self.r)
-                if A.diagonal is not None:
-                    # every shifted system at once: row j holds lam_j + k mu
-                    self._denom = self._lam[:, None] + self.k * A.diagonal
-                    if np.any(self._denom == 0):
-                        raise np.linalg.LinAlgError("a shifted diagonal system is singular")
-                else:
-                    self._lus = [shifted_lu(A, lam, self.k) for lam in self._lam]
+                lam, self._V, self._T = _decoupling(self.r)
+                self._solver = shifted_lu(A, lam, self.k)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular step system for k={self.k!r}, r={self.r}: "
                              "the operator has an eigenvalue the scheme cannot take") from exc
@@ -394,13 +401,7 @@ class BlockSystemFactorization:
         )
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
-        S = self._T @ rhs
-        if self._diagonal is not None:
-            W = S / self._denom
-        else:
-            W = np.stack([lu.solve(s if lam.imag else s.real)
-                          for lu, lam, s in zip(self._lus, self._lam, S)])
-        return (self._V @ W).real
+        return (self._V @ self._solver.solve(self._T @ rhs)).real
 
     def _apply(self, U: np.ndarray) -> np.ndarray:
         return self._G @ U + self.k * self._H[:, None] * self._A.apply(U.T).T

@@ -458,8 +458,6 @@ def test_ode_rejects_pde_options_before_solving(monkeypatch):
         run_experiment("ode", r=2, n_list=(4, 8), homogeneous=True)
     with pytest.raises(ValueError, match="ode experiment takes no p"):
         run_experiment("ode", p=16)
-    with pytest.raises(ValueError, match="ode experiment takes no half_nodes"):
-        run_experiment("ode", half_nodes=40)
     with pytest.raises(ValueError, match="ode experiment takes no p"):
         run_profile("ode", n=4, p=16)
     with pytest.raises(SystemExit, match="ode experiment takes no homogeneous"):

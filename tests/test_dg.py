@@ -268,12 +268,6 @@ def test_forcing_phi_called_once_per_solve():
     assert calls == [(8, make_workspace(3).quad_nodes.size)]
 
 
-def test_workspace_degree_mismatch_rejected():
-    problem = ode_problem()
-    with pytest.raises(ValueError):
-        dg_solve(problem, uniform_mesh(2.0, 2), 3, ws=make_workspace(2))
-
-
 def test_nonuniform_mesh_supported():
     from dgtime.mesh import TimeMesh
 

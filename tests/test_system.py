@@ -227,6 +227,27 @@ def test_shifted_lu_rejects_singular_shift():
     assert np.array_equal(x, 1.0 / (1.0 + 2.0j + 0.5 * np.array([1.0, 2.0, 3.0])))
 
 
+def test_shifted_lu_stack_matches_single_shifts():
+    rng = np.random.default_rng(5)
+    shifts = np.array([0.7, 1.0 + 2.0j, 0.3 - 4.0j])
+    D = diagonal_operator(rng.uniform(0.1, 10.0, 20))
+    B = rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
+    X = shifted_lu(D, shifts, 0.8).solve(B)
+    for shift, b, x in zip(shifts, B, X):
+        assert np.array_equal(x, shifted_lu(D, shift, 0.8).solve(b))
+    C = sp.random(20, 20, density=0.15, random_state=6)
+    S = sparse_operator(C @ C.T + sp.identity(20))
+    X = shifted_lu(S, shifts, 0.8).solve(B)
+    assert X.shape == B.shape
+    for shift, b, x in zip(shifts, B, X):
+        single = shifted_lu(S, shift, 0.8).solve(b)
+        assert np.linalg.norm(x - single) <= 1e-14 * np.linalg.norm(single)
+    # one singular system in the stack fails the whole solver
+    for A, bad in ((D, -D.diagonal[3]), (sparse_operator(sp.diags([1.0, 2.0, 3.0])), -2.0)):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            shifted_lu(A, np.array([1.0, bad, 2.0j]))
+
+
 def test_kronecker_sum_rejects_asymmetric_factor():
     sym = (np.full(3, -1.0), np.full(4, 2.0), np.full(3, -1.0))
     with pytest.raises(ValueError, match="y factor is not symmetric"):
