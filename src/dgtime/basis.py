@@ -3,9 +3,10 @@
 The time stepping scheme, the post-processing and the error measurement all
 work in a local Legendre basis, so this module owns polynomial evaluation,
 the trial/test coupling matrices G and H, Gauss-Legendre quadrature and the
-right Gauss-Radau abscissas.  Evaluation, roots and Gauss rules come from
-numpy.polynomial.legendre (companion-matrix eigenvalues, Golub-Welsch);
-no tabulated nodes or weights are used.
+right Gauss-Radau abscissas; `legendre_coeff` projects a function of time
+(`mesh.time_values`) with one call.  Evaluation, roots and Gauss rules
+come from numpy.polynomial.legendre (companion-matrix eigenvalues,
+Golub-Welsch); no tabulated nodes or weights are used.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import legder, leggauss, legroots, legval, legvander
+
+from .mesh import TimeMesh, time_values
 
 __all__ = [
     "LegendreWorkspace",
@@ -106,22 +109,16 @@ def legendre_coeff(v: Callable, interval: tuple[float, float], j: int,
     Computes ((2j + 1) / k) * integral of v(t) p_j(t) over (a, b), where p_j
     is P_j mapped to the interval and k = b - a.  The integral is evaluated
     by mapping the supplied quadrature rule (default: Gauss of size j + 3)
-    through the affine map, so it is exact (to roundoff) whenever v is a
-    polynomial of degree <= 2m - 1 - j.
+    through `TimeMesh.to_physical`, so it is exact (to roundoff) whenever v
+    is a polynomial of degree <= 2m - 1 - j.  An interval without b > a
+    raises ValueError (from `TimeMesh`).
 
-    v may return scalars or state vectors; the result matches.
+    v is a function of time (`time_values`), called once with the array of
+    quadrature times; a scalar state gives a float, a state vector a vector.
     """
-    a, b = interval
-    if not b > a:
-        raise ValueError("interval must satisfy b > a")
-    if quad is None:
-        quad = gauss_rule(j + 3)
-    nodes, weights = quad
-    t = 0.5 * ((b - a) * nodes + (b + a))
-    vals = np.array([np.asarray(v(tt), dtype=float) for tt in t])
-    pj = legendre_eval(j, nodes)
-    integral = np.tensordot(weights * pj, vals, axes=1)
-    coeff = 0.5 * (2 * j + 1) * integral
+    nodes, weights = gauss_rule(j + 3) if quad is None else quad
+    vals = time_values(v, TimeMesh(np.array(interval, dtype=float)).to_physical(1, nodes))
+    coeff = 0.5 * (2 * j + 1) * np.tensordot(weights * legendre_eval(j, nodes), vals, axes=1)
     return coeff if np.ndim(coeff) else float(coeff)
 
 

@@ -9,15 +9,17 @@ consecutive mesh halvings.
 
 Each table row is measured in one pass over its intervals, walked in
 blocks of whole intervals that hold at most MEASURE_BLOCK_ELEMENTS sample
-times x state entries (or one interval, when that alone holds more).  Per block the reference is evaluated once, and the
-values are shared by the three columns: the nodal value at t_n is the
-tau = 1 sample of interval n.  Each piecewise solution is sampled on all
-intervals of a block by one stacked matrix product.  The Richardson
-extrapolation of the 1D solutions is linear, so it is applied to the
-Legendre coefficients rather than to every sample, one block at a time:
-the extrapolated solution and the reconstruction are views that derive
-the coefficients of a block when it is measured, so no full coefficient
-array besides the DG solutions is held.
+times x state entries (or one interval, when that alone holds more).  Per
+block the reference, a function of time (`mesh.time_values`), is called
+once with all of the block's sample times, and the values are shared by
+the three columns: the nodal value at t_n is the tau = 1 sample of
+interval n.  Each piecewise solution is sampled on all intervals of a
+block by one stacked matrix product.  The Richardson extrapolation of the
+1D solutions is linear, so it is applied to the Legendre coefficients
+rather than to every sample, one block at a time: the extrapolated
+solution and the reconstruction are views that derive the coefficients of
+a block when it is measured, so no full coefficient array besides the DG
+solutions is held.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .basis import legendre_table
 from .dg import PiecewiseLegendreView, dg_solve, state_norm
-from .mesh import uniform_mesh
+from .mesh import time_values, uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from .postprocess import reconstruct
 from .reference import Heat1dReference, Heat2dReference, ode_exact, richardson
@@ -82,18 +84,9 @@ class ExtrapolatedSolution(PiecewiseLegendreView):
         return richardson(self._coarse.coefficients(idx), self._fine.coefficients(idx))
 
 
-class _OdeReference:
-    """The closed-form ODE solution, evaluated on whole arrays of times."""
-
-    @staticmethod
-    def eval_many(ts) -> np.ndarray:
-        return np.reshape(ode_exact(np.asarray(ts, dtype=float)), (-1, 1))
-
-
 def _reference_values(reference, ts: np.ndarray) -> np.ndarray:
-    if hasattr(reference, "eval_many"):
-        return reference.eval_many(ts)
-    return np.array([np.atleast_1d(np.asarray(reference(t), dtype=float)) for t in ts])
+    """The reference states at the 1-D times ts in one call, shape (len(ts), M)."""
+    return time_values(reference, ts).reshape(len(ts), -1)
 
 
 def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAMPLES,
@@ -102,7 +95,8 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     """Maximum sampled (weighted) error of a piecewise solution.
 
     approx is a PiecewiseLegendre (.mesh, .coefficients) with a .norm_weight;
-    reference maps t to the exact state, or offers eval_many(ts).  With
+    reference is a function of time (`time_values`): called with an array of
+    times, it returns one exact state per time.  With
     nodal=True only the left limits at the mesh nodes enter.  weight is the
     exponent alpha of min(t^alpha, 1).  The window selects whole intervals:
     interval n counts exactly when its right node t_n lies inside, and then
@@ -163,9 +157,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     for start in range(first_measured, end_measured, block):
         stop = min(start + block, end_measured)
         idx = slice(start, stop)
-        # TimeMesh.to_physical for every interval of the block, shape (B, S)
-        a, b = mesh.nodes[start:stop, None], mesh.nodes[start + 1:stop + 1, None]
-        ts = 0.5 * ((1.0 - taus) * a + (1.0 + taus) * b)
+        ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, S)
         refs = _reference_values(reference, ts.ravel()).reshape(stop - start, taus.size, -1)
         # one coefficient block per distinct solution: U is measured twice
         # in [U, U*, U], and a view computes its block on every call
@@ -281,10 +273,6 @@ def _weight_exponents(r: int, weighted: float | None) -> tuple[float | None, flo
     return r - weighted, r + 1 - weighted, 2 * r - 1 - weighted
 
 
-def _window(T: float, cutoff: bool) -> tuple[float, float] | None:
-    return (T / 4.0, T) if cutoff else None
-
-
 def _sample_floor(T: float, n_max: int, samples: int) -> float:
     """Smallest positive sample time: the first interior grid point of I_1."""
     return (T / n_max) / (samples - 1)
@@ -371,7 +359,7 @@ def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
     if experiment == "ode":
         problem = ode_problem()
         return _Study(problem.T, 1, "abs", _solver(problem, r, moments),
-                      lambda t_lo: _OdeReference(), False)
+                      lambda t_lo: ode_exact, False)
     if experiment == "heat1d":
         # Richardson extrapolation from the spatial grids P and 2P
         cfg = Heat1dConfig(P=p, with_forcing=not homogeneous)
@@ -415,7 +403,7 @@ def run_experiment(experiment: str, r: int | None = None,
     study = _study(experiment, r, p, moments, homogeneous)
     reference = study.reference(_reference_floor(study.T, n_list, cutoff, samples))
     exps = _weight_exponents(r, weighted)
-    window = _window(study.T, cutoff)
+    window = (study.T / 4.0, study.T) if cutoff else None
     skip_first = study.skip_first and weighted is not None
     raw = []
     for n in n_list:
@@ -423,15 +411,10 @@ def run_experiment(experiment: str, r: int | None = None,
         errors = _row_errors(*study.solve(uniform_mesh(study.T, n)), reference, exps,
                              window, samples, skip_first)
         raw.append((n, study.P, *errors))
-    weight_desc, window_desc = _descriptors(weighted, cutoff, study.T)
+    weight_desc = "none" if weighted is None else f"min(t^(order-{weighted}),1)"
+    window_desc = f"[{study.T / 4}, {study.T}]" if cutoff else "full"
     return ConvergenceTable(experiment, study.norm, weight_desc, window_desc,
                             _attach_rates(raw))
-
-
-def _descriptors(weighted, cutoff, T):
-    weight_desc = "none" if weighted is None else f"min(t^(order-{weighted}),1)"
-    window_desc = f"[{T / 4}, {T}]" if cutoff else "full"
-    return weight_desc, window_desc
 
 
 def _row_errors(approx, approx_star, reference, exps, window, samples, skip_first=False):
@@ -514,7 +497,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         q.add_argument("--format", choices=("csv", "md"), default="md")
         q.add_argument("--out", type=str, default=None)
         q.add_argument("--profile", action="store_true",
-                       help="dump per-sample error profile data instead of a table")
+                       help="dump per-sample error profile data instead of a table "
+                            "(takes no --weighted, --cutoff, --homogeneous or --moments)")
     args = parser.parse_args(argv)
 
     n_list = _parse_n_list(args.N)
@@ -522,6 +506,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.profile:
             if n_list is None or len(n_list) != 1:
                 raise SystemExit("--profile needs exactly one value in --N")
+            given = {"weighted": args.weighted is not None, "cutoff": args.cutoff,
+                     "homogeneous": args.homogeneous, "moments": args.moments is not None}
+            if any(given.values()):
+                raise SystemExit("--profile takes no "
+                                 + ", ".join(f"--{name}" for name, on in given.items() if on))
             text = run_profile(args.experiment, r=args.r, n=n_list[0], p=args.P,
                                samples=args.samples)
         else:

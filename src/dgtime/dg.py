@@ -80,10 +80,10 @@ class LinearProblem:
             raise ValueError("final time must be positive")
 
     def f(self, t) -> np.ndarray:
-        """Forcing state phi(t) g at one time (zero without a forcing)."""
+        """Forcing states phi(t) g, shape t.shape + (M,) (zero without a forcing)."""
         if self.forcing is None:
-            return np.zeros(self.A.dim)
-        return self.forcing.phi(t) * self.forcing.profile
+            return np.zeros(np.shape(t) + (self.A.dim,))
+        return np.multiply.outer(self.forcing.phi(t), self.forcing.profile)
 
     def modal(self):
         """(operator, u0, profile, basis) in the operator's eigenbasis.
@@ -208,8 +208,7 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     if forcing is not None:
         # phi at every quadrature time in one call, shape (N, m); row n - 1
         # of moments holds step n's moments per unit of the profile
-        a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
-        t_quad = 0.5 * ((1.0 - q_nodes) * a + (1.0 + q_nodes) * b)
+        t_quad = mesh.to_physical(np.arange(1, N + 1), q_nodes)
         phi = np.asarray(forcing.phi(t_quad), dtype=float)
         if phi.shape != t_quad.shape:
             raise ValueError(f"forcing phi returned shape {phi.shape} for times {t_quad.shape}")

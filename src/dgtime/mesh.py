@@ -1,4 +1,4 @@
-"""Time partitions and the affine maps to the reference interval."""
+"""Time partitions, the affine maps to the reference interval, and time_values."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeMesh", "uniform_mesh"]
+__all__ = ["TimeMesh", "uniform_mesh", "time_values"]
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,18 @@ class TimeMesh:
     def kmax(self) -> float:
         return float(np.max(self.steps))
 
-    def _check_index(self, n: int):
-        if not 1 <= n <= self.N:
+    def _check_index(self, n):
+        if np.any((np.asarray(n) < 1) | (np.asarray(n) > self.N)):
             raise ValueError(f"interval index {n} outside 1..{self.N}")
 
-    def to_physical(self, n: int, tau):
-        """Map reference coordinates in [-1, 1] onto interval n."""
+    def to_physical(self, n, tau):
+        """Map reference coordinates in [-1, 1] onto interval n, or onto each
+        interval of an index array n: one row per interval, n.shape + tau.shape."""
         self._check_index(n)
-        a, b = self.nodes[n - 1], self.nodes[n]
-        return 0.5 * ((1.0 - np.asarray(tau)) * a + (1.0 + np.asarray(tau)) * b)
+        n, tau = np.asarray(n), np.asarray(tau)
+        shape = n.shape + (1,) * tau.ndim
+        a, b = self.nodes[n - 1].reshape(shape), self.nodes[n].reshape(shape)
+        return 0.5 * ((1.0 - tau) * a + (1.0 + tau) * b)
 
     def to_reference(self, n: int, t):
         """Inverse of to_physical on interval n."""
@@ -70,3 +73,14 @@ def uniform_mesh(T: float, N: int) -> TimeMesh:
     if N < 1:
         raise ValueError("interval count must be at least 1")
     return TimeMesh(np.arange(N + 1) * (T / N))
+
+
+def time_values(v, ts) -> np.ndarray:
+    """v(ts) for a function of time v, the rule every dgtime function of time
+    keeps: one call with the float array ts returns ts.shape (a scalar state)
+    or ts.shape + (M,).  Any other shape raises ValueError naming it."""
+    ts = np.asarray(ts, dtype=float)
+    vals = np.asarray(v(ts), dtype=float)
+    if vals.shape != ts.shape and vals.shape[:-1] != ts.shape:
+        raise ValueError(f"function of time returned shape {vals.shape} for times {ts.shape}")
+    return vals

@@ -90,9 +90,9 @@ class Heat1dConfig:
     def u0(self, x):
         return np.polynomial.polynomial.polyval(np.asarray(x), self.u0_poly)
 
-    def refined(self, factor: int = 2) -> "Heat1dConfig":
-        """Same problem on a spatial grid refined by an integer factor."""
-        return Heat1dConfig(self.L, self.kappa, factor * self.P, self.T,
+    def refined(self) -> "Heat1dConfig":
+        """Same problem on the spatial grid refined by 2."""
+        return Heat1dConfig(self.L, self.kappa, 2 * self.P, self.T,
                             self.u0_poly, self.with_forcing)
 
 

@@ -4,7 +4,8 @@ Three consumers of the jump structure live here: the continuous degree-r
 reconstruction, the jump error indicator, and the interpolating projector
 that fixes the value at the right node of each interval.  A diagnostic
 measures how far the actual error deviates from its leading Radau-polynomial
-profile.
+profile.  The projector and the diagnostic call their function of time on
+arrays of times, never once per time (`mesh.time_values`).
 
 The reconstruction is a rank-one correction of the DG solution on each
 interval, so it is kept as a view: the DG solution plus one (N, M) array
@@ -20,7 +21,7 @@ import numpy as np
 
 from .basis import legendre_coeff, legendre_eval, legendre_table, make_workspace
 from .dg import DgSolution, PiecewiseLegendre, PiecewiseLegendreView, state_norm
-from .mesh import TimeMesh
+from .mesh import TimeMesh, time_values
 
 __all__ = [
     "Reconstruction",
@@ -90,23 +91,18 @@ def pi_tilde_project(v: Callable, mesh: TimeMesh, r: int) -> PiecewiseLegendre:
 
     Coefficients 0..r-2 are the plain Fourier-Legendre coefficients; the top
     coefficient is adjusted so the projection interpolates v at the right
-    node of every interval.
+    node of every interval.  v is a function of time (`time_values`), called
+    once with the (N, m + 1) times of every interval's m quadrature nodes and
+    its right node.
     """
     ws = make_workspace(r)
-    table = legendre_table(max(r - 2, 0), ws.quad_nodes)  # (m, r-1) when r >= 2
-    scale = 0.5 * (2.0 * np.arange(max(r - 1, 0)) + 1.0)
-
-    first = np.atleast_1d(np.asarray(v(mesh.nodes[-1]), dtype=float))
-    M = first.size
-    coeffs = np.zeros((mesh.N, r, M))
-    for n in range(1, mesh.N + 1):
-        t_quad = mesh.to_physical(n, ws.quad_nodes)
-        vals = np.array([np.atleast_1d(np.asarray(v(tq), dtype=float)) for tq in t_quad])
-        if r >= 2:
-            low = scale[:, None] * (table[:, : r - 1].T @ (ws.quad_weights[:, None] * vals))
-            coeffs[n - 1, : r - 1] = low
-        v_right = np.atleast_1d(np.asarray(v(mesh.nodes[n]), dtype=float))
-        coeffs[n - 1, r - 1] = v_right - coeffs[n - 1, : r - 1].sum(axis=0)
+    ts = mesh.to_physical(np.arange(1, mesh.N + 1), np.append(ws.quad_nodes, 1.0))
+    vals = time_values(v, ts).reshape(ts.shape + (-1,))  # (N, m + 1, M)
+    table = legendre_table(r - 1, ws.quad_nodes)[:, :-1]  # P_0..P_{r-2}, (m, r - 1)
+    scale = 0.5 * (2.0 * np.arange(r - 1) + 1.0)
+    coeffs = np.empty((mesh.N, r, vals.shape[-1]))
+    coeffs[:, : r - 1] = scale[:, None] * (table.T @ (ws.quad_weights[:, None] * vals[:, :-1]))
+    coeffs[:, r - 1] = vals[:, -1] - coeffs[:, : r - 1].sum(axis=1)
     return PiecewiseLegendre(mesh, coeffs)
 
 
@@ -117,7 +113,9 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
     Returns (a_nr, deviation): a_nr is the degree-r coefficient of the
     reference u on interval n, and deviation is the sampled maximum norm of
     U - u + a_nr (p_r - p_{r-1}), i.e. what is left of the error after
-    removing its predicted Radau-polynomial profile.
+    removing its predicted Radau-polynomial profile.  u is a function of
+    time (`time_values`), called once by `legendre_coeff` for a_nr and once
+    with the sample times.
     """
     r = sol.r
     a, b = sol.mesh.nodes[n - 1], sol.mesh.nodes[n]
@@ -125,8 +123,7 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
 
     taus = np.linspace(-1.0, 1.0, samples)
     profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
-    uvals = np.array([np.atleast_1d(np.asarray(u(t), dtype=float))
-                      for t in sol.mesh.to_physical(n, taus)])
+    uvals = time_values(u, sol.mesh.to_physical(n, taus)).reshape(samples, -1)
     resid = sol.sample_interval(n, taus) - uvals + profile[:, None] * anr[None, :]
     dev = max(state_norm(row, sol.norm_weight) for row in resid)
     return anr, dev

@@ -51,6 +51,7 @@ CONTOUR_MU_TMAX = 40.0
 CONTOUR_TRUNC = 37.0
 DEFAULT_BAND_RATIO = 8.0
 DEFAULT_BAND_HALF_NODES = 48
+REFINEMENT_EXTRA_NODES = 8  # refinement_check's twin has this many more half nodes
 
 
 def ode_exact(t):
@@ -325,12 +326,14 @@ class _BandedContourReference:
             out[rows] = _invert_values(self._rules[b], self._values[b], ts[rows])
         return out
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval_many([t])[0]
+    def __call__(self, t) -> np.ndarray:
+        """Reference states at a time or an array of times, shape np.shape(t) + (M,)."""
+        return self.eval_many(np.ravel(t)).reshape(np.shape(t) + (-1,))
 
-    def refinement_check(self, ts, extra: int = 8) -> float:
+    def refinement_check(self, ts) -> float:
         """Max relative change of the reference values under node refinement."""
-        twin = type(self)(self._source, self.t_min, self.t_max, self.half_nodes + extra)
+        twin = type(self)(self._source, self.t_min, self.t_max,
+                          self.half_nodes + REFINEMENT_EXTRA_NODES)
         base = self.eval_many(ts)
         other = twin.eval_many(ts)
         num = np.linalg.norm(base - other, axis=1)

@@ -200,17 +200,17 @@ def sparse_operator(matrix) -> LinearOperator:
 def _sine_eigenvalues(diag: np.ndarray, off: np.ndarray):
     """Closed-form eigenvalues of tridiag(a, d, a), or None for non-constant bands.
 
-    mu_j = (d + 2a) - 4a sin^2(j pi / (2(n + 1))) keeps the small eigenvalues
-    of a stiff matrix to a few ulps, where a numerical eigensolver loses
-    about eps ||T|| in each.  The eigenvectors are the columns of
-    `_sine_matrix(n)`.
+    mu_j = (d - 2|a|) + 4|a| sin^2(m pi / (2(n + 1))), m = j for a <= 0 and
+    n + 1 - j for a > 0, keeps the small eigenvalues of a stiff matrix to a
+    few ulps, where a numerical eigensolver loses about eps ||T|| in each.
+    The eigenvectors are the columns of `_sine_matrix(n)`.
     """
     n = diag.size
     a = off[0] if n > 1 else 0.0
     if np.any(diag != diag[0]) or np.any(off != a):
         return None
-    j = np.arange(1, n + 1)
-    return (diag[0] + 2.0 * a) - 4.0 * a * np.sin(np.pi * j / (2 * (n + 1))) ** 2
+    m = np.arange(1, n + 1) if a <= 0 else np.arange(n, 0, -1)  # no cancellation either way
+    return (diag[0] - 2.0 * abs(a)) + 4.0 * abs(a) * np.sin(np.pi * m / (2 * (n + 1))) ** 2
 
 
 @lru_cache(maxsize=None)

@@ -207,7 +207,7 @@ def test_gauss_rule_nodes_match_mpmath(m):
 
 
 def test_legendre_coeff_constant():
-    coeffs = [legendre_coeff(lambda t: 3.5, (0.2, 1.7), j) for j in range(4)]
+    coeffs = [legendre_coeff(lambda t: np.full_like(t, 3.5), (0.2, 1.7), j) for j in range(4)]
     assert coeffs[0] == pytest.approx(3.5, rel=1e-14)
     assert np.max(np.abs(coeffs[1:])) <= 1e-13
 

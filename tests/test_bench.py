@@ -31,19 +31,19 @@ def test_zero_error_when_reference_is_the_approximation():
 
     sol = ode_solution()
     recon = reconstruct(sol)
-    reference = lambda t: recon.eval(t) if t > 0 else sol.u0
+    reference = lambda ts: np.array([recon.eval(t) if t > 0 else sol.u0 for t in ts])
     assert max_error_sampled(recon, reference) <= 1e-13
 
 
 def test_zero_weight_exponent_matches_unweighted():
     sol = ode_solution()
-    ref = lambda t: np.array([ode_exact(t)])
+    ref = ode_exact
     assert max_error_sampled(sol, ref, weight=0.0) == max_error_sampled(sol, ref)
 
 
 def test_window_selects_whole_intervals():
     sol = ode_solution(N=8)
-    ref = lambda t: np.array([ode_exact(t)])
+    ref = ode_exact
     full = max_error_sampled(sol, ref)
     windowed = max_error_sampled(sol, ref, window=(0.5, 2.0))
     assert windowed <= full
@@ -53,7 +53,7 @@ def test_window_selects_whole_intervals():
 
 def test_nodal_variant_uses_left_limits():
     sol = ode_solution(N=4)
-    ref = lambda t: np.array([ode_exact(t)])
+    ref = ode_exact
     expected = max(abs(sol.left_limit(n)[0] - ode_exact(sol.mesh.nodes[n]))
                    for n in range(1, 5))
     assert max_error_sampled(sol, ref, nodal=True) == pytest.approx(expected, rel=1e-12)
@@ -61,7 +61,7 @@ def test_nodal_variant_uses_left_limits():
 
 def test_empty_measurement_is_an_error():
     sol = ode_solution(N=4)  # nodes 0, 0.5, 1, 1.5, 2
-    ref = lambda t: np.array([ode_exact(t)])
+    ref = ode_exact
     with pytest.raises(ValueError, match=r"window \[0.6, 0.9\].*N = 4"):
         max_error_sampled(sol, ref, window=(0.6, 0.9))
     with pytest.raises(ValueError, match="N = 4"):
@@ -75,7 +75,7 @@ def test_empty_measurement_is_an_error():
 
 def test_sequence_arguments_are_checked():
     sol = ode_solution(N=4)
-    ref = lambda t: np.array([ode_exact(t)])
+    ref = ode_exact
     with pytest.raises(ValueError, match="one entry per approximation"):
         max_error_sampled([sol, sol], ref, weight=[1.0])
     with pytest.raises(ValueError, match="share the time mesh"):
@@ -135,21 +135,20 @@ class _SmoothReference:
     def __init__(self, dim):
         self.j = np.arange(dim)
 
-    def eval_many(self, ts):
-        return 1.5 + np.cos(np.outer(ts, self.j + 1) + self.j)
+    def __call__(self, ts):
+        return 1.5 + np.cos(np.multiply.outer(ts, self.j + 1) + self.j)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 5),
        dim=st.integers(1, 6), samples=st.sampled_from([2, 4, 50]),
-       extrapolated=st.booleans(), vectorised=st.booleans(),
+       extrapolated=st.booleans(),
        per_block=st.sampled_from([1, 2, 3, 0]),
        first=st.integers(1, 3),
        window=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
        exps=st.tuples(*[st.one_of(st.none(), st.floats(0.0, 4.0))] * 3))
 def test_blocked_measurement_matches_per_interval_oracle(seed, n, r, dim, samples, extrapolated,
-                                                         vectorised, per_block, first, window,
-                                                         exps):
+                                                         per_block, first, window, exps):
     # per_block: intervals per block of the three-column call, 0 for the whole row
     budget = per_block * samples * dim if per_block else 10**9
     rng = np.random.default_rng(seed)
@@ -165,8 +164,7 @@ def test_blocked_measurement_matches_per_interval_oracle(seed, n, r, dim, sample
         oracles = [_SampleRichardson(c, f) for c, f in pairs]
     else:
         measured = oracles = [solution(r, dim), solution(r + 1, dim)]
-    smooth = _SmoothReference(dim)
-    reference = smooth if vectorised else (lambda t: smooth.eval_many([t])[0])
+    reference = _SmoothReference(dim)
     if window is not None:
         lo, hi = sorted(window)
         window = (lo * mesh.T, hi * mesh.T)
@@ -193,11 +191,34 @@ def test_blocked_measurement_matches_per_interval_oracle(seed, n, r, dim, sample
         got = max_error_sampled([measured[0], measured[1], measured[0]], reference, samples,
                                 **call)
         alone = max_error_sampled(measured[0], reference, samples, w_nodal, window, nodal=True)
-    scale = max(state_norm(smooth.eval_many([t])[0], norm_weight) for t in mesh.nodes[1:])
+    scale = max(state_norm(reference([t])[0], norm_weight) for t in mesh.nodes[1:])
     assert got[0] == pytest.approx(expected[0], rel=1e-13, abs=0)
     assert got[1] == pytest.approx(expected[1], rel=1e-13, abs=0)
     assert abs(got[2] - expected[2]) <= 1e-14 * scale
     assert abs(alone - expected[2]) <= 1e-14 * scale
+
+
+def test_reference_values_take_one_call_and_check_its_shape():
+    ts = np.linspace(0.1, 1.9, 5)
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return ode_exact(t)
+
+    # a scalar state, shape (S,), is one column
+    assert np.array_equal(bench._reference_values(counted, ts), ode_exact(ts)[:, None])
+    assert calls == [(5,)]
+    smooth = _SmoothReference(3)
+    assert bench._reference_values(smooth, ts).shape == (5, 3)
+    for bad, shape in ((lambda t: smooth(t).T, r"\(3, 5\)"),
+                       (lambda t: np.array([ode_exact(t)]), r"\(1, 5\)"),
+                       (lambda t: 3.5, r"\(\)")):
+        with pytest.raises(ValueError, match=f"returned shape {shape} for times \\(5,\\)"):
+            bench._reference_values(bad, ts)
+    # max_error_sampled reports it too: there is no per-time fallback
+    with pytest.raises(ValueError, match=r"returned shape \(\)"):
+        max_error_sampled(ode_solution(), lambda t: 3.5)
 
 
 def test_row_errors_measure_in_one_pass(monkeypatch):
@@ -462,6 +483,20 @@ def test_ode_rejects_pde_options_before_solving(monkeypatch):
         run_profile("ode", n=4, p=16)
     with pytest.raises(SystemExit, match="ode experiment takes no homogeneous"):
         main(["ode", "--r", "2", "--N", "4,8", "--homogeneous"])
+    assert calls == []
+
+
+def test_profile_rejects_the_flags_it_ignores(monkeypatch):
+    # --profile measures the forced, unweighted, full-window run with the
+    # default moments; the table flags would be silently dropped
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(SystemExit, match="^--profile takes no --homogeneous$"):
+        main(["heat1d", "--P", "20", "--N", "8", "--profile", "--homogeneous"])
+    with pytest.raises(SystemExit, match="^--profile takes no --weighted, --cutoff, --moments$"):
+        main(["heat2d", "--P", "6", "--N", "8", "--profile", "--weighted", "0",
+              "--cutoff", "--moments", "gauss"])
+    with pytest.raises(SystemExit, match="^--profile takes no --homogeneous$"):
+        main(["ode", "--N", "4", "--profile", "--homogeneous"])
     assert calls == []
 
 

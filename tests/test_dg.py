@@ -176,7 +176,7 @@ def test_galerkin_residual(make_problem, r, N):
         block = np.kron(ws.G, np.eye(M)) + k * np.kron(np.diag(ws.H), problem.A.matrix.toarray())
         rhs = (signs[:, None] * prev[None, :])
         t_quad = mesh.to_physical(n, ws.quad_nodes)
-        fvals = np.stack([problem.f(t) for t in t_quad])
+        fvals = problem.f(t_quad)
         rhs = rhs + 0.5 * k * table.T @ (ws.quad_weights[:, None] * fvals)
         resid = block @ sol.coeffs[n - 1].ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
@@ -223,7 +223,7 @@ def test_galerkin_residual_on_nonuniform_mesh():
         block = np.kron(ws.G, np.eye(5)) + k * np.kron(np.diag(ws.H), problem.A.matrix.toarray())
         rhs = signs[:, None] * prev[None, :]
         t_quad = mesh.to_physical(n, ws.quad_nodes)
-        fvals = np.stack([problem.f(t) for t in t_quad])
+        fvals = problem.f(t_quad)
         rhs = rhs + 0.5 * k * table.T @ (ws.quad_weights[:, None] * fvals)
         resid = block @ sol.coeffs[n - 1].ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))

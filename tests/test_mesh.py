@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgtime.mesh import TimeMesh, uniform_mesh
+from dgtime.mesh import TimeMesh, time_values, uniform_mesh
 
 
 def test_uniform_steps():
@@ -65,6 +65,33 @@ def test_to_physical_rejects_bad_index():
         mesh.to_physical(0, 0.0)
     with pytest.raises(ValueError):
         mesh.to_physical(4, 0.0)
+
+
+def test_to_physical_index_array_gives_one_row_per_interval():
+    mesh = TimeMesh(np.array([0.0, 0.3, 1.1, 1.15, 2.0]))
+    taus = np.linspace(-1.0, 1.0, 7)
+    rows = mesh.to_physical(np.arange(1, 5), taus)
+    assert rows.shape == (4, 7)
+    for n in range(1, 5):
+        assert np.array_equal(rows[n - 1], mesh.to_physical(n, taus))
+    # tau = 1 is exactly the right node, tau = -1 the left one
+    assert np.array_equal(mesh.to_physical(np.arange(1, 5), 1.0), mesh.nodes[1:])
+    assert np.array_equal(mesh.to_physical(np.arange(1, 5), -1.0), mesh.nodes[:-1])
+    assert mesh.to_physical(np.array([[2], [3]]), taus).shape == (2, 1, 7)
+    for bad in (np.array([1, 5]), np.array([0, 2])):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            mesh.to_physical(bad, taus)
+
+
+def test_time_values_rule():
+    ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert np.array_equal(time_values(np.sin, ts), np.sin(ts))
+    states = time_values(lambda t: np.stack([t, 2 * t], axis=-1), ts)
+    assert states.shape == (2, 3, 2)
+    for bad in (lambda t: t.T, lambda t: t.ravel(), lambda t: 1.0,
+                lambda t: np.zeros((2, 3, 2, 2))):
+        with pytest.raises(ValueError, match=r"for times \(2, 3\)"):
+            time_values(bad, ts)
 
 
 def test_roundtrip_identity():

@@ -65,6 +65,10 @@ def test_heat1d_forcing_is_spatially_constant():
     problem = heat1d_problem(cfg)
     vals = problem.f(0.7)
     assert vals.shape == (19,)
+    ts = np.array([[0.7, 1.1, 0.0]])
+    assert problem.f(ts).shape == (1, 3, 19)
+    assert np.array_equal(problem.f(ts)[0, 0], vals)
+    assert heat1d_problem(Heat1dConfig(P=20, with_forcing=False)).f(ts).shape == (1, 3, 19)
     assert np.ptp(vals) == 0.0
     assert vals[0] == pytest.approx(1.7 * np.exp(-0.7), rel=1e-14)
 

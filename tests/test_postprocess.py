@@ -226,15 +226,48 @@ def test_pi_tilde_drops_top_degree_to_lower_one():
     # projecting the degree-r local Legendre polynomial gives the degree r-1 one
     r = 3
     mesh = uniform_mesh(1.0, 2)
-    def v(t):
-        n = mesh.interval_of(t) if t > 0 else 1
-        return legendre_eval(r, mesh.to_reference(n, t))
+    v = np.vectorize(lambda t: legendre_eval(
+        r, mesh.to_reference(mesh.interval_of(t) if t > 0 else 1, t)), otypes=[float])
     proj = pi_tilde_project(v, mesh, r)
     taus = np.linspace(-1, 1, 25)
     for n in (1, 2):
         expected = legendre_eval(r - 1, taus)
         np.testing.assert_allclose(proj.sample_interval(n, taus)[:, 0], expected,
                                    rtol=1e-11, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), r=st.integers(1, 10),
+       dim=st.sampled_from([1, 3]))
+def test_pi_tilde_reproduces_low_degree_and_interpolates_on_random_meshes(seed, n, r, dim):
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-1.0, 1.0)
+    mesh = TimeMesh(start + np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))]))
+    scale = mesh.T - start
+    # degree r - 1 in (t - start) / scale, so values stay O(1) on the mesh
+    coef = rng.standard_normal((r, dim))
+
+    def poly(t):
+        vals = np.polynomial.polynomial.polyval((t - start) / scale, coef)  # (dim,) + t.shape
+        return vals[0] if dim == 1 else np.moveaxis(vals, 0, -1)
+
+    def smooth(t):
+        vals = np.sin(np.multiply.outer(3.0 * t, np.arange(1, dim + 1)) + 0.4)
+        return vals[..., 0] if dim == 1 else vals
+
+    taus = np.linspace(-1.0, 1.0, 9)
+    ts = mesh.to_physical(np.arange(1, n + 1), taus)
+    proj = pi_tilde_project(poly, mesh, r)
+    assert proj.coeffs.shape == (n, r, dim)
+    for m in range(1, n + 1):
+        np.testing.assert_allclose(proj.sample_interval(m, taus),
+                                   np.reshape(poly(ts[m - 1]), (taus.size, dim)),
+                                   rtol=0, atol=1e-11 * np.max(np.abs(coef)) * r)
+    interp = pi_tilde_project(smooth, mesh, r)
+    for m in range(1, n + 1):
+        np.testing.assert_allclose(interp.left_limit(m),
+                                   np.reshape(smooth(mesh.nodes[m]), (dim,)),
+                                   rtol=0, atol=1e-13)
 
 
 def test_error_profile_trivial_for_reproduced_polynomials():

@@ -365,6 +365,19 @@ def test_uhat_vectorised_over_z_matches_single_nodes(with_forcing, p):
     assert uhat_1d(0.7, zu, cfg).shape == zu.shape
 
 
+def test_banded_reference_called_on_times_gives_one_state_per_time():
+    cfg = Heat1dConfig(P=12)
+    ref = Heat1dReference(cfg, 0.1, 1.0)
+    ts = np.array([0.0, 0.1, 0.35, 1.0])
+    many = ref.eval_many(ts)
+    assert many.shape == (4, 11)
+    assert np.array_equal(ref(ts), many)
+    # one time is a batch of one: the same values to the last bits of a product
+    assert np.array_equal(ref(0.35), ref.eval_many([0.35])[0])
+    np.testing.assert_allclose(ref(0.35), many[2], rtol=1e-14)
+    assert np.array_equal(ref(ts.reshape(2, 2)), many.reshape(2, 2, 11))
+
+
 def test_heat1d_reference_initial_state():
     cfg = Heat1dConfig(P=12)
     ref = Heat1dReference(cfg, 0.1, 1.0)

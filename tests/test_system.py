@@ -329,7 +329,8 @@ def _constant_factor(n, a, d):
     return np.full(n - 1, a), np.full(n, d), np.full(n - 1, a)
 
 
-@pytest.mark.parametrize("n,a,d", [(40, -506.6, 1013.2), (5, 0.3, 1.7), (1, 0.0, 2.5)])
+@pytest.mark.parametrize("n,a,d", [(40, -506.6, 1013.2), (40, 506.6, 1013.2), (5, 0.3, 1.7),
+                                   (1, 0.0, 2.5)])
 def test_sine_eigenvalues_match_mpmath(n, a, d):
     # a stiff factor's smallest eigenvalues are ~1e-3 of its norm: a numerical
     # eigensolver (eigh_tridiagonal) loses them to ~1.7e-14 relative, the
