@@ -112,7 +112,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     for the whole sequence.  Intervals are measured in blocks of at most
     MEASURE_BLOCK_ELEMENTS sample times x state entries (one interval when
     a single interval holds more).  Raises ValueError when a solution has
-    no interval to measure.
+    no interval to measure and when a measured error is not finite.
     """
     many = isinstance(approx, (list, tuple))
     approxes = list(approx) if many else [approx]
@@ -176,7 +176,11 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
             errs = np.sqrt(getattr(sol, "norm_weight", 1.0)) * np.linalg.norm(diff, axis=-1)
             if weights[c] is not None:
                 errs = errs * np.minimum(t ** weights[c], 1.0)
-            worst[c] = max(worst[c], float(np.max(errs[rows])))
+            block_max = float(np.max(errs[rows]))
+            if not math.isfinite(block_max):  # max() would drop a NaN silently
+                raise ValueError(f"non-finite error {block_max} on intervals "
+                                 f"{start + 1}..{stop} of approximation {c}")
+            worst[c] = max(worst[c], block_max)
     return worst if many else worst[0]
 
 
@@ -319,13 +323,17 @@ def _check_ode_options(experiment: str, p=None, homogeneous=False) -> None:
                          + ", ".join(name for name, value in given.items() if value))
 
 
-def _check_request(r: int, n_list: Sequence[int], samples: int) -> None:
+def _check_request(r: int, n_list: Sequence[int], samples: int, weighted=None) -> None:
     """Reject a bad request before anything is built or solved."""
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     if len(n_list) == 0:
         raise ValueError("the N list is empty")
+    if min(n_list) < 1:
+        raise ValueError(f"N values must be at least 1, got {list(n_list)}")
     _check_doubling(n_list)
+    if weighted is not None and not math.isfinite(weighted):
+        raise ValueError(f"weighted must be finite, got {weighted}")
     if samples < 2:
         raise ValueError("need at least 2 samples per interval (both endpoints)")
 
@@ -393,13 +401,14 @@ def run_experiment(experiment: str, r: int | None = None,
     moments by the Radau rule (the Radau IIA form of the stepper); the
     others use 50 points and near-exact Gauss moments.  heat1d is
     Richardson-extrapolated from the grids P and 2P.  Raises ValueError for
-    r < 1, an empty or non-doubling N list or fewer than 2 samples, before
-    anything is solved, and for the ode with p or homogeneous.
+    r < 1, an empty or non-doubling N list, an N below 1, fewer than 2
+    samples or a non-finite weighted, before anything is solved, and for the
+    ode with p or homogeneous.
     """
     _check_ode_options(experiment, p, homogeneous)
     r, p, n_list, samples, moments = _with_defaults(experiment, r, p, n_list, samples, moments)
     n_list = tuple(n_list)
-    _check_request(r, n_list, samples)
+    _check_request(r, n_list, samples, weighted)
     study = _study(experiment, r, p, moments, homogeneous)
     reference = study.reference(_reference_floor(study.T, n_list, cutoff, samples))
     exps = _weight_exponents(r, weighted)

@@ -1,9 +1,10 @@
 """Discontinuous Galerkin time stepping for u' + A u = f.
 
 The solution on each interval is a polynomial of degree at most r - 1 stored
-as local Legendre coefficients, so it may jump at the break points.  One step
-advances the expansion by solving the block system assembled in `system`;
-the right-hand side combines the outgoing value from the previous interval
+as local Legendre coefficients, so it may jump at the break points
+(`DgSolution.jumps`, computed once for every reader).  One step advances
+the expansion by solving the block system assembled in `system`; the
+right-hand side combines the outgoing value from the previous interval
 with moments of the separable forcing phi(t) g (`Forcing`) against the local
 test polynomials.  The vectorised phi is evaluated once per solve, at every
 quadrature time of the mesh.
@@ -19,6 +20,7 @@ bounded block of intervals at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,9 +108,10 @@ class PiecewiseLegendre:
     """Piecewise polynomial stored as per-interval Legendre coefficients.
 
     coeffs has shape (N, q, M): N intervals, q coefficients per interval,
-    state dimension M.  Evaluation at a break point returns the left limit.
-    Every read goes through `coefficients`, so a subclass may compute its
-    coefficients one block of intervals at a time instead of storing them.
+    state dimension M.  It is a function of time (`mesh.time_values`) on
+    (t_0, T]; at a break point it takes the left limit.  Every read goes
+    through `coefficients`, so a subclass may compute its coefficients one
+    block of intervals at a time instead of storing them.
     """
 
     def __init__(self, mesh: TimeMesh, coeffs: np.ndarray):
@@ -129,10 +132,16 @@ class PiecewiseLegendre:
         table = legendre_table(self.degree_count - 1, taus)
         return table @ self.coefficients(slice(n - 1, n))[0]
 
-    def eval(self, t: float) -> np.ndarray:
-        n = self.mesh.interval_of(t)
-        tau = self.mesh.to_reference(n, t)
-        return self.sample_interval(n, [tau])[0]
+    def __call__(self, t) -> np.ndarray:
+        """Values at the times t, shape np.shape(t) + (M,); a break point t_n gives
+        the left limit, from interval n, and a time outside (t_0, T] ValueError."""
+        t, nodes = np.asarray(t, dtype=float), self.mesh.nodes
+        if not np.all((nodes[0] < t) & (t <= nodes[-1])):
+            raise ValueError(f"times must lie in ({nodes[0]}, {nodes[-1]}]")
+        n = np.searchsorted(nodes, t.ravel(), side="left")  # interval n holds (t_{n-1}, t_n]
+        a, b = nodes[n - 1], nodes[n]
+        table = legendre_table(self.degree_count - 1, (2.0 * t.ravel() - (a + b)) / (b - a))
+        return (table[:, None, :] @ self.coefficients(n - 1)).reshape(t.shape + (self.dim,))
 
     def left_limit(self, n: int) -> np.ndarray:
         """Value at t_n from interval n (all local polynomials equal 1 there)."""
@@ -159,22 +168,35 @@ class PiecewiseLegendreView(PiecewiseLegendre):
 
 
 class DgSolution(PiecewiseLegendre):
-    """DG solution with its trial degree, initial state and norm weight."""
+    """DG solution with its trial degree, initial state and norm weight; raises
+    ValueError unless coeffs holds r coefficients per interval and u0 is (M,)."""
 
     def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray,
                  u0: np.ndarray, norm_weight: float = 1.0):
         super().__init__(mesh, coeffs)
-        if coeffs.shape[1] != r:
+        if self.degree_count != r:
             raise ValueError("coefficient count must equal r")
         self.r = r
         self.u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+        if self.u0.shape != (self.dim,):
+            raise ValueError(f"u0 has shape {self.u0.shape}, expected ({self.dim},)")
         self.norm_weight = norm_weight
 
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        """(N, M) jumps, computed once: row n - 1 is the jump at t_{n-1}, the
+        right limit from interval n minus the left limit from interval n - 1
+        (u0 for n = 1)."""
+        jumps = (-1.0) ** np.arange(self.r) @ self.coeffs
+        jumps[0] -= self.u0
+        jumps[1:] -= self.coeffs[:-1].sum(axis=1)
+        jumps.setflags(write=False)
+        return jumps
+
     def jump(self, n: int) -> np.ndarray:
-        """Jump at t_{n-1}: incoming right limit minus outgoing left limit."""
+        """Jump at t_{n-1}, row n - 1 of `jumps`."""
         self.mesh._check_index(n)
-        outgoing = self.u0 if n == 1 else self.left_limit(n - 1)
-        return self.right_limit(n - 1) - outgoing
+        return self.jumps[n - 1]
 
 
 def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,

@@ -1,4 +1,4 @@
-"""Time partitions, the affine maps to the reference interval, and time_values."""
+"""Time partitions, the affine map from the reference interval, and time_values."""
 
 from __future__ import annotations
 
@@ -36,10 +36,6 @@ class TimeMesh:
     def steps(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    @property
-    def kmax(self) -> float:
-        return float(np.max(self.steps))
-
     def _check_index(self, n):
         if np.any((np.asarray(n) < 1) | (np.asarray(n) > self.N)):
             raise ValueError(f"interval index {n} outside 1..{self.N}")
@@ -52,18 +48,6 @@ class TimeMesh:
         shape = n.shape + (1,) * tau.ndim
         a, b = self.nodes[n - 1].reshape(shape), self.nodes[n].reshape(shape)
         return 0.5 * ((1.0 - tau) * a + (1.0 + tau) * b)
-
-    def to_reference(self, n: int, t):
-        """Inverse of to_physical on interval n."""
-        self._check_index(n)
-        a, b = self.nodes[n - 1], self.nodes[n]
-        return (2.0 * np.asarray(t) - (a + b)) / (b - a)
-
-    def interval_of(self, t: float) -> int:
-        """Index n with t in (t_{n-1}, t_n]; break points belong to the left."""
-        if not self.nodes[0] < t <= self.nodes[-1]:
-            raise ValueError(f"time {t} outside ({self.nodes[0]}, {self.nodes[-1]}]")
-        return int(np.searchsorted(self.nodes, t, side="left"))
 
 
 def uniform_mesh(T: float, N: int) -> TimeMesh:

@@ -24,8 +24,6 @@ __all__ = [
     "ode_problem",
     "heat1d_problem",
     "heat2d_problem",
-    "heat1d_min_eigenvalue",
-    "heat2d_min_eigenvalue",
 ]
 
 
@@ -110,11 +108,6 @@ def heat1d_problem(cfg: Heat1dConfig) -> LinearProblem:
     )
 
 
-def heat1d_min_eigenvalue(cfg: Heat1dConfig) -> float:
-    """Smallest eigenvalue of the discrete operator: 4 kappa/h^2 sin^2(pi h / 2L)."""
-    return 4.0 * cfg.kappa / cfg.h**2 * math.sin(math.pi * cfg.h / (2.0 * cfg.L)) ** 2
-
-
 def _default_u0_2d(x, y):
     return x * (2.0 - x) * y * (2.0 - y)
 
@@ -179,9 +172,3 @@ def heat2d_problem(cfg: Heat2dConfig) -> LinearProblem:
         forcing=_heat_forcing(cfg.dim) if cfg.with_forcing else None,
     )
 
-
-def heat2d_min_eigenvalue(cfg: Heat2dConfig) -> float:
-    """Smallest eigenvalue of the discrete 5-point operator."""
-    sx = 4.0 / cfg.hx**2 * math.sin(math.pi * cfg.hx / (2.0 * cfg.Lx)) ** 2
-    sy = 4.0 / cfg.hy**2 * math.sin(math.pi * cfg.hy / (2.0 * cfg.Ly)) ** 2
-    return cfg.kappa * (sx + sy)

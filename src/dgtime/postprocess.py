@@ -8,8 +8,8 @@ profile.  The projector and the diagnostic call their function of time on
 arrays of times, never once per time (`mesh.time_values`).
 
 The reconstruction is a rank-one correction of the DG solution on each
-interval, so it is kept as a view: the DG solution plus one (N, M) array
-of half signed jumps, from which the coefficients of a block of intervals
+interval, so it is kept as a view: the DG solution and its (N, M) jumps
+(`DgSolution.jumps`), from which the coefficients of a block of intervals
 are derived when they are read.
 """
 
@@ -35,50 +35,37 @@ __all__ = [
 class Reconstruction(PiecewiseLegendreView):
     """Continuous piecewise polynomial of degree r correcting the DG solution.
 
-    A view: it keeps the DG solution by reference and the (N, M) array
-    half_signed of (-1)^r / 2 times the jump at t_{n-1}, row n - 1.  The
-    coefficients of a block of intervals are those of the DG solution with
-    half_signed added to coefficient r - 1 and its negative appended as
-    coefficient r, so the (N, r + 1, M) array is built only when `coeffs`
-    is read.
+    A view: it keeps the DG solution by reference.  The coefficients of a
+    block of intervals are those of the DG solution with half_signed =
+    (-1)^r / 2 times the jump at t_{n-1} (row n - 1 of `sol.jumps`) added
+    to coefficient r - 1 and its negative appended as coefficient r, so the
+    (N, r + 1, M) array is built only when `coeffs` is read.
     """
 
-    def __init__(self, sol: DgSolution, half_signed: np.ndarray):
-        half_signed = np.asarray(half_signed, dtype=float)
-        if half_signed.shape != (sol.mesh.N, sol.dim):
-            raise ValueError("half_signed must have shape (N, M) of the DG solution")
+    def __init__(self, sol: DgSolution):
         self.mesh, self.r, self.norm_weight = sol.mesh, sol.r, sol.norm_weight
         self.degree_count, self.dim = sol.r + 1, sol.dim
         self._sol = sol
-        self._half_signed = half_signed
 
     def coefficients(self, idx) -> np.ndarray:
-        half = self._half_signed[idx]
+        half = 0.5 * (-1.0) ** self.r * self._sol.jumps[idx]
         coeffs = np.concatenate([self._sol.coefficients(idx), -half[:, None, :]], axis=1)
         coeffs[:, self.r - 1, :] += half
         return coeffs
 
 
 def reconstruct(sol: DgSolution) -> Reconstruction:
-    """Build the continuous reconstruction from the DG coefficients.
+    """The continuous reconstruction U* = U - (-1)^r / 2 [U]_{n-1} (p_r - p_{r-1}).
 
     On interval n the correction subtracts (-1)^r / 2 times the jump at
     t_{n-1} multiplied by the degree-r Radau polynomial, which in coefficient
     form means: keep coefficients 0..r-2, add half the signed jump to
     coefficient r-1, and set coefficient r to minus half the signed jump.
     The result matches the DG solution at the interior Radau points and the
-    left-limit nodal values, and it starts from sol.u0.  Only the jumps are
-    computed here, one (N, M) array; the returned view derives the
-    coefficients of each block of intervals when they are read.
+    left-limit nodal values, and it starts from sol.u0.  It is a view that
+    derives the coefficients of each block of intervals when they are read.
     """
-    r = sol.r
-    # jump at t_{n-1}: right limit from interval n minus the left limit
-    # from interval n - 1 (u0 for n = 1), as in DgSolution.jump
-    jumps = (-1.0) ** np.arange(r) @ sol.coeffs
-    jumps[0] -= sol.u0
-    jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
-    jumps *= 0.5 * (-1.0) ** r
-    return Reconstruction(sol, jumps)
+    return Reconstruction(sol)
 
 
 def jump_indicator(sol: DgSolution, n: int) -> float:
@@ -115,8 +102,9 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
     U - u + a_nr (p_r - p_{r-1}), i.e. what is left of the error after
     removing its predicted Radau-polynomial profile.  u is a function of
     time (`time_values`), called once by `legendre_coeff` for a_nr and once
-    with the sample times.
+    with the sample times.  Raises ValueError for n outside 1..N.
     """
+    sol.mesh._check_index(n)
     r = sol.r
     a, b = sol.mesh.nodes[n - 1], sol.mesh.nodes[n]
     anr = np.atleast_1d(legendre_coeff(u, (a, b), r, make_workspace(r).quad))

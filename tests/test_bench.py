@@ -31,7 +31,14 @@ def test_zero_error_when_reference_is_the_approximation():
 
     sol = ode_solution()
     recon = reconstruct(sol)
-    reference = lambda ts: np.array([recon.eval(t) if t > 0 else sol.u0 for t in ts])
+
+    def reference(ts):
+        # the reconstruction starts from u0, its value at t_0
+        vals = np.empty(ts.shape + (1,))
+        vals[ts > 0] = recon(ts[ts > 0])
+        vals[ts <= 0] = sol.u0
+        return vals
+
     assert max_error_sampled(recon, reference) <= 1e-13
 
 
@@ -71,6 +78,22 @@ def test_empty_measurement_is_an_error():
     # one entry of a sequence with nothing to measure fails the whole call
     with pytest.raises(ValueError, match="N = 4"):
         max_error_sampled([sol, sol], ref, min_interval=[1, 5])
+
+
+def test_non_finite_error_is_an_error():
+    # max() would keep the finite maximum and drop a block holding a NaN
+    sol = ode_solution(r=3, N=8)
+    assert max_error_sampled(sol, ode_exact) == pytest.approx(2.4e-3, rel=0.05)
+    nan_late = lambda ts: np.where(ts > 1.0, np.nan, ode_exact(ts))
+    with pytest.raises(ValueError, match="non-finite error nan"):
+        max_error_sampled(sol, nan_late)
+    with pytest.raises(ValueError, match="non-finite error nan"):
+        max_error_sampled(sol, ode_exact, weight=float("nan"))
+    with pytest.raises(ValueError, match="non-finite error nan"):
+        max_error_sampled(sol, nan_late, nodal=True)
+    # one entry of a sequence with a non-finite error fails the whole call
+    with pytest.raises(ValueError, match="of approximation 1"):
+        max_error_sampled([sol, sol], ode_exact, weight=[None, float("nan")])
 
 
 def test_sequence_arguments_are_checked():
@@ -461,6 +484,22 @@ def test_run_experiment_rejects_non_doubling_before_solving(monkeypatch):
         run_experiment("heat1d", n_list=(8, 12), p=16)
     with pytest.raises(SystemExit, match="must double"):
         main(["ode", "--N", "8,12"])
+    assert calls == []
+
+
+def test_run_experiment_rejects_n_below_one_and_non_finite_weight(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match=r"at least 1, got \[0, 0\]"):
+        run_experiment("ode", n_list=(0, 0))
+    with pytest.raises(ValueError, match=r"at least 1, got \[0\]"):
+        run_profile("ode", n=0)
+    with pytest.raises(SystemExit, match=r"^N values must be at least 1, got \[0, 0\]$"):
+        main(["ode", "--N=0,0"])
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit, match=f"^weighted must be finite, got {value}$"):
+            main(["ode", "--N", "4,8", f"--weighted={value}"])
+    with pytest.raises(ValueError, match="weighted must be finite"):
+        run_experiment("heat1d", n_list=(4, 8), p=16, weighted=float("nan"))
     assert calls == []
 
 

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from dgtime.basis import gauss_rule, legendre_coeff, legendre_table, make_workspace
-from dgtime.dg import Forcing, LinearProblem, dg_solve
-from dgtime.mesh import uniform_mesh
+from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve
+from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import ode_problem
 from dgtime.reference import ode_exact
 from dgtime.system import scalar_operator, tridiagonal_operator
@@ -99,15 +101,76 @@ def test_eval_conventions():
     sol = dg_solve(problem, mesh, 3)
     # left limit at nodes
     for n in range(1, 5):
-        assert sol.eval(mesh.nodes[n])[0] == pytest.approx(sol.left_limit(n)[0], rel=1e-14)
+        assert sol(mesh.nodes[n])[0] == pytest.approx(sol.left_limit(n)[0], rel=1e-14)
     # midpoint value is sum of coefficients times P_j(0)
     p_at_zero = legendre_table(2, [0.0])[0]
     mid = 0.5 * (mesh.nodes[1] + mesh.nodes[2])
-    assert sol.eval(mid)[0] == pytest.approx(p_at_zero @ sol.coeffs[1, :, 0], rel=1e-13)
+    assert sol(mid)[0] == pytest.approx(p_at_zero @ sol.coeffs[1, :, 0], rel=1e-13)
     with pytest.raises(ValueError):
-        sol.eval(0.0)
+        sol(0.0)
     with pytest.raises(ValueError):
-        sol.eval(2.5)
+        sol(2.5)
+
+
+def test_call_is_a_function_of_time():
+    # a nonuniform mesh and a 3-state problem; sol(t) reads the interval holding t
+    problem = LinearProblem(A=spd_tridiagonal(3), u0=np.array([1.0, -0.5, 2.0]), T=2.0,
+                            forcing=Forcing(lambda t: np.cos(3.0 * t), np.array([1.0, 0.0, -2.0])))
+    mesh = TimeMesh(np.array([0.0, 0.3, 1.1, 1.15, 2.0]))
+    sol = dg_solve(problem, mesh, 4)
+    taus = np.linspace(-0.9, 0.9, 7)
+    ts = mesh.to_physical(np.arange(1, 5), taus)  # (4, 7), interior times only
+    vals = sol(ts)
+    assert vals.shape == (4, 7, 3)
+    for n in range(1, 5):
+        np.testing.assert_allclose(vals[n - 1], sol.sample_interval(n, taus),
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(sol(ts[n - 1]), vals[n - 1], rtol=0, atol=0)
+        # a break point belongs to the interval on its left
+        assert sol(mesh.nodes[n]).shape == (3,)
+        np.testing.assert_allclose(sol(mesh.nodes[n]), sol.left_limit(n), rtol=1e-13)
+    assert sol(float(ts[1, 3])).shape == (3,)
+    assert sol(ts[:2]).shape == (2, 7, 3)
+    np.testing.assert_allclose(sol(mesh.nodes[1:]), [sol.left_limit(n) for n in range(1, 5)],
+                               rtol=1e-13)
+    for bad in (0.0, 2.0 + 1e-12, -1.0, np.nan, np.array([0.5, 2.5])):
+        with pytest.raises(ValueError, match=r"times must lie in \(0.0, 2.0\]"):
+            sol(bad)
+
+
+def test_dg_solution_checks_its_inputs():
+    mesh = uniform_mesh(1.0, 2)
+    nested = [[[1.0, 2.0]], [[3.0, 4.0]]]  # (N, q, M) = (2, 1, 2) as nested lists
+    sol = DgSolution(mesh, 1, nested, [0.0, 0.0])
+    assert sol.coeffs.shape == (2, 1, 2)
+    np.testing.assert_array_equal(sol.jump(2), [2.0, 2.0])
+    with pytest.raises(ValueError, match="must equal r"):
+        DgSolution(mesh, 2, nested, [0.0, 0.0])
+    coeffs = np.zeros((2, 3, 5))
+    for u0 in (np.ones(1), np.ones(7), np.ones((5, 1))):
+        with pytest.raises(ValueError, match=rf"u0 has shape {re.escape(str(u0.shape))}, "
+                                             r"expected \(5,\)"):
+            DgSolution(mesh, 3, coeffs, u0)
+    # a scalar problem may give its initial state as a number
+    assert DgSolution(mesh, 3, np.zeros((2, 3, 1)), 0.5).u0.shape == (1,)
+
+
+def test_jumps_are_computed_once_and_read_only():
+    rng = np.random.default_rng(5)
+    mesh = TimeMesh(np.array([0.0, 0.4, 0.5, 1.7]))
+    sol = DgSolution(mesh, 3, rng.standard_normal((3, 3, 2)), rng.standard_normal(2))
+    jumps = sol.jumps
+    assert jumps.shape == (3, 2)
+    assert sol.jumps is jumps
+    assert not jumps.flags.writeable
+    for n in range(1, 4):
+        outgoing = sol.u0 if n == 1 else sol.left_limit(n - 1)
+        np.testing.assert_allclose(sol.jump(n), sol.right_limit(n - 1) - outgoing,
+                                   rtol=1e-14, atol=1e-15)
+        assert np.array_equal(sol.jump(n), jumps[n - 1])
+    for n in (0, 4):
+        with pytest.raises(ValueError, match=r"outside 1..3"):
+            sol.jump(n)
 
 
 def test_eval_matches_monomial_horner_oracle():
@@ -269,12 +332,11 @@ def test_forcing_phi_called_once_per_solve():
 
 
 def test_nonuniform_mesh_supported():
-    from dgtime.mesh import TimeMesh
-
     problem = ode_problem()
     nodes = np.concatenate([np.linspace(0.0, 0.5, 6), np.linspace(0.7, 2.0, 8)])
     sol = dg_solve(problem, TimeMesh(nodes), 3)
-    err = max(abs(sol.eval(t)[0] - ode_exact(t)) for t in np.linspace(0.05, 2.0, 40))
+    ts = np.linspace(0.05, 2.0, 40)
+    err = np.max(np.abs(sol(ts)[:, 0] - ode_exact(ts)))
     assert err < 1e-3  # mixed step sizes, sanity bound only
 
 

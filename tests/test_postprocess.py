@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgtime.basis import legendre_eval, radau_abscissas
-from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve
+from dgtime.dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import ode_problem
 from dgtime.postprocess import (
-    Reconstruction,
     error_profile_deviation,
     jump_indicator,
     pi_tilde_project,
@@ -18,6 +17,7 @@ from dgtime.postprocess import (
 )
 from dgtime.reference import ode_exact
 from dgtime.system import scalar_operator, tridiagonal_operator
+from test_system import random_spd_tridiagonal
 
 
 def ode_solution(r, N):
@@ -93,10 +93,38 @@ def test_reconstruction_blocks_equal_the_materialized_array(seed, n, r, dim):
                                       np.polynomial.legendre.legvander(taus, r) @ full[m - 1])
 
 
-def test_reconstruction_rejects_misshapen_jumps():
-    sol = ode_solution(3, 4)
-    with pytest.raises(ValueError, match="half_signed"):
-        Reconstruction(sol, np.zeros((3, 1)))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 10),
+       dim=st.sampled_from([1, 3]))
+def test_reconstruction_identities_on_dg_solves_with_random_meshes(seed, n, r, dim):
+    rng = np.random.default_rng(seed)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))]))
+    problem = LinearProblem(A=random_spd_tridiagonal(dim, seed=seed % 1000),
+                            u0=rng.standard_normal(dim), T=mesh.T,
+                            forcing=Forcing(lambda t: np.cos(3.0 * t) + t,
+                                            rng.standard_normal(dim)))
+    sol = dg_solve(problem, mesh, r)
+    recon = reconstruct(sol)
+    atol = 1e-12 * (1.0 + np.max(np.abs(sol.coeffs)))
+    for m in range(1, n + 1):
+        outgoing = sol.u0 if m == 1 else sol.left_limit(m - 1)
+        np.testing.assert_allclose(sol.jump(m), sol.right_limit(m - 1) - outgoing,
+                                   rtol=0, atol=atol)
+    # U* is continuous and starts from u0
+    np.testing.assert_allclose(recon.right_limit(0), sol.u0, rtol=0, atol=atol)
+    for m in range(1, n):
+        np.testing.assert_allclose(recon.left_limit(m), recon.right_limit(m), rtol=0, atol=atol)
+    # U* = U at the interior Radau points, and U - U* is the scaled Radau polynomial
+    interior = radau_abscissas(r)[:-1]
+    taus = np.linspace(-1.0, 1.0, 11)
+    profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
+    for m in range(1, n + 1):
+        if interior.size:
+            np.testing.assert_allclose(recon.sample_interval(m, interior),
+                                       sol.sample_interval(m, interior), rtol=0, atol=atol)
+        expected = 0.5 * (-1.0) ** r * np.outer(profile, sol.jump(m))
+        np.testing.assert_allclose(sol.sample_interval(m, taus) - recon.sample_interval(m, taus),
+                                   expected, rtol=0, atol=atol)
 
 
 def test_reconstruct_allocates_no_coefficient_array():
@@ -226,8 +254,9 @@ def test_pi_tilde_drops_top_degree_to_lower_one():
     # projecting the degree-r local Legendre polynomial gives the degree r-1 one
     r = 3
     mesh = uniform_mesh(1.0, 2)
-    v = np.vectorize(lambda t: legendre_eval(
-        r, mesh.to_reference(mesh.interval_of(t) if t > 0 else 1, t)), otypes=[float])
+    top = np.zeros((2, r + 1, 1))
+    top[:, r] = 1.0
+    v = PiecewiseLegendre(mesh, top)  # P_r of each interval's reference coordinate
     proj = pi_tilde_project(v, mesh, r)
     taus = np.linspace(-1, 1, 25)
     for n in (1, 2):
@@ -284,6 +313,13 @@ def test_error_profile_trivial_for_reproduced_polynomials():
     anr, dev = error_profile_deviation(sol, u, 2)
     assert np.max(np.abs(anr)) <= 1e-12
     assert dev <= 1e-11
+
+
+def test_error_profile_deviation_checks_the_interval():
+    sol = ode_solution(3, 4)
+    for n in (0, 5):
+        with pytest.raises(ValueError, match=r"outside 1..4"):
+            error_profile_deviation(sol, ode_exact, n)
 
 
 def test_error_profile_dominates_error():
