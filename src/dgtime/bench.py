@@ -175,7 +175,9 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
                 t, diff = ts, tables[c] @ coeffs - refs
             errs = np.sqrt(getattr(sol, "norm_weight", 1.0)) * np.linalg.norm(diff, axis=-1)
             if weights[c] is not None:
-                errs = errs * np.minimum(t ** weights[c], 1.0)
+                # a negative exponent gives inf at t = 0, and min(inf, 1) = 1
+                with np.errstate(divide="ignore"):
+                    errs = errs * np.minimum(t ** weights[c], 1.0)
             block_max = float(np.max(errs[rows]))
             if not math.isfinite(block_max):  # max() would drop a NaN silently
                 raise ValueError(f"non-finite error {block_max} on intervals "

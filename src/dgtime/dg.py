@@ -2,7 +2,8 @@
 
 The solution on each interval is a polynomial of degree at most r - 1 stored
 as local Legendre coefficients, so it may jump at the break points
-(`DgSolution.jumps`, computed once for every reader).  One step advances
+(`DgSolution.jumps`, formed for a block of intervals when it is read, so no
+(N, M) array of jumps is held).  One step advances
 the expansion by solving the block system assembled in `system`; the
 right-hand side combines the outgoing value from the previous interval
 with moments of the separable forcing phi(t) g (`Forcing`) against the local
@@ -20,7 +21,6 @@ bounded block of intervals at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -182,21 +182,19 @@ class DgSolution(PiecewiseLegendre):
             raise ValueError(f"u0 has shape {self.u0.shape}, expected ({self.dim},)")
         self.norm_weight = norm_weight
 
-    @cached_property
-    def jumps(self) -> np.ndarray:
-        """(N, M) jumps, computed once: row n - 1 is the jump at t_{n-1}, the
-        right limit from interval n minus the left limit from interval n - 1
-        (u0 for n = 1)."""
-        jumps = (-1.0) ** np.arange(self.r) @ self.coeffs
-        jumps[0] -= self.u0
-        jumps[1:] -= self.coeffs[:-1].sum(axis=1)
-        jumps.setflags(write=False)
-        return jumps
+    def jumps(self, idx) -> np.ndarray:
+        """Jumps of the intervals idx (0-based slice or index array), (len(idx), M):
+        the row of interval n is the jump at t_{n-1}, the right limit from
+        interval n minus the left limit from interval n - 1 (u0 for n = 1)."""
+        i = np.arange(*idx.indices(self.mesh.N)) if isinstance(idx, slice) else np.asarray(idx)
+        left = self.coefficients(np.maximum(i - 1, 0)).sum(axis=1)
+        left[i == 0] = self.u0
+        return (-1.0) ** np.arange(self.r) @ self.coefficients(idx) - left
 
     def jump(self, n: int) -> np.ndarray:
-        """Jump at t_{n-1}, row n - 1 of `jumps`."""
+        """Jump at t_{n-1}, `jumps` of interval n."""
         self.mesh._check_index(n)
-        return self.jumps[n - 1]
+        return self.jumps(slice(n - 1, n))[0]
 
 
 def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
@@ -221,7 +219,7 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
         q_nodes, q_weights = radau_rule(r)
     else:
         raise ValueError(f"unknown moment quadrature {moment_quadrature!r}")
-    N = mesh.N
+    N, steps = mesh.N, mesh.steps
     test_table = legendre_table(r - 1, q_nodes)  # (m, r)
     signs = (-1.0) ** np.arange(r)
 
@@ -234,12 +232,12 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
         phi = np.asarray(forcing.phi(t_quad), dtype=float)
         if phi.shape != t_quad.shape:
             raise ValueError(f"forcing phi returned shape {phi.shape} for times {t_quad.shape}")
-        moments = 0.5 * mesh.steps[:, None] * ((q_weights * phi) @ test_table)
+        moments = 0.5 * steps[:, None] * ((q_weights * phi) @ test_table)
 
     coeffs = np.empty((N, r, A.dim))
     fac = None
     for n in range(1, N + 1):
-        k = float(mesh.steps[n - 1])
+        k = float(steps[n - 1])
         if fac is None or abs(k - fac.k) > 1e-12 * k:
             fac = factorize_step_matrix(A, ws, k)
 

@@ -19,6 +19,9 @@ class TimeMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
+        bad = nodes[~np.isfinite(nodes)]
+        if bad.size:
+            raise ValueError(f"mesh nodes must be finite, got {float(bad[0])}")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("mesh nodes must be strictly increasing")
         nodes.setflags(write=False)
@@ -52,8 +55,8 @@ class TimeMesh:
 
 def uniform_mesh(T: float, N: int) -> TimeMesh:
     """Uniform partition of (0, T] into N steps of size T / N."""
-    if T <= 0:
-        raise ValueError("final time must be positive")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"final time must be positive and finite, got T={float(T)}")
     if N < 1:
         raise ValueError("interval count must be at least 1")
     return TimeMesh(np.arange(N + 1) * (T / N))

@@ -8,9 +8,9 @@ profile.  The projector and the diagnostic call their function of time on
 arrays of times, never once per time (`mesh.time_values`).
 
 The reconstruction is a rank-one correction of the DG solution on each
-interval, so it is kept as a view: the DG solution and its (N, M) jumps
-(`DgSolution.jumps`), from which the coefficients of a block of intervals
-are derived when they are read.
+interval, so it is kept as a view of the DG solution: the coefficients of a
+block of intervals are derived, with the block's jumps (`DgSolution.jumps`),
+when they are read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Reconstruction(PiecewiseLegendreView):
 
     A view: it keeps the DG solution by reference.  The coefficients of a
     block of intervals are those of the DG solution with half_signed =
-    (-1)^r / 2 times the jump at t_{n-1} (row n - 1 of `sol.jumps`) added
+    (-1)^r / 2 times the jump at t_{n-1} (`sol.jumps` of the block) added
     to coefficient r - 1 and its negative appended as coefficient r, so the
     (N, r + 1, M) array is built only when `coeffs` is read.
     """
@@ -48,7 +48,7 @@ class Reconstruction(PiecewiseLegendreView):
         self._sol = sol
 
     def coefficients(self, idx) -> np.ndarray:
-        half = 0.5 * (-1.0) ** self.r * self._sol.jumps[idx]
+        half = 0.5 * (-1.0) ** self.r * self._sol.jumps(idx)
         coeffs = np.concatenate([self._sol.coefficients(idx), -half[:, None, :]], axis=1)
         coeffs[:, self.r - 1, :] += half
         return coeffs

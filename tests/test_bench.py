@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,20 @@ def test_zero_weight_exponent_matches_unweighted():
     sol = ode_solution()
     ref = ode_exact
     assert max_error_sampled(sol, ref, weight=0.0) == max_error_sampled(sol, ref)
+
+
+def test_negative_weight_exponent_at_t0_warns_nothing():
+    # r = 1, alpha = 5/4: err_U is weighted by min(t^(-1/4), 1), inf capped
+    # at 1 on the t = 0 sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_experiment("ode", r=1, n_list=(4, 8), weighted=1.25)
+    for row in table.rows:
+        sol = ode_solution(r=1, N=row.N)
+        with np.errstate(divide="ignore"):
+            expected = _oracle_max_error(sol, ode_exact, bench.DEFAULT_SAMPLES, weight=-0.25)
+        assert row.err_u == pytest.approx(expected, rel=1e-14)
+        assert row.err_u >= abs(sol.right_limit(0)[0] - ode_exact(0.0))
 
 
 def test_window_selects_whole_intervals():

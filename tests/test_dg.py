@@ -155,19 +155,22 @@ def test_dg_solution_checks_its_inputs():
     assert DgSolution(mesh, 3, np.zeros((2, 3, 1)), 0.5).u0.shape == (1,)
 
 
-def test_jumps_are_computed_once_and_read_only():
+def test_jumps_of_a_block_are_right_minus_left_limits():
     rng = np.random.default_rng(5)
     mesh = TimeMesh(np.array([0.0, 0.4, 0.5, 1.7]))
     sol = DgSolution(mesh, 3, rng.standard_normal((3, 3, 2)), rng.standard_normal(2))
-    jumps = sol.jumps
+    jumps = sol.jumps(slice(None))
     assert jumps.shape == (3, 2)
-    assert sol.jumps is jumps
-    assert not jumps.flags.writeable
     for n in range(1, 4):
         outgoing = sol.u0 if n == 1 else sol.left_limit(n - 1)
         np.testing.assert_allclose(sol.jump(n), sol.right_limit(n - 1) - outgoing,
                                    rtol=1e-14, atol=1e-15)
         assert np.array_equal(sol.jump(n), jumps[n - 1])
+    assert np.array_equal(sol.jumps(np.array([2, 0, 2])), jumps[[2, 0, 2]])
+    assert sol.jumps(np.array([], dtype=int)).shape == (0, 2)
+    # each read forms a new block: writing to one leaves the solution alone
+    sol.jumps(slice(0, 2))[:] = 0.0
+    assert np.array_equal(sol.jumps(slice(None)), jumps)
     for n in (0, 4):
         with pytest.raises(ValueError, match=r"outside 1..3"):
             sol.jump(n)

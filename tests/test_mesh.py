@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,22 @@ def test_uniform_rejects_bad_arguments():
         uniform_mesh(0.0, 4)
     with pytest.raises(ValueError):
         uniform_mesh(1.0, 0)
+
+
+def test_non_finite_nodes_rejected():
+    for nodes, bad in (([0.0, 1.0, np.inf], "inf"), ([-np.inf, 0.0, 1.0], "-inf"),
+                       ([0.0, np.nan, 1.0], "nan")):
+        with pytest.raises(ValueError, match=f"mesh nodes must be finite, got {bad}$"):
+            TimeMesh(np.array(nodes))
+
+
+def test_uniform_rejects_non_finite_final_time():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        for T in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ValueError, match=f"final time must be positive and finite, "
+                                                 f"got T={T}"):
+                uniform_mesh(T, 4)
 
 
 def test_nonuniform_nodes_accepted():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgtime.basis import legendre_eval, radau_abscissas
-from dgtime.dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve
+from dgtime.bench import max_error_sampled
+from dgtime.dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import ode_problem
 from dgtime.postprocess import (
@@ -16,7 +17,7 @@ from dgtime.postprocess import (
     reconstruct,
 )
 from dgtime.reference import ode_exact
-from dgtime.system import scalar_operator, tridiagonal_operator
+from dgtime.system import diagonal_operator, scalar_operator, tridiagonal_operator
 from test_system import random_spd_tridiagonal
 
 
@@ -48,13 +49,18 @@ def random_solution(rng, n, r, dim):
                       rng.uniform(0.01, 1.0))
 
 
+def materialized_jumps(sol):
+    """The whole (N, M) array of jumps, built at once."""
+    jumps = (-1.0) ** np.arange(sol.r) @ sol.coeffs
+    jumps[0] -= sol.u0
+    jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
+    return jumps
+
+
 def materialized_reconstruction(sol):
     """The whole (N, r + 1, M) reconstruction, built as one array."""
     r = sol.r
-    jumps = (-1.0) ** np.arange(r) @ sol.coeffs
-    jumps[0] -= sol.u0
-    jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
-    half_signed = 0.5 * (-1.0) ** r * jumps
+    half_signed = 0.5 * (-1.0) ** r * materialized_jumps(sol)
     coeffs = np.concatenate([sol.coeffs, -half_signed[:, None, :]], axis=1)
     coeffs[:, r - 1, :] += half_signed
     return coeffs
@@ -91,6 +97,50 @@ def test_reconstruction_blocks_equal_the_materialized_array(seed, n, r, dim):
                               (-1.0) ** np.arange(r + 1) @ full[m - 1])
         np.testing.assert_array_equal(recon.sample_interval(m, taus),
                                       np.polynomial.legendre.legvander(taus, r) @ full[m - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), r=st.integers(1, 8),
+       dim=st.sampled_from([1, 3]))
+def test_jump_blocks_equal_the_whole_mesh_jumps(seed, n, r, dim):
+    rng = np.random.default_rng(seed)
+    sol = random_solution(rng, n, r, dim)
+    jumps, full = materialized_jumps(sol), materialized_reconstruction(sol)
+    recon = reconstruct(sol)
+    start, stop = int(rng.integers(0, n)), int(rng.integers(1, n + 1))
+    picks = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))  # repeats, any order
+    blocks = [slice(0, stop), slice(start, n), slice(start, max(start, stop)), slice(None),
+              np.append(picks, 0), rng.permutation(n), np.zeros(3, dtype=int),
+              np.array([], dtype=int)]
+    for idx in blocks:
+        assert np.array_equal(sol.jumps(idx), jumps[idx])
+        assert np.array_equal(recon.coefficients(idx), full[idx])
+    for m in (1, start + 1, n):
+        assert np.array_equal(sol.jump(m), jumps[m - 1])
+
+
+def test_measuring_holds_no_array_of_jumps():
+    # a cheap diagonal problem whose (N, M) array is far larger than one
+    # measurement block (8 intervals of 2 samples here)
+    n, dim = 512, 4000
+    problem = LinearProblem(A=diagonal_operator(np.linspace(1.0, 2.0, dim)),
+                            u0=np.ones(dim), T=1.0)
+    sol = dg_solve(problem, uniform_mesh(1.0, n), 1)
+
+    def zero_reference(ts):
+        return np.zeros(ts.shape + (dim,))
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        errors = max_error_sampled([sol, reconstruct(sol), sol], zero_reference, 2,
+                                   nodal=[False, False, True])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < n * dim * 8
+    assert errors[2] == pytest.approx(max(state_norm(sol.left_limit(m)) for m in range(1, n + 1)),
+                                      rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,8 +187,7 @@ def test_reconstruct_allocates_no_coefficient_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the view holds one (N, M) array of half jumps; the old full copy
-    # alone was (r + 1) times that
+    # the view holds no array of its own; the old full copy was (N, r + 1, M)
     assert peak < full_bytes / 2
     assert recon.coefficients(slice(0, 1)).shape == (1, r + 1, dim)
 
