@@ -44,7 +44,6 @@ from .reference import (
     ContourRule,
     Heat1dReference,
     Heat2dReference,
-    bromwich_invert,
     fhat,
     hyperbolic_contour,
     ode_exact,

@@ -17,9 +17,9 @@ interval n.  Each piecewise solution is sampled on all intervals of a
 block by one stacked matrix product.  The Richardson extrapolation of the
 1D solutions is linear, so it is applied to the Legendre coefficients
 rather than to every sample, one block at a time: the extrapolated
-solution and the reconstruction are views that derive the coefficients of
-a block when it is measured, so no full coefficient array besides the DG
-solutions is held.
+solution and the reconstruction derive the coefficients of a block when
+it is measured, so no full coefficient array besides the DG solutions is
+held.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import legendre_table
-from .dg import PiecewiseLegendreView, dg_solve, state_norm
+from .dg import PiecewiseLegendre, dg_solve, state_norm
 from .mesh import time_values, uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from .postprocess import reconstruct
@@ -58,12 +58,12 @@ HEAT_N_LIST = (8, 16, 32, 64, 128)
 MEASURE_BLOCK_ELEMENTS = 2 ** 16
 
 
-class ExtrapolatedSolution(PiecewiseLegendreView):
+class ExtrapolatedSolution(PiecewiseLegendre):
     """Richardson combination of solutions on spatial grids h and h/2.
 
     Both members must share the time mesh and the coefficient count.
     Richardson extrapolation is linear, so it is applied to the Legendre
-    coefficients rather than to every sample; the view keeps its two
+    coefficients rather than to every sample; the solution keeps its two
     members and combines their coefficients one block of intervals at a
     time.  The result lives on the coarse grid, which also supplies the
     norm weight.
@@ -160,7 +160,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
         ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, S)
         refs = _reference_values(reference, ts.ravel()).reshape(stop - start, taus.size, -1)
         # one coefficient block per distinct solution: U is measured twice
-        # in [U, U*, U], and a view computes its block on every call
+        # in [U, U*, U], and a derived solution computes its block on every call
         blocks = {}
         for c, sol in enumerate(approxes):
             rows = counted[c][idx]
@@ -459,19 +459,21 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     sol, recon = study.solve(mesh)
     scalar = experiment == "ode"
     taus = np.linspace(-1.0, 1.0, samples)
+    # U and U* on every interval, (N, samples, M) each
+    uvals, svals = (legendre_table(x.degree_count - 1, taus) @ x.coefficients(slice(None))
+                    for x in (sol, recon))
     lines = ["t,U_minus_u,U_minus_Ustar"]
     for m in range(1, mesh.N + 1):
         ts = mesh.to_physical(m, taus)
-        uvals = sol.sample_interval(m, taus)
-        svals = recon.sample_interval(m, taus)
         rvals = _reference_values(reference, ts)
         for i, t in enumerate(ts):
+            u, s = uvals[m - 1, i], svals[m - 1, i]
             if scalar:
-                a = uvals[i, 0] - rvals[i, 0]
-                b = uvals[i, 0] - svals[i, 0]
+                a = u[0] - rvals[i, 0]
+                b = u[0] - s[0]
             else:
-                a = state_norm(uvals[i] - rvals[i], sol.norm_weight)
-                b = state_norm(uvals[i] - svals[i], sol.norm_weight)
+                a = state_norm(u - rvals[i], sol.norm_weight)
+                b = state_norm(u - s, sol.norm_weight)
             lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r}")
     return "\n".join(lines) + "\n"
 

@@ -1,9 +1,11 @@
 """Discontinuous Galerkin time stepping for u' + A u = f.
 
 The solution on each interval is a polynomial of degree at most r - 1 stored
-as local Legendre coefficients, so it may jump at the break points
-(`DgSolution.jumps`, formed for a block of intervals when it is read, so no
-(N, M) array of jumps is held).  One step advances
+as local Legendre coefficients, so it may jump at the break points.  A
+piecewise solution is read in three ways only: the coefficients of a block
+of intervals (`coefficients(idx)`), the jumps at their left nodes
+(`DgSolution.jumps(idx)`, formed when read, so no (N, M) array of jumps is
+held), and its values as a function of time (`sol(t)`).  One step advances
 the expansion by solving the block system assembled in `system`; the
 right-hand side combines the outgoing value from the previous interval
 with moments of the separable forcing phi(t) g (`Forcing`) against the local
@@ -32,8 +34,8 @@ from .system import LinearOperator, factorize_step_matrix, solve_step
 # most coefficient entries one block of the back transform holds
 TRANSFORM_BLOCK_ELEMENTS = 2 ** 16
 
-__all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "PiecewiseLegendreView",
-           "DgSolution", "dg_solve", "state_norm"]
+__all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "DgSolution", "dg_solve",
+           "state_norm"]
 
 
 def state_norm(v: np.ndarray, weight: float = 1.0) -> float:
@@ -108,10 +110,11 @@ class PiecewiseLegendre:
     """Piecewise polynomial stored as per-interval Legendre coefficients.
 
     coeffs has shape (N, q, M): N intervals, q coefficients per interval,
-    state dimension M.  It is a function of time (`mesh.time_values`) on
-    (t_0, T]; at a break point it takes the left limit.  Every read goes
-    through `coefficients`, so a subclass may compute its coefficients one
-    block of intervals at a time instead of storing them.
+    state dimension M.  It is read only through `coefficients` and as a
+    function of time (`mesh.time_values`) on (t_0, T], where a break point
+    takes the left limit.  A subclass that sets mesh, degree_count and dim
+    and overrides `coefficients` may derive its coefficients one block of
+    intervals at a time instead of storing them.
     """
 
     def __init__(self, mesh: TimeMesh, coeffs: np.ndarray):
@@ -126,12 +129,6 @@ class PiecewiseLegendre:
         """Coefficients of the intervals idx (0-based slice or index array), (len(idx), q, M)."""
         return self.coeffs[idx]
 
-    def sample_interval(self, n: int, taus) -> np.ndarray:
-        """Values on interval n at reference coordinates, shape (S, M)."""
-        self.mesh._check_index(n)
-        table = legendre_table(self.degree_count - 1, taus)
-        return table @ self.coefficients(slice(n - 1, n))[0]
-
     def __call__(self, t) -> np.ndarray:
         """Values at the times t, shape np.shape(t) + (M,); a break point t_n gives
         the left limit, from interval n, and a time outside (t_0, T] ValueError."""
@@ -142,29 +139,6 @@ class PiecewiseLegendre:
         a, b = nodes[n - 1], nodes[n]
         table = legendre_table(self.degree_count - 1, (2.0 * t.ravel() - (a + b)) / (b - a))
         return (table[:, None, :] @ self.coefficients(n - 1)).reshape(t.shape + (self.dim,))
-
-    def left_limit(self, n: int) -> np.ndarray:
-        """Value at t_n from interval n (all local polynomials equal 1 there)."""
-        self.mesh._check_index(n)
-        return self.coefficients(slice(n - 1, n))[0].sum(axis=0)
-
-    def right_limit(self, n: int) -> np.ndarray:
-        """Value at t_n from interval n + 1, for 0 <= n <= N - 1."""
-        self.mesh._check_index(n + 1)
-        signs = (-1.0) ** np.arange(self.degree_count)
-        return signs @ self.coefficients(slice(n, n + 1))[0]
-
-
-class PiecewiseLegendreView(PiecewiseLegendre):
-    """A piecewise polynomial whose coefficients are derived block by block.
-
-    Subclasses set mesh, degree_count and dim and implement `coefficients`;
-    `coeffs` builds the whole (N, q, M) array on every access.
-    """
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.coefficients(slice(None))
 
 
 class DgSolution(PiecewiseLegendre):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,11 @@ class TimeMesh:
 
 
 def uniform_mesh(T: float, N: int) -> TimeMesh:
-    """Uniform partition of (0, T] into N steps of size T / N."""
+    """Uniform partition of (0, T] into N steps of size T / N; N is an integer."""
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"final time must be positive and finite, got T={float(T)}")
+    if not isinstance(N, numbers.Integral):
+        raise ValueError(f"interval count must be an integer, got N={N!r}")
     if N < 1:
         raise ValueError("interval count must be at least 1")
     return TimeMesh(np.arange(N + 1) * (T / N))

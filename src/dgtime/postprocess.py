@@ -8,9 +8,10 @@ profile.  The projector and the diagnostic call their function of time on
 arrays of times, never once per time (`mesh.time_values`).
 
 The reconstruction is a rank-one correction of the DG solution on each
-interval, so it is kept as a view of the DG solution: the coefficients of a
+interval, so it keeps the DG solution by reference: the coefficients of a
 block of intervals are derived, with the block's jumps (`DgSolution.jumps`),
-when they are read.
+when they are read through `coefficients(idx)`, the one way besides
+`recon(t)` to read it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import legendre_coeff, legendre_eval, legendre_table, make_workspace
-from .dg import DgSolution, PiecewiseLegendre, PiecewiseLegendreView, state_norm
+from .dg import DgSolution, PiecewiseLegendre, state_norm
 from .mesh import TimeMesh, time_values
 
 __all__ = [
@@ -32,14 +33,14 @@ __all__ = [
 ]
 
 
-class Reconstruction(PiecewiseLegendreView):
+class Reconstruction(PiecewiseLegendre):
     """Continuous piecewise polynomial of degree r correcting the DG solution.
 
-    A view: it keeps the DG solution by reference.  The coefficients of a
-    block of intervals are those of the DG solution with half_signed =
-    (-1)^r / 2 times the jump at t_{n-1} (`sol.jumps` of the block) added
-    to coefficient r - 1 and its negative appended as coefficient r, so the
-    (N, r + 1, M) array is built only when `coeffs` is read.
+    It keeps the DG solution by reference.  The coefficients of a block of
+    intervals are those of the DG solution with half_signed = (-1)^r / 2
+    times the jump at t_{n-1} (`sol.jumps` of the block) added to
+    coefficient r - 1 and its negative appended as coefficient r, so no
+    (N, r + 1, M) array is held.
     """
 
     def __init__(self, sol: DgSolution):
@@ -62,8 +63,8 @@ def reconstruct(sol: DgSolution) -> Reconstruction:
     form means: keep coefficients 0..r-2, add half the signed jump to
     coefficient r-1, and set coefficient r to minus half the signed jump.
     The result matches the DG solution at the interior Radau points and the
-    left-limit nodal values, and it starts from sol.u0.  It is a view that
-    derives the coefficients of each block of intervals when they are read.
+    left-limit nodal values, and it starts from sol.u0.  It derives the
+    coefficients of each block of intervals when they are read.
     """
     return Reconstruction(sol)
 
@@ -112,6 +113,7 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
     taus = np.linspace(-1.0, 1.0, samples)
     profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
     uvals = time_values(u, sol.mesh.to_physical(n, taus)).reshape(samples, -1)
-    resid = sol.sample_interval(n, taus) - uvals + profile[:, None] * anr[None, :]
+    uh = legendre_table(r - 1, taus) @ sol.coefficients(slice(n - 1, n))[0]
+    resid = uh - uvals + profile[:, None] * anr[None, :]
     dev = max(state_norm(row, sol.norm_weight) for row in resid)
     return anr, dev

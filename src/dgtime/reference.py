@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "uhat_1d",
     "ContourRule",
     "hyperbolic_contour",
-    "bromwich_invert",
     "resolvent_2d",
     "richardson",
     "Heat1dReference",
@@ -144,9 +142,6 @@ class ContourRule:
         k = self.half_count
         return self.z[k:], self.zprime[k:]
 
-    def contains(self, t: float) -> bool:
-        return self.t_min * (1.0 - 1e-9) <= t <= self.t_max * (1.0 + 1e-9)
-
 
 def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int = 32) -> ContourRule:
     """Contour z(x) = mu (1 + sin(ix - alpha)) sampled at 2K + 1 points.
@@ -200,23 +195,6 @@ def _invert_values(rule: ContourRule, stacked: np.ndarray, ts: np.ndarray) -> np
     coeff[0] = 0.5  # the real node is shared between the two half sums
     kernel = (rule.step / math.pi) * np.exp(np.outer(ts, zu)) * (coeff * zpu)[None, :]
     return np.concatenate([kernel.real, kernel.imag], axis=1) @ stacked
-
-
-def bromwich_invert(resolvent: Callable, t: float, rule: ContourRule):
-    """Invert a Laplace transform at one time inside the rule's window.
-
-    By conjugate symmetry of the transform only the real node and the upper
-    half-plane nodes are evaluated, and the two half sums combine into twice
-    the real part (here folded into the imaginary part of i-rotated terms).
-    """
-    if not rule.contains(t):
-        raise ValueError(f"time {t} outside contour window [{rule.t_min}, {rule.t_max}]")
-    zu, _ = rule.upper()
-    raw = [resolvent(zk) for zk in zu]
-    scalar = np.ndim(raw[0]) == 0
-    values = np.stack([np.atleast_1d(np.asarray(v, dtype=complex)) for v in raw])
-    out = _invert_values(rule, _stack_values(values), np.array([t]))[0]
-    return float(out[0]) if scalar else out
 
 
 def resolvent_2d(z, problem) -> np.ndarray:
@@ -306,9 +284,8 @@ class _BandedContourReference:
         """Reference states at the given times, shape (len(ts), M); t = 0 maps to u0.
 
         Each time goes to the highest band whose lower edge it reaches.
-        Raises ValueError for a time outside [t_min, t_max], with the same
-        1e-9 relative slack as ContourRule.contains: no contour is accurate
-        there.
+        Raises ValueError for a time outside [t_min, t_max], widened by a
+        relative 1e-9 at each end: no contour is accurate there.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((ts.size, self._values[0].shape[1]))

@@ -438,11 +438,5 @@ def factorize_step_matrix(A: LinearOperator, ws: LegendreWorkspace, k: float) ->
 
 
 def solve_step(fac: BlockSystemFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve the block system for stacked right-hand sides of shape (r, M).
-
-    A flat rhs of length r M is taken as its (r, M) stack, row by row.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape == (fac.r * fac.dim,):
-        rhs = rhs.reshape(fac.r, fac.dim)
-    return fac.solve(rhs)
+    """Solve the block system for stacked right-hand sides of shape (r, M)."""
+    return fac.solve(np.asarray(rhs, dtype=float))

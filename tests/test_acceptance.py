@@ -29,11 +29,12 @@ from dgtime.postprocess import error_profile_deviation, jump_indicator, pi_tilde
 from dgtime.reference import (
     Heat1dReference,
     Heat2dReference,
-    bromwich_invert,
     hyperbolic_contour,
     ode_exact,
 )
 from dgtime.system import scalar_operator, tridiagonal_operator
+
+from dg_helpers import interval_values, invert_scalar, left_limit, right_limit
 
 # golden data rows: N -> (err_U, err_Ustar, err_nodal) and rate rows N -> (rate_U, rate_Ustar, rate_nodal)
 GOLDEN_ODE_ERR = {
@@ -278,7 +279,7 @@ def test_criterion_5_property_suite():
         taus = np.linspace(-1, 1, 50)
         for n in range(1, 5):
             ts = mesh.to_physical(n, taus)
-            np.testing.assert_allclose(sol.sample_interval(n, taus)[:, 0], poly(ts),
+            np.testing.assert_allclose(interval_values(sol, n, taus)[:, 0], poly(ts),
                                        rtol=1e-11, atol=1e-12)
 
         # r=1 equivalence with the backward-Euler-style recurrence
@@ -298,7 +299,7 @@ def test_criterion_5_property_suite():
             tq = mesh.to_physical(n, g_nodes)
             integral = 0.1 * sum(w * forcing(t) for w, t in zip(g_weights, tq))
             u = np.linalg.solve(dense, u + integral)
-            np.testing.assert_allclose(sol.left_limit(n), u, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(left_limit(sol, n), u, rtol=1e-12, atol=1e-13)
 
         # reconstruction continuity and the jump-correction identity
         ode = ode_problem()
@@ -306,9 +307,9 @@ def test_criterion_5_property_suite():
         recon = reconstruct(sol)
         profile = legendre_eval(3, taus) - legendre_eval(2, taus)
         for n in range(1, 8):
-            np.testing.assert_allclose(recon.left_limit(n), recon.right_limit(n), rtol=1e-11)
+            np.testing.assert_allclose(left_limit(recon, n), right_limit(recon, n), rtol=1e-11)
         for n in range(1, 9):
-            diff = sol.sample_interval(n, taus) - recon.sample_interval(n, taus)
+            diff = interval_values(sol, n, taus) - interval_values(recon, n, taus)
             expected = 0.5 * (-1.0) ** 3 * sol.jump(n)[0] * profile
             np.testing.assert_allclose(diff[:, 0], expected, rtol=1e-11, atol=1e-14)
 
@@ -317,20 +318,20 @@ def test_criterion_5_property_suite():
         mesh = uniform_mesh(2.0, 4)
         proj = pi_tilde_project(v, mesh, 3)
         for n in range(1, 5):
-            assert proj.left_limit(n)[0] == pytest.approx(v(mesh.nodes[n]), rel=1e-12)
+            assert left_limit(proj, n)[0] == pytest.approx(v(mesh.nodes[n]), rel=1e-12)
         coef = rng.standard_normal(3)
         pv = lambda t: np.polynomial.polynomial.polyval(t, coef)
         proj = pi_tilde_project(pv, mesh, 3)
         for n in range(1, 5):
             ts = mesh.to_physical(n, taus)
-            np.testing.assert_allclose(proj.sample_interval(n, taus)[:, 0], pv(ts),
+            np.testing.assert_allclose(interval_values(proj, n, taus)[:, 0], pv(ts),
                                        rtol=1e-12, atol=1e-12)
 
         # jump indicator vs true interval error, smooth ODE at N=64
         sol = dg_solve(ode, uniform_mesh(2.0, 64), 2)
         for n in range(1, 65):
             ts = sol.mesh.to_physical(n, taus)
-            true_err = np.max(np.abs(sol.sample_interval(n, taus)[:, 0] - ode_exact(ts)))
+            true_err = np.max(np.abs(interval_values(sol, n, taus)[:, 0] - ode_exact(ts)))
             assert abs(jump_indicator(sol, n) - true_err) <= 0.15 * true_err
 
         # superconvergence at the Radau points, observed rate r+1
@@ -342,7 +343,8 @@ def test_criterion_5_property_suite():
             worst = 0.0
             for n in range(1, N + 1):
                 ts = s.mesh.to_physical(n, radau)
-                worst = max(worst, np.max(np.abs(s.sample_interval(n, radau)[:, 0] - ode_exact(ts))))
+                vals = interval_values(s, n, radau)[:, 0]
+                worst = max(worst, np.max(np.abs(vals - ode_exact(ts))))
             errors[N] = worst
         for pair in ((16, 32), (32, 64)):
             rate = np.log2(errors[pair[0]] / errors[pair[1]])
@@ -353,14 +355,15 @@ def test_criterion_5_property_suite():
         for n in range(1, 33):
             _, dev = error_profile_deviation(sol, ode_exact, n)
             ts = sol.mesh.to_physical(n, taus)
-            interval_err = np.max(np.abs(sol.sample_interval(n, taus)[:, 0] - ode_exact(ts)))
+            interval_err = np.max(np.abs(interval_values(sol, n, taus)[:, 0] - ode_exact(ts)))
             assert dev <= 0.2 * interval_err
 
         # Bromwich scalar oracles
         rule = hyperbolic_contour(0.05, 2.0, half_nodes=64)
-        for t in np.linspace(0.05, 2.0, 15):
-            assert abs(bromwich_invert(lambda z: 1.0 / (z + 1.0), t, rule) - np.exp(-t)) <= 1e-10
-            assert abs(bromwich_invert(lambda z: 1.0 / z**2, t, rule) - t) <= 1e-10
+        ts = np.linspace(0.05, 2.0, 15)
+        oracles = ((lambda z: 1.0 / (z + 1.0), np.exp(-ts)), (lambda z: 1.0 / z**2, ts))
+        for transform, exact in oracles:
+            assert np.max(np.abs(invert_scalar(transform, ts, rule) - exact)) <= 1e-10
 
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"property suite took {elapsed:.1f}s"

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from dgtime.postprocess import reconstruct
 from dgtime.reference import Heat1dReference, Heat2dReference, ode_exact, richardson
+
+from dg_helpers import interval_values, left_limit, right_limit
 
 
 def ode_solution(r=3, N=4):
@@ -61,7 +64,7 @@ def test_negative_weight_exponent_at_t0_warns_nothing():
         with np.errstate(divide="ignore"):
             expected = _oracle_max_error(sol, ode_exact, bench.DEFAULT_SAMPLES, weight=-0.25)
         assert row.err_u == pytest.approx(expected, rel=1e-14)
-        assert row.err_u >= abs(sol.right_limit(0)[0] - ode_exact(0.0))
+        assert row.err_u >= abs(right_limit(sol, 0)[0] - ode_exact(0.0))
 
 
 def test_window_selects_whole_intervals():
@@ -77,7 +80,7 @@ def test_window_selects_whole_intervals():
 def test_nodal_variant_uses_left_limits():
     sol = ode_solution(N=4)
     ref = ode_exact
-    expected = max(abs(sol.left_limit(n)[0] - ode_exact(sol.mesh.nodes[n]))
+    expected = max(abs(left_limit(sol, n)[0] - ode_exact(sol.mesh.nodes[n]))
                    for n in range(1, 5))
     assert max_error_sampled(sol, ref, nodal=True) == pytest.approx(expected, rel=1e-12)
 
@@ -134,17 +137,22 @@ class _SampleRichardson:
         self.mesh, self.norm_weight = coarse.mesh, coarse.norm_weight
         self.coarse, self.fine = coarse, fine
 
-    def sample_interval(self, n, taus):
-        return richardson(self.coarse.sample_interval(n, taus), self.fine.sample_interval(n, taus))
+    def interval_values(self, n, taus):
+        return richardson(interval_values(self.coarse, n, taus),
+                          interval_values(self.fine, n, taus))
 
     def left_limit(self, n):
-        return richardson(self.coarse.left_limit(n), self.fine.left_limit(n))
+        return richardson(left_limit(self.coarse, n), left_limit(self.fine, n))
 
 
 def _oracle_max_error(approx, reference, samples, weight=None, window=None, nodal=False,
                       min_interval=1):
     """One family, one interval and one reference call at a time."""
     mesh = approx.mesh
+    # a _SampleRichardson reads itself; a solution is read through its coefficients
+    values, left = ((approx.interval_values, approx.left_limit)
+                    if isinstance(approx, _SampleRichardson)
+                    else (partial(interval_values, approx), partial(left_limit, approx)))
     lo, hi = window if window is not None else (mesh.nodes[0], mesh.nodes[-1])
     tol = 1e-12 * mesh.T
     worst = 0.0
@@ -154,14 +162,14 @@ def _oracle_max_error(approx, reference, samples, weight=None, window=None, noda
         if not (lo - tol <= tn <= hi + tol):
             continue
         if nodal:
-            err = approx.left_limit(n) - bench._reference_values(reference, [tn])[0]
+            err = left(n) - bench._reference_values(reference, [tn])[0]
             w = min(tn ** weight, 1.0) if weight is not None else 1.0
             worst = max(worst, w * state_norm(err, approx.norm_weight))
             continue
         ts = mesh.to_physical(n, taus)
         refs = bench._reference_values(reference, ts)
         errs = np.sqrt(approx.norm_weight) * np.linalg.norm(
-            approx.sample_interval(n, taus) - refs, axis=1)
+            values(n, taus) - refs, axis=1)
         if weight is not None:
             errs = errs * np.minimum(ts ** weight, 1.0)
         worst = max(worst, float(np.max(errs)))
@@ -283,11 +291,11 @@ def test_extrapolated_solution_samples_richardson_of_samples():
     ext = ExtrapolatedSolution(coarse, fine)
     taus = np.linspace(-1, 1, 7)
     for n in (1, 2, 3):
-        per_sample = richardson(coarse.sample_interval(n, taus), fine.sample_interval(n, taus))
-        np.testing.assert_allclose(ext.sample_interval(n, taus), per_sample,
+        per_sample = richardson(interval_values(coarse, n, taus), interval_values(fine, n, taus))
+        np.testing.assert_allclose(interval_values(ext, n, taus), per_sample,
                                    rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(ext.left_limit(n),
-                                   richardson(coarse.left_limit(n), fine.left_limit(n)),
+        np.testing.assert_allclose(left_limit(ext, n),
+                                   richardson(left_limit(coarse, n), left_limit(fine, n)),
                                    rtol=1e-14, atol=1e-14)
     assert ext.norm_weight == 0.25
 
@@ -304,10 +312,10 @@ def test_extrapolated_blocks_equal_full_array_richardson(seed, n, r, dim, recons
     if reconstructed:
         coarse, fine = reconstruct(coarse), reconstruct(fine)
     ext = ExtrapolatedSolution(coarse, fine)
-    full = richardson(coarse.coeffs, fine.coeffs)
+    full = richardson(coarse.coefficients(slice(None)), fine.coefficients(slice(None)))
     assert (ext.degree_count, ext.dim, ext.norm_weight) == (full.shape[1], dim,
                                                             coarse.norm_weight)
-    assert np.array_equal(ext.coeffs, full)
+    assert np.array_equal(ext.coefficients(slice(None)), full)
     stop, start = int(rng.integers(1, n + 1)), int(rng.integers(0, n))
     picks = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     # blocks from interval 1 include the jump from u0 in a reconstruction
@@ -315,9 +323,11 @@ def test_extrapolated_blocks_equal_full_array_richardson(seed, n, r, dim, recons
         assert np.array_equal(ext.coefficients(idx), full[idx])
     taus = np.linspace(-1.0, 1.0, 4)
     for m in (1, n):
-        assert np.array_equal(ext.left_limit(m), full[m - 1].sum(axis=0))
-        assert np.array_equal(ext.sample_interval(m, taus),
-                              legendre_table(full.shape[1] - 1, taus) @ full[m - 1])
+        assert np.array_equal(left_limit(ext, m), full[m - 1].sum(axis=0))
+        # as a function of time, at the sample times of interval m past its left node
+        np.testing.assert_allclose(ext(mesh.to_physical(m, taus[1:])),
+                                   legendre_table(full.shape[1] - 1, taus[1:]) @ full[m - 1],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_extrapolated_solution_rejects_mismatched_members():
@@ -352,13 +362,14 @@ def test_run_profile_equals_materialized_computation(experiment, p):
         mesh = uniform_mesh(cfg.T, n)
         sols = [dg_solve(heat1d_problem(c), mesh, 3) for c in (cfg, cfg.refined())]
         coeffs_u = richardson(*(s.coeffs for s in sols))
-        coeffs_star = richardson(*(reconstruct(s).coeffs for s in sols))
+        coeffs_star = richardson(*(reconstruct(s).coefficients(slice(None)) for s in sols))
         reference = Heat1dReference(cfg, bench._sample_floor(cfg.T, n, samples), cfg.T)
     else:
         problem = heat2d_problem(Heat2dConfig(Px=p, Py=p))
         mesh = uniform_mesh(problem.T, n)
         sols = [dg_solve(problem, mesh, 3, moment_quadrature="radau")]
-        coeffs_u, coeffs_star = sols[0].coeffs, reconstruct(sols[0]).coeffs
+        coeffs_u = sols[0].coeffs
+        coeffs_star = reconstruct(sols[0]).coefficients(slice(None))
         reference = Heat2dReference(problem, bench._sample_floor(problem.T, n, samples),
                                     problem.T)
     expected = _profile_text(mesh, coeffs_u, coeffs_star, sols[0].norm_weight, reference,

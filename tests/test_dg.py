@@ -10,6 +10,8 @@ from dgtime.models import ode_problem
 from dgtime.reference import ode_exact
 from dgtime.system import scalar_operator, tridiagonal_operator
 
+from dg_helpers import interval_values, left_limit, right_limit
+
 
 def spd_tridiagonal(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -23,7 +25,7 @@ def max_sampled_ode_error(sol, samples=50):
     worst = 0.0
     for n in range(1, sol.mesh.N + 1):
         ts = sol.mesh.to_physical(n, taus)
-        vals = sol.sample_interval(n, taus)[:, 0]
+        vals = interval_values(sol, n, taus)[:, 0]
         worst = max(worst, np.max(np.abs(vals - ode_exact(ts))))
     return worst
 
@@ -39,7 +41,7 @@ def test_constant_state_reproduced_exactly():
     for r in (1, 2, 3):
         sol = dg_solve(problem, mesh, r)
         for n in range(1, 5):
-            np.testing.assert_allclose(sol.left_limit(n), u0, rtol=1e-13)
+            np.testing.assert_allclose(left_limit(sol, n), u0, rtol=1e-13)
             np.testing.assert_allclose(sol.jump(n), 0.0, atol=1e-13)
 
 
@@ -63,7 +65,7 @@ def test_r1_matches_backward_euler_recurrence():
         t_quad = mesh.to_physical(n, nodes)
         integral = 0.5 * k * sum(w * f(t) for w, t in zip(weights, t_quad))
         u = np.linalg.solve(dense, u + integral)
-        np.testing.assert_allclose(sol.left_limit(n), u, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(left_limit(sol, n), u, rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -84,7 +86,7 @@ def test_degree_exactness(r):
     taus = np.linspace(-1, 1, 50)
     for n in range(1, 6):
         ts = mesh.to_physical(n, taus)
-        np.testing.assert_allclose(sol.sample_interval(n, taus)[:, 0], u(ts),
+        np.testing.assert_allclose(interval_values(sol, n, taus)[:, 0], u(ts),
                                    rtol=1e-11, atol=1e-12)
 
 
@@ -101,7 +103,7 @@ def test_eval_conventions():
     sol = dg_solve(problem, mesh, 3)
     # left limit at nodes
     for n in range(1, 5):
-        assert sol(mesh.nodes[n])[0] == pytest.approx(sol.left_limit(n)[0], rel=1e-14)
+        assert sol(mesh.nodes[n])[0] == pytest.approx(left_limit(sol, n)[0], rel=1e-14)
     # midpoint value is sum of coefficients times P_j(0)
     p_at_zero = legendre_table(2, [0.0])[0]
     mid = 0.5 * (mesh.nodes[1] + mesh.nodes[2])
@@ -123,15 +125,15 @@ def test_call_is_a_function_of_time():
     vals = sol(ts)
     assert vals.shape == (4, 7, 3)
     for n in range(1, 5):
-        np.testing.assert_allclose(vals[n - 1], sol.sample_interval(n, taus),
+        np.testing.assert_allclose(vals[n - 1], interval_values(sol, n, taus),
                                    rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(sol(ts[n - 1]), vals[n - 1], rtol=0, atol=0)
         # a break point belongs to the interval on its left
         assert sol(mesh.nodes[n]).shape == (3,)
-        np.testing.assert_allclose(sol(mesh.nodes[n]), sol.left_limit(n), rtol=1e-13)
+        np.testing.assert_allclose(sol(mesh.nodes[n]), left_limit(sol, n), rtol=1e-13)
     assert sol(float(ts[1, 3])).shape == (3,)
     assert sol(ts[:2]).shape == (2, 7, 3)
-    np.testing.assert_allclose(sol(mesh.nodes[1:]), [sol.left_limit(n) for n in range(1, 5)],
+    np.testing.assert_allclose(sol(mesh.nodes[1:]), [left_limit(sol, n) for n in range(1, 5)],
                                rtol=1e-13)
     for bad in (0.0, 2.0 + 1e-12, -1.0, np.nan, np.array([0.5, 2.5])):
         with pytest.raises(ValueError, match=r"times must lie in \(0.0, 2.0\]"):
@@ -162,8 +164,8 @@ def test_jumps_of_a_block_are_right_minus_left_limits():
     jumps = sol.jumps(slice(None))
     assert jumps.shape == (3, 2)
     for n in range(1, 4):
-        outgoing = sol.u0 if n == 1 else sol.left_limit(n - 1)
-        np.testing.assert_allclose(sol.jump(n), sol.right_limit(n - 1) - outgoing,
+        outgoing = sol.u0 if n == 1 else left_limit(sol, n - 1)
+        np.testing.assert_allclose(sol.jump(n), right_limit(sol, n - 1) - outgoing,
                                    rtol=1e-14, atol=1e-15)
         assert np.array_equal(sol.jump(n), jumps[n - 1])
     assert np.array_equal(sol.jumps(np.array([2, 0, 2])), jumps[[2, 0, 2]])
@@ -182,7 +184,7 @@ def test_eval_matches_monomial_horner_oracle():
     for n in (1, 3, 5):
         mono = np.polynomial.legendre.leg2poly(sol.coeffs[n - 1, :, 0])
         expected = np.polynomial.polynomial.polyval(taus, mono)
-        np.testing.assert_allclose(sol.sample_interval(n, taus)[:, 0], expected,
+        np.testing.assert_allclose(interval_values(sol, n, taus)[:, 0], expected,
                                    rtol=1e-12, atol=1e-14)
 
 
@@ -246,7 +248,7 @@ def test_galerkin_residual(make_problem, r, N):
         rhs = rhs + 0.5 * k * table.T @ (ws.quad_weights[:, None] * fvals)
         resid = block @ sol.coeffs[n - 1].ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
-        prev = sol.left_limit(n)
+        prev = left_limit(sol, n)
 
 
 def test_high_order_rates():
@@ -263,8 +265,8 @@ def test_high_order_rates():
         eu = es = 0.0
         for n in range(1, N + 1):
             ts = mesh.to_physical(n, taus)
-            eu = max(eu, np.max(np.abs(sol.sample_interval(n, taus)[:, 0] - ode_exact(ts))))
-            es = max(es, np.max(np.abs(recon.sample_interval(n, taus)[:, 0] - ode_exact(ts))))
+            eu = max(eu, np.max(np.abs(interval_values(sol, n, taus)[:, 0] - ode_exact(ts))))
+            es = max(es, np.max(np.abs(interval_values(recon, n, taus)[:, 0] - ode_exact(ts))))
         errs_u.append(eu)
         errs_s.append(es)
     assert np.log2(errs_u[-2] / errs_u[-1]) == pytest.approx(5.0, abs=0.2)
@@ -293,7 +295,7 @@ def test_galerkin_residual_on_nonuniform_mesh():
         rhs = rhs + 0.5 * k * table.T @ (ws.quad_weights[:, None] * fvals)
         resid = block @ sol.coeffs[n - 1].ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
-        prev = sol.left_limit(n)
+        prev = left_limit(sol, n)
 
 
 def test_nodal_superconvergence_rate():
@@ -302,7 +304,7 @@ def test_nodal_superconvergence_rate():
     for N in (4, 8, 16):
         mesh = uniform_mesh(2.0, N)
         sol = dg_solve(problem, mesh, 4)
-        errors[N] = max(abs(sol.left_limit(n)[0] - ode_exact(mesh.nodes[n]))
+        errors[N] = max(abs(left_limit(sol, n)[0] - ode_exact(mesh.nodes[n]))
                         for n in range(1, N + 1))
     for a, b in ((4, 8), (8, 16)):
         rate = np.log2(errors[a] / errors[b])

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -33,6 +34,17 @@ def test_uniform_rejects_bad_arguments():
         uniform_mesh(0.0, 4)
     with pytest.raises(ValueError):
         uniform_mesh(1.0, 0)
+
+
+def test_uniform_rejects_non_integer_interval_count():
+    # a float N used to give a mesh on the wrong interval: N = 2.5 gave T = 1.2
+    for N in (2.5, 4.0, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match=rf"interval count must be an integer, "
+                                             rf"got N={re.escape(repr(N))}$"):
+            uniform_mesh(1.0, N)
+    for N in (4, np.int64(4), np.int32(4), np.uint8(4)):
+        mesh = uniform_mesh(1.0, N)
+        assert mesh.N == 4 and mesh.T == 1.0
 
 
 def test_non_finite_nodes_rejected():

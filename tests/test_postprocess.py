@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgtime.basis import legendre_eval, radau_abscissas
+from dgtime.basis import legendre_eval, legendre_table, radau_abscissas
 from dgtime.bench import max_error_sampled
 from dgtime.dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.models import ode_problem
+from dgtime.models import Heat2dConfig, heat2d_problem, ode_problem
 from dgtime.postprocess import (
     error_profile_deviation,
     jump_indicator,
     pi_tilde_project,
     reconstruct,
 )
-from dgtime.reference import ode_exact
+from dgtime.reference import Heat2dReference, ode_exact
 from dgtime.system import diagonal_operator, scalar_operator, tridiagonal_operator
+
+from dg_helpers import interval_values, left_limit, right_limit
 from test_system import random_spd_tridiagonal
 
 
@@ -28,18 +30,18 @@ def ode_solution(r, N):
 def interval_max_error(sol, n, samples=50):
     taus = np.linspace(-1, 1, samples)
     ts = sol.mesh.to_physical(n, taus)
-    return np.max(np.abs(sol.sample_interval(n, taus)[:, 0] - ode_exact(ts)))
+    return np.max(np.abs(interval_values(sol, n, taus)[:, 0] - ode_exact(ts)))
 
 
 def test_reconstruction_coefficient_table():
     sol = ode_solution(3, 6)
-    recon = reconstruct(sol)
+    coeffs = reconstruct(sol).coefficients(slice(None))
     for n in range(1, 7):
         jump = sol.jump(n)
         half = 0.5 * (-1.0) ** 3 * jump
-        np.testing.assert_allclose(recon.coeffs[n - 1][:2], sol.coeffs[n - 1][:2], rtol=1e-14)
-        np.testing.assert_allclose(recon.coeffs[n - 1][2], sol.coeffs[n - 1][2] + half, rtol=1e-13)
-        np.testing.assert_allclose(recon.coeffs[n - 1][3], -half, rtol=1e-13)
+        np.testing.assert_allclose(coeffs[n - 1][:2], sol.coeffs[n - 1][:2], rtol=1e-14)
+        np.testing.assert_allclose(coeffs[n - 1][2], sol.coeffs[n - 1][2] + half, rtol=1e-13)
+        np.testing.assert_allclose(coeffs[n - 1][3], -half, rtol=1e-13)
 
 
 def random_solution(rng, n, r, dim):
@@ -85,18 +87,20 @@ def test_reconstruction_blocks_equal_the_materialized_array(seed, n, r, dim):
     full = materialized_reconstruction(sol)
     assert (recon.degree_count, recon.dim, recon.r) == (r + 1, dim, r)
     assert recon.norm_weight == sol.norm_weight
-    assert np.array_equal(recon.coeffs, full)
+    assert np.array_equal(recon.coefficients(slice(None)), full)
     for idx in interval_blocks(rng, n):
         block = recon.coefficients(idx)
         assert block.shape == full[idx].shape
         assert np.array_equal(block, full[idx])
     taus = np.linspace(-1.0, 1.0, 5)
     for m in (1, n):
-        assert np.array_equal(recon.left_limit(m), full[m - 1].sum(axis=0))
-        assert np.array_equal(recon.right_limit(m - 1),
+        assert np.array_equal(left_limit(recon, m), full[m - 1].sum(axis=0))
+        assert np.array_equal(right_limit(recon, m - 1),
                               (-1.0) ** np.arange(r + 1) @ full[m - 1])
-        np.testing.assert_array_equal(recon.sample_interval(m, taus),
-                                      np.polynomial.legendre.legvander(taus, r) @ full[m - 1])
+        # as a function of time, at the sample times of interval m past its left node
+        np.testing.assert_allclose(recon(sol.mesh.to_physical(m, taus[1:])),
+                                   np.polynomial.legendre.legvander(taus[1:], r) @ full[m - 1],
+                                   rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +143,7 @@ def test_measuring_holds_no_array_of_jumps():
     finally:
         tracemalloc.stop()
     assert peak - before < n * dim * 8
-    assert errors[2] == pytest.approx(max(state_norm(sol.left_limit(m)) for m in range(1, n + 1)),
+    assert errors[2] == pytest.approx(max(state_norm(left_limit(sol, m)) for m in range(1, n + 1)),
                                       rel=1e-14)
 
 
@@ -157,23 +161,23 @@ def test_reconstruction_identities_on_dg_solves_with_random_meshes(seed, n, r, d
     recon = reconstruct(sol)
     atol = 1e-12 * (1.0 + np.max(np.abs(sol.coeffs)))
     for m in range(1, n + 1):
-        outgoing = sol.u0 if m == 1 else sol.left_limit(m - 1)
-        np.testing.assert_allclose(sol.jump(m), sol.right_limit(m - 1) - outgoing,
+        outgoing = sol.u0 if m == 1 else left_limit(sol, m - 1)
+        np.testing.assert_allclose(sol.jump(m), right_limit(sol, m - 1) - outgoing,
                                    rtol=0, atol=atol)
     # U* is continuous and starts from u0
-    np.testing.assert_allclose(recon.right_limit(0), sol.u0, rtol=0, atol=atol)
+    np.testing.assert_allclose(right_limit(recon, 0), sol.u0, rtol=0, atol=atol)
     for m in range(1, n):
-        np.testing.assert_allclose(recon.left_limit(m), recon.right_limit(m), rtol=0, atol=atol)
+        np.testing.assert_allclose(left_limit(recon, m), right_limit(recon, m), rtol=0, atol=atol)
     # U* = U at the interior Radau points, and U - U* is the scaled Radau polynomial
     interior = radau_abscissas(r)[:-1]
     taus = np.linspace(-1.0, 1.0, 11)
     profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
     for m in range(1, n + 1):
         if interior.size:
-            np.testing.assert_allclose(recon.sample_interval(m, interior),
-                                       sol.sample_interval(m, interior), rtol=0, atol=atol)
+            np.testing.assert_allclose(interval_values(recon, m, interior),
+                                       interval_values(sol, m, interior), rtol=0, atol=atol)
         expected = 0.5 * (-1.0) ** r * np.outer(profile, sol.jump(m))
-        np.testing.assert_allclose(sol.sample_interval(m, taus) - recon.sample_interval(m, taus),
+        np.testing.assert_allclose(interval_values(sol, m, taus) - interval_values(recon, m, taus),
                                    expected, rtol=0, atol=atol)
 
 
@@ -187,7 +191,7 @@ def test_reconstruct_allocates_no_coefficient_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the view holds no array of its own; the old full copy was (N, r + 1, M)
+    # the reconstruction holds no array of its own; the old full copy was (N, r + 1, M)
     assert peak < full_bytes / 2
     assert recon.coefficients(slice(0, 1)).shape == (1, r + 1, dim)
 
@@ -198,9 +202,9 @@ def test_reconstruction_of_jumpless_solution_is_identity():
         u0=np.array([1.0, -2.0, 0.5]), T=1.0,
     )
     sol = dg_solve(problem, uniform_mesh(1.0, 3), 2)
-    recon = reconstruct(sol)
-    np.testing.assert_allclose(recon.coeffs[:, :2, :], sol.coeffs, atol=1e-14)
-    np.testing.assert_allclose(recon.coeffs[:, 2, :], 0.0, atol=1e-14)
+    coeffs = reconstruct(sol).coefficients(slice(None))
+    np.testing.assert_allclose(coeffs[:, :2, :], sol.coeffs, atol=1e-14)
+    np.testing.assert_allclose(coeffs[:, 2, :], 0.0, atol=1e-14)
 
 
 def test_reconstruction_interpolates_at_interior_radau_points():
@@ -209,8 +213,8 @@ def test_reconstruction_interpolates_at_interior_radau_points():
     recon = reconstruct(sol)
     radau = radau_abscissas(r)
     for n in range(1, 9):
-        u_vals = sol.sample_interval(n, radau[:-1])
-        s_vals = recon.sample_interval(n, radau[:-1])
+        u_vals = interval_values(sol, n, radau[:-1])
+        s_vals = interval_values(recon, n, radau[:-1])
         np.testing.assert_allclose(s_vals, u_vals, rtol=1e-11, atol=1e-13)
 
 
@@ -218,11 +222,11 @@ def test_reconstruction_continuity_and_endpoints():
     sol = ode_solution(3, 8)
     recon = reconstruct(sol)
     for n in range(1, 8):
-        left = recon.left_limit(n)
-        right = recon.right_limit(n)
+        left = left_limit(recon, n)
+        right = right_limit(recon, n)
         np.testing.assert_allclose(left, right, rtol=1e-11)
-        np.testing.assert_allclose(left, sol.left_limit(n), rtol=1e-12)
-    np.testing.assert_allclose(recon.right_limit(0), sol.u0, rtol=1e-12)
+        np.testing.assert_allclose(left, left_limit(sol, n), rtol=1e-12)
+    np.testing.assert_allclose(right_limit(recon, 0), sol.u0, rtol=1e-12)
 
 
 def test_reconstruction_ode_golden_value():
@@ -234,7 +238,7 @@ def test_reconstruction_ode_golden_value():
     err = 0.0
     for n in range(1, 9):
         ts = sol.mesh.to_physical(n, taus)
-        err = max(err, np.max(np.abs(recon.sample_interval(n, taus)[:, 0] - ode_exact(ts))))
+        err = max(err, np.max(np.abs(interval_values(recon, n, taus)[:, 0] - ode_exact(ts))))
     assert err == pytest.approx(2.26e-6, rel=0.05)
 
 
@@ -245,7 +249,7 @@ def test_u_minus_ustar_is_scaled_radau_polynomial():
     taus = np.linspace(-1, 1, 50)
     profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
     for n in range(1, 7):
-        diff = sol.sample_interval(n, taus)[:, 0] - recon.sample_interval(n, taus)[:, 0]
+        diff = interval_values(sol, n, taus)[:, 0] - interval_values(recon, n, taus)[:, 0]
         expected = 0.5 * (-1.0) ** r * sol.jump(n)[0] * profile
         np.testing.assert_allclose(diff, expected, rtol=1e-11, atol=1e-14)
 
@@ -286,7 +290,7 @@ def test_pi_tilde_reproduces_polynomials():
     taus = np.linspace(-1, 1, 30)
     for n in range(1, 4):
         ts = mesh.to_physical(n, taus)
-        np.testing.assert_allclose(proj.sample_interval(n, taus)[:, 0], v(ts),
+        np.testing.assert_allclose(interval_values(proj, n, taus)[:, 0], v(ts),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -296,7 +300,7 @@ def test_pi_tilde_interpolates_right_nodes():
     v = lambda t: np.sin(1.7 * t) + 0.3 * t
     proj = pi_tilde_project(v, mesh, r)
     for n in range(1, 6):
-        assert proj.left_limit(n)[0] == pytest.approx(v(mesh.nodes[n]), rel=1e-12)
+        assert left_limit(proj, n)[0] == pytest.approx(v(mesh.nodes[n]), rel=1e-12)
 
 
 def test_pi_tilde_drops_top_degree_to_lower_one():
@@ -310,7 +314,7 @@ def test_pi_tilde_drops_top_degree_to_lower_one():
     taus = np.linspace(-1, 1, 25)
     for n in (1, 2):
         expected = legendre_eval(r - 1, taus)
-        np.testing.assert_allclose(proj.sample_interval(n, taus)[:, 0], expected,
+        np.testing.assert_allclose(interval_values(proj, n, taus)[:, 0], expected,
                                    rtol=1e-11, atol=1e-12)
 
 
@@ -338,12 +342,12 @@ def test_pi_tilde_reproduces_low_degree_and_interpolates_on_random_meshes(seed, 
     proj = pi_tilde_project(poly, mesh, r)
     assert proj.coeffs.shape == (n, r, dim)
     for m in range(1, n + 1):
-        np.testing.assert_allclose(proj.sample_interval(m, taus),
+        np.testing.assert_allclose(interval_values(proj, m, taus),
                                    np.reshape(poly(ts[m - 1]), (taus.size, dim)),
                                    rtol=0, atol=1e-11 * np.max(np.abs(coef)) * r)
     interp = pi_tilde_project(smooth, mesh, r)
     for m in range(1, n + 1):
-        np.testing.assert_allclose(interp.left_limit(m),
+        np.testing.assert_allclose(left_limit(interp, m),
                                    np.reshape(smooth(mesh.nodes[m]), (dim,)),
                                    rtol=0, atol=1e-13)
 
@@ -403,9 +407,44 @@ def test_radau_point_superconvergence():
         worst = 0.0
         for n in range(1, N + 1):
             ts = sol.mesh.to_physical(n, radau)
-            vals = sol.sample_interval(n, radau)[:, 0]
+            vals = interval_values(sol, n, radau)[:, 0]
             worst = max(worst, np.max(np.abs(vals - ode_exact(ts))))
         errors[N] = worst
     for a, b in ((16, 32), (32, 64)):
         rate = np.log2(errors[a] / errors[b])
         assert r + 0.7 <= rate <= r + 1.3
+
+
+def test_jump_estimate_and_radau_superconvergence_on_heat2d():
+    # the paper's a posteriori claims on a PDE (heat2d, P = 10, r = 3, Radau
+    # moments), over the intervals I_n with t_n >= T/4.  Stated tolerances:
+    # - effectivity, the jump at t_{n-1} over the 50-sample max error on I_n,
+    #   within [0.95, 1.05] for every N, and its largest distance from 1 at
+    #   least halving from N = 16 to N = 64 (it tends to 1 as k -> 0);
+    # - the max error at the r right Radau points falls at rate r + 1: each
+    #   rate over N = 16 -> 128 within [r + 0.7, r + 1.7], the last one
+    #   (64 -> 128) within 0.2 of r + 1, well clear of the plain rate r.
+    r = 3
+    problem = heat2d_problem(Heat2dConfig(Px=10, Py=10))
+    T = problem.T
+    reference = Heat2dReference(problem, T / 8, T)
+
+    def max_errors(sol, ns, taus):
+        """Max error norm on each interval of ns at the reference coordinates taus."""
+        vals = legendre_table(r - 1, taus) @ sol.coefficients(ns - 1)
+        errs = vals - reference(sol.mesh.to_physical(ns, taus))
+        return np.sqrt(sol.norm_weight) * np.linalg.norm(errs, axis=-1).max(axis=1)
+
+    distance, radau_error = {}, {}
+    for N in (16, 32, 64, 128):
+        sol = dg_solve(problem, uniform_mesh(T, N), r, moment_quadrature="radau")
+        ns = np.flatnonzero(sol.mesh.nodes[1:] >= T / 4) + 1
+        jumps = np.array([jump_indicator(sol, n) for n in ns])
+        effectivity = jumps / max_errors(sol, ns, np.linspace(-1.0, 1.0, 50))
+        assert np.all((0.95 <= effectivity) & (effectivity <= 1.05)), (N, effectivity)
+        distance[N] = np.max(np.abs(effectivity - 1.0))
+        radau_error[N] = np.max(max_errors(sol, ns, radau_abscissas(r)))
+    assert distance[64] <= 0.5 * distance[16]
+    rates = [np.log2(radau_error[N] / radau_error[2 * N]) for N in (16, 32, 64)]
+    assert all(r + 0.7 <= rate <= r + 1.7 for rate in rates), rates
+    assert abs(rates[-1] - (r + 1)) <= 0.2, rates

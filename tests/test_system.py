@@ -159,11 +159,11 @@ def test_step_solve_takes_and_returns_stacked_coefficients(A):
     rhs = np.random.default_rng(4).standard_normal((r, A.dim))
     out = fac.solve(rhs)
     assert out.shape == (r, A.dim)
-    # the flat form of solve_step is the same stack, row by row, to the bit
-    assert np.array_equal(solve_step(fac, rhs.ravel()), out)
     assert np.array_equal(solve_step(fac, rhs), out)
-    with pytest.raises(ValueError, match="incompatible"):
-        fac.solve(rhs.ravel())
+    # a flat rhs of length r M is not taken as its stack
+    for solve in (fac.solve, lambda b: solve_step(fac, b)):
+        with pytest.raises(ValueError, match="incompatible"):
+            solve(rhs.ravel())
 
 
 def test_dimension_mismatch_rejected():
