@@ -37,7 +37,6 @@ from .postprocess import (
     Reconstruction,
     error_profile_deviation,
     jump_indicator,
-    pi_tilde_project,
     reconstruct,
 )
 from .reference import (

@@ -18,8 +18,10 @@ block by one stacked matrix product.  The Richardson extrapolation of the
 1D solutions is linear, so it is applied to the Legendre coefficients
 rather than to every sample, one block at a time: the extrapolated
 solution and the reconstruction derive the coefficients of a block when
-it is measured, so no full coefficient array besides the DG solutions is
-held.
+it is measured.  The DG solutions of a table row are streamed
+(`dg_solve(..., stream=True)`): the pass reads their intervals in order
+and they are stepped a few transform blocks ahead of it, so a row holds
+no full coefficient array at all.  `run_profile` reads whole solutions.
 """
 
 from __future__ import annotations
@@ -344,9 +346,10 @@ def _check_request(r: int, n_list: Sequence[int], samples: int, weighted=None) -
 class _Study:
     """A built-in experiment as the tables measure it.
 
-    solve maps a time mesh to the measured solution and its reconstruction;
-    reference maps t_lo to the exact solution on [t_lo, T].  Weighted PDE
-    runs measure the sampled sups from I_2 on (skip_first).
+    solve maps a time mesh to the measured solution and its reconstruction,
+    streamed (read forward only, stepped while measured) when called with
+    stream=True; reference maps t_lo to the exact solution on [t_lo, T].
+    Weighted PDE runs measure the sampled sups from I_2 on (skip_first).
     """
 
     T: float
@@ -358,8 +361,8 @@ class _Study:
 
 
 def _solver(problem, r, moments):
-    def solve(mesh):
-        sol = dg_solve(problem, mesh, r, moment_quadrature=moments)
+    def solve(mesh, stream=False):
+        sol = dg_solve(problem, mesh, r, moment_quadrature=moments, stream=stream)
         return sol, reconstruct(sol)
 
     return solve
@@ -375,9 +378,9 @@ def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
         cfg = Heat1dConfig(P=p, with_forcing=not homogeneous)
         prob_c, prob_f = heat1d_problem(cfg), heat1d_problem(cfg.refined())
 
-        def solve(mesh):
-            sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments)
-            sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments)
+        def solve(mesh, stream=False):
+            sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments, stream=stream)
+            sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments, stream=stream)
             return (ExtrapolatedSolution(sol_c, sol_f),
                     ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f)))
 
@@ -418,9 +421,10 @@ def run_experiment(experiment: str, r: int | None = None,
     skip_first = study.skip_first and weighted is not None
     raw = []
     for n in n_list:
-        # no name holds a row's solutions, so they are freed before the next solve
-        errors = _row_errors(*study.solve(uniform_mesh(study.T, n)), reference, exps,
-                             window, samples, skip_first)
+        # the row is stepped while it is measured, and no name holds its
+        # solutions, so they are freed before the next row
+        errors = _row_errors(*study.solve(uniform_mesh(study.T, n), stream=True), reference,
+                             exps, window, samples, skip_first)
         raw.append((n, study.P, *errors))
     weight_desc = "none" if weighted is None else f"min(t^(order-{weighted}),1)"
     window_desc = f"[{study.T / 4}, {study.T}]" if cutoff else "full"

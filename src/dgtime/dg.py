@@ -18,6 +18,14 @@ transforms u0 and the forcing profile once, the steps solve the diagonal
 operator of the eigenvalues (M independent r x r problems, one broadcast
 division per step), and the coefficients are transformed back once, a
 bounded block of intervals at a time.
+
+The stepping loop is one generator (`_dg_chunks`): it carries the left
+limit from step to step and yields the back-transformed coefficients of
+consecutive intervals, whole transform blocks at a time.  `dg_solve`
+takes them as one chunk of all N intervals and returns a `DgSolution`;
+with stream=True it returns a solution read forward only, stepped
+STREAM_CHUNK_BLOCKS transform blocks ahead of its reader, so the tables
+measure a row without holding its (N, r, M) coefficient array.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .system import LinearOperator, factorize_step_matrix, solve_step
 
 # most coefficient entries one block of the back transform holds
 TRANSFORM_BLOCK_ELEMENTS = 2 ** 16
+# transform blocks one chunk of a streamed solve steps at a time
+STREAM_CHUNK_BLOCKS = 4
 
 __all__ = ["Forcing", "LinearProblem", "PiecewiseLegendre", "DgSolution", "dg_solve",
            "state_norm"]
@@ -172,7 +182,7 @@ class DgSolution(PiecewiseLegendre):
 
 
 def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
-             moment_quadrature: str = "gauss") -> DgSolution:
+             moment_quadrature: str = "gauss", *, stream: bool = False) -> DgSolution:
     """Run the DG time stepping loop over the whole mesh.
 
     Per step the right-hand side entries are (-1)^i times the previous left
@@ -185,6 +195,33 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     to a relative 1e-12, so a uniform mesh factors exactly once; raises
     ValueError when phi does not keep the shape of its (N, m) times and
     when a step produces non-finite coefficients.
+
+    With stream=True nothing is stepped yet: the result is read forward
+    only (`_StreamedSolution`), and the steps run as its intervals are
+    read, STREAM_CHUNK_BLOCKS transform blocks at a time, so no (N, r, M)
+    array is held; a non-finite step then raises when it is read.
+    """
+    chunk_blocks = STREAM_CHUNK_BLOCKS if stream else None
+    chunks = _dg_chunks(problem, mesh, r, moment_quadrature, chunk_blocks)
+    if stream:
+        return _StreamedSolution(problem, mesh, r, chunks)
+    (coeffs,) = chunks  # one chunk: the whole mesh
+    return DgSolution(mesh, r, coeffs, problem.u0, problem.norm_weight)
+
+
+def _dg_chunks(problem: LinearProblem, mesh: TimeMesh, r: int, moment_quadrature: str,
+               chunk_blocks: int | None):
+    """The stepping loop as a generator of back-transformed coefficient chunks.
+
+    The set-up (quadrature, forcing moments, modal data) runs at once and
+    raises its errors here; the steps run as the chunks are taken.  The
+    loop carries the left limit from step to step and yields the
+    coefficients of intervals 1, 2, ... in order, chunk_blocks whole
+    transform blocks of TRANSFORM_BLOCK_ELEMENTS // (r M) intervals per
+    chunk, or all N intervals in one chunk when chunk_blocks is None.  The
+    back transform groups the intervals in the same blocks, counted from
+    interval 1, whatever the chunk size, so every chunking gives the same
+    bits.
     """
     ws = make_workspace(r)
     if moment_quadrature == "gauss":
@@ -197,7 +234,7 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     test_table = legendre_table(r - 1, q_nodes)  # (m, r)
     signs = (-1.0) ** np.arange(r)
 
-    A, prev_left, profile, basis = problem.modal()
+    A, left, profile, basis = problem.modal()
     forcing = problem.forcing
     if forcing is not None:
         # phi at every quadrature time in one call, shape (N, m); row n - 1
@@ -207,29 +244,89 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
         if phi.shape != t_quad.shape:
             raise ValueError(f"forcing phi returned shape {phi.shape} for times {t_quad.shape}")
         moments = 0.5 * steps[:, None] * ((q_weights * phi) @ test_table)
+    block = max(1, TRANSFORM_BLOCK_ELEMENTS // (r * A.dim))
+    chunk = N if chunk_blocks is None else chunk_blocks * block
 
-    coeffs = np.empty((N, r, A.dim))
-    fac = None
-    for n in range(1, N + 1):
-        k = float(steps[n - 1])
-        if fac is None or abs(k - fac.k) > 1e-12 * k:
-            fac = factorize_step_matrix(A, ws, k)
+    def chunks(prev_left):
+        fac = None
+        for lo in range(0, N, chunk):
+            coeffs = np.empty((min(chunk, N - lo), r, A.dim))
+            for n in range(lo + 1, lo + len(coeffs) + 1):
+                k = float(steps[n - 1])
+                if fac is None or abs(k - fac.k) > 1e-12 * k:
+                    fac = factorize_step_matrix(A, ws, k)
 
-        rhs = signs[:, None] * prev_left[None, :]
-        if forcing is not None:
-            rhs = rhs + moments[n - 1][:, None] * profile
+                rhs = signs[:, None] * prev_left[None, :]
+                if forcing is not None:
+                    rhs = rhs + moments[n - 1][:, None] * profile
 
-        U = solve_step(fac, rhs)
-        if not np.all(np.isfinite(U)):
-            raise ValueError(f"non-finite DG coefficients at step n={n}, "
-                             f"t_n={float(mesh.nodes[n])!r}")
-        coeffs[n - 1] = U
-        prev_left = U.sum(axis=0)
+                U = solve_step(fac, rhs)
+                if not np.all(np.isfinite(U)):
+                    raise ValueError(f"non-finite DG coefficients at step n={n}, "
+                                     f"t_n={float(mesh.nodes[n])!r}")
+                coeffs[n - 1 - lo] = U
+                prev_left = U.sum(axis=0)
+            if basis is not None:
+                # in place, so the peak memory grows by one block, not by the chunk
+                for b in range(0, len(coeffs), block):
+                    coeffs[b:b + block] = basis.transform(coeffs[b:b + block])
+            yield coeffs
 
-    if basis is not None:
-        # in place, so the peak memory grows by one block, not by the array
-        block = max(1, TRANSFORM_BLOCK_ELEMENTS // (r * A.dim))
-        for lo in range(0, N, block):
-            coeffs[lo:lo + block] = basis.transform(coeffs[lo:lo + block])
+    return chunks(left)
 
-    return DgSolution(mesh, r, coeffs, problem.u0, problem.norm_weight)
+
+class _StreamedSolution(DgSolution):
+    """A DG solution stepped while it is read, forward only.
+
+    It holds no (N, r, M) array, only a short window of the chunks
+    `_dg_chunks` yields.  A read of intervals lo..hi - 1 first drops the
+    held chunks that end before lo, carrying the left limit at the
+    window's first node for `jumps`, then steps on until interval hi - 1
+    is held; a re-read of the window is served from the held chunks.
+    Reading an interval behind the window raises ValueError.  Its reads
+    equal those of `dg_solve`'s DgSolution bit for bit.
+    """
+
+    def __init__(self, problem: LinearProblem, mesh: TimeMesh, r: int, chunks):
+        self.mesh, self.r, self.norm_weight = mesh, r, problem.norm_weight
+        self.u0 = problem.u0
+        self.degree_count, self.dim = r, problem.A.dim
+        self._chunks = chunks
+        self._held: list[tuple[int, np.ndarray]] = []  # (first interval, coefficients)
+        self._start = self._end = 0  # intervals _start.._end - 1 are held
+        self._carried = self.u0  # left limit at t_{_start}
+
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients of the intervals lo..hi - 1, stepping on as far as they need."""
+        if lo < self._start:
+            raise ValueError(f"interval {lo + 1} lies behind the streamed window, "
+                             f"which starts at interval {self._start + 1}")
+        while True:
+            while self._held and self._held[0][0] + len(self._held[0][1]) <= lo:
+                first, chunk = self._held.pop(0)
+                self._start, self._carried = first + len(chunk), chunk[-1:].sum(axis=1)[0]
+            if self._end >= hi:
+                break
+            chunk = next(self._chunks)
+            self._held.append((self._end, chunk))
+            self._end += len(chunk)
+        parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held if first < hi]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def coefficients(self, idx) -> np.ndarray:
+        if isinstance(idx, slice) and idx.step in (None, 1):
+            lo, hi, _ = idx.indices(self.mesh.N)
+            return self._rows(lo, hi) if hi > lo else np.empty((0, self.r, self.dim))
+        i = np.arange(self.mesh.N)[idx]
+        if i.size == 0:
+            return np.empty(i.shape + (self.r, self.dim))
+        lo = int(i.min())
+        return self._rows(lo, int(i.max()) + 1)[i - lo]
+
+    def jumps(self, idx) -> np.ndarray:
+        """`DgSolution.jumps`; the jump at the window's first node uses the carried left limit."""
+        i = np.arange(self.mesh.N)[idx]
+        coeffs = self.coefficients(idx)
+        left = self.coefficients(np.maximum(i - 1, self._start)).sum(axis=1)
+        left[i == self._start] = self._carried
+        return (-1.0) ** np.arange(self.r) @ coeffs - left

@@ -1,11 +1,10 @@
 """Post-processing of the DG solution.
 
-Three consumers of the jump structure live here: the continuous degree-r
-reconstruction, the jump error indicator, and the interpolating projector
-that fixes the value at the right node of each interval.  A diagnostic
-measures how far the actual error deviates from its leading Radau-polynomial
-profile.  The projector and the diagnostic call their function of time on
-arrays of times, never once per time (`mesh.time_values`).
+Two consumers of the jump structure live here: the continuous degree-r
+reconstruction and the jump error indicator.  A diagnostic measures how far
+the actual error deviates from its leading Radau-polynomial profile; it
+calls its function of time on arrays of times, never once per time
+(`mesh.time_values`).
 
 The reconstruction is a rank-one correction of the DG solution on each
 interval, so it keeps the DG solution by reference: the coefficients of a
@@ -22,13 +21,12 @@ import numpy as np
 
 from .basis import legendre_coeff, legendre_eval, legendre_table, make_workspace
 from .dg import DgSolution, PiecewiseLegendre, state_norm
-from .mesh import TimeMesh, time_values
+from .mesh import time_values
 
 __all__ = [
     "Reconstruction",
     "reconstruct",
     "jump_indicator",
-    "pi_tilde_project",
     "error_profile_deviation",
 ]
 
@@ -72,26 +70,6 @@ def reconstruct(sol: DgSolution) -> Reconstruction:
 def jump_indicator(sol: DgSolution, n: int) -> float:
     """Norm of the solution jump at t_{n-1}; estimates the max error on I_n."""
     return state_norm(sol.jump(n), sol.norm_weight)
-
-
-def pi_tilde_project(v: Callable, mesh: TimeMesh, r: int) -> PiecewiseLegendre:
-    """Project a continuous function onto piecewise polynomials of degree r - 1.
-
-    Coefficients 0..r-2 are the plain Fourier-Legendre coefficients; the top
-    coefficient is adjusted so the projection interpolates v at the right
-    node of every interval.  v is a function of time (`time_values`), called
-    once with the (N, m + 1) times of every interval's m quadrature nodes and
-    its right node.
-    """
-    ws = make_workspace(r)
-    ts = mesh.to_physical(np.arange(1, mesh.N + 1), np.append(ws.quad_nodes, 1.0))
-    vals = time_values(v, ts).reshape(ts.shape + (-1,))  # (N, m + 1, M)
-    table = legendre_table(r - 1, ws.quad_nodes)[:, :-1]  # P_0..P_{r-2}, (m, r - 1)
-    scale = 0.5 * (2.0 * np.arange(r - 1) + 1.0)
-    coeffs = np.empty((mesh.N, r, vals.shape[-1]))
-    coeffs[:, : r - 1] = scale[:, None] * (table.T @ (ws.quad_weights[:, None] * vals[:, :-1]))
-    coeffs[:, r - 1] = vals[:, -1] - coeffs[:, : r - 1].sum(axis=1)
-    return PiecewiseLegendre(mesh, coeffs)
 
 
 def error_profile_deviation(sol: DgSolution, u: Callable, n: int,

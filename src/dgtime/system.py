@@ -242,8 +242,8 @@ def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
     odd = np.zeros(v.shape[:-1] + (2 * n + 2,))
     odd[..., 1:n + 1] = v
     odd[..., n + 2:] = -v[..., ::-1]
-    out = np.fft.rfft(odd)[..., 1:n + 1].imag
-    out *= -np.sqrt(0.5 / (n + 1))
+    # a fresh real array: the imag view alone would keep the complex rfft output alive
+    out = np.fft.rfft(odd)[..., 1:n + 1].imag * -np.sqrt(0.5 / (n + 1))
     return np.moveaxis(out, -1, axis)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgtime.bench as bench
+import dgtime.dg as dg
 from dgtime.bench import (
     ConvergenceTable,
     ExtrapolatedSolution,
@@ -281,6 +283,36 @@ def test_row_errors_measure_in_one_pass(monkeypatch):
     table = run_experiment("heat1d", r=2, n_list=(4, 8), p=16, cutoff=True)
     assert len(calls) == 2 and all(len(c) == 3 for c in calls)
     assert all(row.err_nodal > 0 for row in table.rows)
+
+
+def test_measuring_a_streamed_row_holds_no_coefficient_array(monkeypatch):
+    # heat1d's 60 interior points stepped in chunks of 4 x 4 intervals and
+    # measured in blocks of 8: the (N, r, M) array is far larger than both
+    n, r = 512, 3
+    problem = heat1d_problem(Heat1dConfig(P=61))
+    dim = problem.A.dim
+    monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", 4 * r * dim)
+    monkeypatch.setattr(bench, "MEASURE_BLOCK_ELEMENTS", 2 ** 10)
+    mesh = uniform_mesh(problem.T, n)
+
+    def zero_reference(ts):
+        return np.zeros(ts.shape + (dim,))
+
+    def measured_row(stream):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sol = dg_solve(problem, mesh, r, stream=stream)
+            errors = bench._row_errors(sol, reconstruct(sol), zero_reference, (None,) * 3,
+                                       None, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return errors, peak - before
+
+    (errors, peak), (whole_errors, whole_peak) = measured_row(True), measured_row(False)
+    assert errors == whole_errors
+    assert whole_peak > n * r * dim * 8 > 2 * peak
 
 
 def test_extrapolated_solution_samples_richardson_of_samples():

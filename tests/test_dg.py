@@ -3,12 +3,13 @@ import re
 import numpy as np
 import pytest
 
+import dgtime.dg as dg
 from dgtime.basis import gauss_rule, legendre_coeff, legendre_table, make_workspace
 from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.models import ode_problem
+from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from dgtime.reference import ode_exact
-from dgtime.system import scalar_operator, tridiagonal_operator
+from dgtime.system import SINE_FFT_LENGTH, scalar_operator, tridiagonal_operator
 
 from dg_helpers import interval_values, left_limit, right_limit
 
@@ -444,3 +445,73 @@ def test_scalar_step_solve_against_mpmath_recurrence(r, N):
     coeffs = dg_solve(problem, mesh, r).coeffs[:, :, 0]
     err = np.linalg.norm(coeffs - exact) / np.linalg.norm(exact)
     assert err <= 5e-15
+
+
+def _nonuniform_forced_case():
+    # no eigenbasis (non-constant bands) and a new step size, hence a new
+    # factorization, at every step
+    rng = np.random.default_rng(21)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, 23))]))
+    problem = LinearProblem(A=spd_tridiagonal(6, seed=2), u0=rng.standard_normal(6), T=mesh.T,
+                            forcing=Forcing(lambda t: np.cos(3.0 * t) + t, rng.standard_normal(6)))
+    return problem, mesh, 2, 1
+
+
+# name -> (problem, mesh, r, intervals per transform block); each mesh spans
+# several chunks of STREAM_CHUNK_BLOCKS transform blocks
+STREAM_CASES = {
+    # heat1d's 19 interior points: the dense 1D sine transform
+    "dense-1d": lambda: (heat1d_problem(Heat1dConfig(P=20)), uniform_mesh(1.0, 37), 3, 2),
+    "rfft-1d": lambda: (heat1d_problem(Heat1dConfig(P=SINE_FFT_LENGTH + 1)),
+                        uniform_mesh(1.0, 43), 2, 5),
+    "kronecker-2d": lambda: (heat2d_problem(Heat2dConfig(Px=7, Py=6)), uniform_mesh(1.0, 29),
+                             3, 2),
+    "scalar": lambda: (ode_problem(), uniform_mesh(2.0, 31), 4, 1),
+    "nonuniform-forced": _nonuniform_forced_case,
+}
+
+
+def _streamed_case(monkeypatch, case):
+    """(whole solution, a fresh stream factory, intervals per chunk) of a STREAM_CASES entry."""
+    problem, mesh, r, block = STREAM_CASES[case]()
+    monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", block * r * problem.A.dim)
+    chunk = dg.STREAM_CHUNK_BLOCKS * block
+    assert mesh.N > 2 * chunk
+    return (dg_solve(problem, mesh, r), lambda: dg_solve(problem, mesh, r, stream=True), chunk)
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_solution_equals_dg_solve_bit_for_bit(monkeypatch, case):
+    whole, streamed, chunk = _streamed_case(monkeypatch, case)
+    stream, N = streamed(), whole.mesh.N
+    assert (stream.degree_count, stream.dim, stream.norm_weight) == (
+        whole.degree_count, whole.dim, whole.norm_weight)
+    # 3-interval reads do not divide the chunks, so some straddle two; each
+    # block is read again, as a measurement reads it, and by index arrays
+    assert chunk % 3
+    for lo in range(0, N, 3):
+        idx = slice(lo, lo + 3)
+        picks = np.arange(lo, min(lo + 3, N))[::-1]
+        for block in (idx, picks, idx):
+            assert np.array_equal(stream.coefficients(block), whole.coefficients(block))
+            assert np.array_equal(stream.jumps(block), whole.jumps(block))
+    # a first read past whole chunks steps through them; the jump at the
+    # window's first node then comes from the carried left limit
+    for lo in (chunk, chunk + 1, 2 * chunk - 1):
+        stream = streamed()
+        assert np.array_equal(stream.jumps(slice(lo, lo + 2)), whole.jumps(slice(lo, lo + 2)))
+        assert np.array_equal(stream.coefficients(slice(lo, N)), whole.coefficients(slice(lo, N)))
+
+
+def test_streamed_solution_rejects_reads_behind_its_window(monkeypatch):
+    whole, streamed, chunk = _streamed_case(monkeypatch, "dense-1d")
+    stream = streamed()
+    stream.coefficients(slice(2 * chunk, 2 * chunk + 1))
+    for read in (lambda: stream.coefficients(slice(0, 1)),
+                 lambda: stream.jumps(np.array([2 * chunk, chunk])),
+                 lambda: stream(whole.mesh.nodes[1])):
+        with pytest.raises(ValueError, match="behind the streamed window"):
+            read()
+    # the window itself can be read again, also as a function of time
+    t = whole.mesh.nodes[2 * chunk + 1]
+    assert np.array_equal(stream(t), whole(t))

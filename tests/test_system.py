@@ -443,3 +443,14 @@ def test_sine_transform_matches_dense_matrix(n):
         assert np.linalg.norm(out - exact) <= 2e-15 * np.linalg.norm(exact)
         back = _sine_transform(out, axis)
         assert np.linalg.norm(back - v) <= 2e-15 * np.linalg.norm(v)
+
+
+def test_rfft_sine_transform_holds_no_complex_array():
+    # the result owns real memory: an .imag view would keep the twice as
+    # large complex rfft output alive for as long as the result is held
+    rng = np.random.default_rng(4)
+    for shape, axis in (((3, SINE_FFT_LENGTH), -1), ((2, SINE_FFT_LENGTH, 3), -2)):
+        link = _sine_transform(rng.standard_normal(shape), axis)
+        while link is not None:
+            assert not np.iscomplexobj(link)
+            link = link.base
