@@ -18,10 +18,10 @@ block by one stacked matrix product.  The Richardson extrapolation of the
 1D solutions is linear, so it is applied to the Legendre coefficients
 rather than to every sample, one block at a time: the extrapolated
 solution and the reconstruction derive the coefficients of a block when
-it is measured.  The DG solutions of a table row are streamed
-(`dg_solve(..., stream=True)`): the pass reads their intervals in order
-and they are stepped a few transform blocks ahead of it, so a row holds
-no full coefficient array at all.  `run_profile` reads whole solutions.
+it is measured.  The DG solutions are streamed (`dg_solve(...,
+stream=True)`): a table row's pass, and `run_profile`, read their
+intervals in order, and they are stepped a few transform blocks ahead of
+the reader, so a table row holds no full coefficient array at all.
 """
 
 from __future__ import annotations
@@ -347,8 +347,8 @@ class _Study:
     """A built-in experiment as the tables measure it.
 
     solve maps a time mesh to the measured solution and its reconstruction,
-    streamed (read forward only, stepped while measured) when called with
-    stream=True; reference maps t_lo to the exact solution on [t_lo, T].
+    streamed (read forward only, stepped while read); reference maps t_lo
+    to the exact solution on [t_lo, T].
     Weighted PDE runs measure the sampled sups from I_2 on (skip_first).
     """
 
@@ -361,8 +361,8 @@ class _Study:
 
 
 def _solver(problem, r, moments):
-    def solve(mesh, stream=False):
-        sol = dg_solve(problem, mesh, r, moment_quadrature=moments, stream=stream)
+    def solve(mesh):
+        sol = dg_solve(problem, mesh, r, moment_quadrature=moments, stream=True)
         return sol, reconstruct(sol)
 
     return solve
@@ -378,9 +378,9 @@ def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
         cfg = Heat1dConfig(P=p, with_forcing=not homogeneous)
         prob_c, prob_f = heat1d_problem(cfg), heat1d_problem(cfg.refined())
 
-        def solve(mesh, stream=False):
-            sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments, stream=stream)
-            sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments, stream=stream)
+        def solve(mesh):
+            sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments, stream=True)
+            sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments, stream=True)
             return (ExtrapolatedSolution(sol_c, sol_f),
                     ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f)))
 
@@ -423,8 +423,8 @@ def run_experiment(experiment: str, r: int | None = None,
     for n in n_list:
         # the row is stepped while it is measured, and no name holds its
         # solutions, so they are freed before the next row
-        errors = _row_errors(*study.solve(uniform_mesh(study.T, n), stream=True), reference,
-                             exps, window, samples, skip_first)
+        errors = _row_errors(*study.solve(uniform_mesh(study.T, n)), reference, exps, window,
+                             samples, skip_first)
         raw.append((n, study.P, *errors))
     weight_desc = "none" if weighted is None else f"min(t^(order-{weighted}),1)"
     window_desc = f"[{study.T / 4}, {study.T}]" if cutoff else "full"
@@ -463,7 +463,7 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     sol, recon = study.solve(mesh)
     scalar = experiment == "ode"
     taus = np.linspace(-1.0, 1.0, samples)
-    # U and U* on every interval, (N, samples, M) each
+    # U and U* on every interval, (N, samples, M) each, in one forward read of each
     uvals, svals = (legendre_table(x.degree_count - 1, taus) @ x.coefficients(slice(None))
                     for x in (sol, recon))
     lines = ["t,U_minus_u,U_minus_Ustar"]

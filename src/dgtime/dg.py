@@ -21,17 +21,19 @@ bounded block of intervals at a time.
 
 The stepping loop is one generator (`_dg_chunks`): it carries the left
 limit from step to step and yields the back-transformed coefficients of
-consecutive intervals, whole transform blocks at a time.  `dg_solve`
-takes them as one chunk of all N intervals and returns a `DgSolution`;
-with stream=True it returns a solution read forward only, stepped
-STREAM_CHUNK_BLOCKS transform blocks ahead of its reader, so the tables
-measure a row without holding its (N, r, M) coefficient array.
+consecutive intervals, whole transform blocks at a time.  Every
+`DgSolution` reads its coefficients from a window of such chunks.
+`dg_solve` takes one chunk of all N intervals, a whole solution; with
+stream=True the solution takes chunks of STREAM_CHUNK_BLOCKS transform
+blocks as its reader reaches them and drops those behind it, so it is
+read forward only and the tables measure a row without holding its
+(N, r, M) coefficient array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -122,9 +124,11 @@ class PiecewiseLegendre:
     coeffs has shape (N, q, M): N intervals, q coefficients per interval,
     state dimension M.  It is read only through `coefficients` and as a
     function of time (`mesh.time_values`) on (t_0, T], where a break point
-    takes the left limit.  A subclass that sets mesh, degree_count and dim
-    and overrides `coefficients` may derive its coefficients one block of
-    intervals at a time instead of storing them.
+    takes the left limit.  The coefficients are held as a window of chunks
+    of consecutive intervals (`_window`); one built from an array holds it
+    as one chunk, which no read drops.  A subclass that sets mesh,
+    degree_count and dim and overrides `coefficients` may derive its
+    coefficients one block of intervals at a time instead of storing them.
     """
 
     def __init__(self, mesh: TimeMesh, coeffs: np.ndarray):
@@ -134,10 +138,47 @@ class PiecewiseLegendre:
         self.mesh = mesh
         self.coeffs = coeffs
         self.degree_count, self.dim = coeffs.shape[1:]
+        self._window(iter([coeffs]))
+
+    def _window(self, chunks):
+        """Read the coefficients from chunks, an iterator of the (n, q, M)
+        arrays of consecutive intervals from interval 1 on.  A read of
+        intervals lo..hi - 1 drops the held chunks that end before lo,
+        carrying the left limit at the window's new first node, and takes
+        chunks until interval hi - 1 is held; reading an interval behind
+        the window raises ValueError."""
+        self._chunks = chunks
+        self._held: list[tuple[int, np.ndarray]] = []  # (first interval, coefficients)
+        self._start = self._end = 0  # intervals _start.._end - 1 are held
+        self._carried = None  # left limit at t_{_start}, once a chunk is dropped
+
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients of the intervals lo..hi - 1, taking chunks as far as they need."""
+        if lo < self._start:
+            raise ValueError(f"interval {lo + 1} lies behind the streamed window, "
+                             f"which starts at interval {self._start + 1}")
+        while True:
+            while self._held and self._held[0][0] + len(self._held[0][1]) <= lo:
+                first, chunk = self._held.pop(0)
+                self._start, self._carried = first + len(chunk), chunk[-1:].sum(axis=1)[0]
+            if self._end >= hi:
+                break
+            chunk = next(self._chunks)
+            self._held.append((self._end, chunk))
+            self._end += len(chunk)
+        parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held if first < hi]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def coefficients(self, idx) -> np.ndarray:
         """Coefficients of the intervals idx (0-based slice or index array), (len(idx), q, M)."""
-        return self.coeffs[idx]
+        if isinstance(idx, slice) and idx.step in (None, 1):
+            lo, hi, _ = idx.indices(self.mesh.N)
+            return self._rows(lo, hi) if hi > lo else np.empty((0, self.degree_count, self.dim))
+        i = np.arange(self.mesh.N)[idx]
+        if i.size == 0:
+            return np.empty(i.shape + (self.degree_count, self.dim))
+        lo = int(i.min())
+        return self._rows(lo, int(i.max()) + 1)[i - lo]
 
     def __call__(self, t) -> np.ndarray:
         """Values at the times t, shape np.shape(t) + (M,); a break point t_n gives
@@ -152,28 +193,38 @@ class PiecewiseLegendre:
 
 
 class DgSolution(PiecewiseLegendre):
-    """DG solution with its trial degree, initial state and norm weight; raises
-    ValueError unless coeffs holds r coefficients per interval and u0 is (M,)."""
+    """DG solution with its trial degree, initial state and norm weight.
 
-    def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray,
+    coeffs is the (N, r, M) coefficient array, held whole; raises
+    ValueError unless it holds r coefficients per interval and u0 is (M,).
+    `dg_solve(..., stream=True)` passes instead the iterator of its chunks,
+    so the solution is stepped while it is read, forward only: its window
+    starts at interval 1 with u0 as the carried left limit.
+    """
+
+    def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray | Iterator[np.ndarray],
                  u0: np.ndarray, norm_weight: float = 1.0):
-        super().__init__(mesh, coeffs)
-        if self.degree_count != r:
-            raise ValueError("coefficient count must equal r")
-        self.r = r
         self.u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-        if self.u0.shape != (self.dim,):
-            raise ValueError(f"u0 has shape {self.u0.shape}, expected ({self.dim},)")
-        self.norm_weight = norm_weight
+        if isinstance(coeffs, Iterator):
+            self.mesh, self.degree_count, self.dim = mesh, r, len(self.u0)
+            self._window(coeffs)
+        else:
+            super().__init__(mesh, coeffs)
+            if self.degree_count != r:
+                raise ValueError("coefficient count must equal r")
+            if self.u0.shape != (self.dim,):
+                raise ValueError(f"u0 has shape {self.u0.shape}, expected ({self.dim},)")
+        self.r, self.norm_weight, self._carried = r, norm_weight, self.u0
 
     def jumps(self, idx) -> np.ndarray:
         """Jumps of the intervals idx (0-based slice or index array), (len(idx), M):
         the row of interval n is the jump at t_{n-1}, the right limit from
         interval n minus the left limit from interval n - 1 (u0 for n = 1)."""
-        i = np.arange(*idx.indices(self.mesh.N)) if isinstance(idx, slice) else np.asarray(idx)
-        left = self.coefficients(np.maximum(i - 1, 0)).sum(axis=1)
-        left[i == 0] = self.u0
-        return (-1.0) ** np.arange(self.r) @ self.coefficients(idx) - left
+        i = np.arange(self.mesh.N)[idx]
+        coeffs = self.coefficients(idx)  # first: the read may move the window on
+        left = self.coefficients(np.maximum(i - 1, self._start)).sum(axis=1)
+        left[i == self._start] = self._carried
+        return (-1.0) ** np.arange(self.r) @ coeffs - left
 
     def jump(self, n: int) -> np.ndarray:
         """Jump at t_{n-1}, `jumps` of interval n."""
@@ -196,16 +247,15 @@ def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,
     ValueError when phi does not keep the shape of its (N, m) times and
     when a step produces non-finite coefficients.
 
-    With stream=True nothing is stepped yet: the result is read forward
-    only (`_StreamedSolution`), and the steps run as its intervals are
-    read, STREAM_CHUNK_BLOCKS transform blocks at a time, so no (N, r, M)
-    array is held; a non-finite step then raises when it is read.
+    With stream=True nothing is stepped yet: the solution is read forward
+    only, and the steps run as its intervals are read, STREAM_CHUNK_BLOCKS
+    transform blocks at a time, so no (N, r, M) array is held; a
+    non-finite step then raises when it is read.
     """
-    chunk_blocks = STREAM_CHUNK_BLOCKS if stream else None
-    chunks = _dg_chunks(problem, mesh, r, moment_quadrature, chunk_blocks)
-    if stream:
-        return _StreamedSolution(problem, mesh, r, chunks)
-    (coeffs,) = chunks  # one chunk: the whole mesh
+    chunks = _dg_chunks(problem, mesh, r, moment_quadrature,
+                        STREAM_CHUNK_BLOCKS if stream else None)
+    # a whole solution takes the one chunk of all N intervals now, so it steps here
+    coeffs = chunks if stream else next(chunks)
     return DgSolution(mesh, r, coeffs, problem.u0, problem.norm_weight)
 
 
@@ -274,59 +324,3 @@ def _dg_chunks(problem: LinearProblem, mesh: TimeMesh, r: int, moment_quadrature
 
     return chunks(left)
 
-
-class _StreamedSolution(DgSolution):
-    """A DG solution stepped while it is read, forward only.
-
-    It holds no (N, r, M) array, only a short window of the chunks
-    `_dg_chunks` yields.  A read of intervals lo..hi - 1 first drops the
-    held chunks that end before lo, carrying the left limit at the
-    window's first node for `jumps`, then steps on until interval hi - 1
-    is held; a re-read of the window is served from the held chunks.
-    Reading an interval behind the window raises ValueError.  Its reads
-    equal those of `dg_solve`'s DgSolution bit for bit.
-    """
-
-    def __init__(self, problem: LinearProblem, mesh: TimeMesh, r: int, chunks):
-        self.mesh, self.r, self.norm_weight = mesh, r, problem.norm_weight
-        self.u0 = problem.u0
-        self.degree_count, self.dim = r, problem.A.dim
-        self._chunks = chunks
-        self._held: list[tuple[int, np.ndarray]] = []  # (first interval, coefficients)
-        self._start = self._end = 0  # intervals _start.._end - 1 are held
-        self._carried = self.u0  # left limit at t_{_start}
-
-    def _rows(self, lo: int, hi: int) -> np.ndarray:
-        """Coefficients of the intervals lo..hi - 1, stepping on as far as they need."""
-        if lo < self._start:
-            raise ValueError(f"interval {lo + 1} lies behind the streamed window, "
-                             f"which starts at interval {self._start + 1}")
-        while True:
-            while self._held and self._held[0][0] + len(self._held[0][1]) <= lo:
-                first, chunk = self._held.pop(0)
-                self._start, self._carried = first + len(chunk), chunk[-1:].sum(axis=1)[0]
-            if self._end >= hi:
-                break
-            chunk = next(self._chunks)
-            self._held.append((self._end, chunk))
-            self._end += len(chunk)
-        parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held if first < hi]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def coefficients(self, idx) -> np.ndarray:
-        if isinstance(idx, slice) and idx.step in (None, 1):
-            lo, hi, _ = idx.indices(self.mesh.N)
-            return self._rows(lo, hi) if hi > lo else np.empty((0, self.r, self.dim))
-        i = np.arange(self.mesh.N)[idx]
-        if i.size == 0:
-            return np.empty(i.shape + (self.r, self.dim))
-        lo = int(i.min())
-        return self._rows(lo, int(i.max()) + 1)[i - lo]
-
-    def jumps(self, idx) -> np.ndarray:
-        """`DgSolution.jumps`; the jump at the window's first node uses the carried left limit."""
-        i = np.arange(self.mesh.N)[idx]
-        coeffs = self.coefficients(idx)
-        left = self.coefficients(np.maximum(i - 1, self._start)).sum(axis=1)
-        left[i == self._start] = self._carried
-        return (-1.0) ** np.arange(self.r) @ coeffs - left

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgtime.bench as bench
@@ -303,6 +303,7 @@ def test_measuring_a_streamed_row_holds_no_coefficient_array(monkeypatch):
         try:
             before, _ = tracemalloc.get_traced_memory()
             sol = dg_solve(problem, mesh, r, stream=stream)
+            assert type(sol) is DgSolution  # one class, streamed or whole
             errors = bench._row_errors(sol, reconstruct(sol), zero_reference, (None,) * 3,
                                        None, 2)
             _, peak = tracemalloc.get_traced_memory()
@@ -335,6 +336,8 @@ def test_extrapolated_solution_samples_richardson_of_samples():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), r=st.integers(1, 10),
        dim=st.sampled_from([1, 7]), reconstructed=st.booleans())
+@example(seed=75, n=10, r=10, dim=7, reconstructed=False)
+@example(seed=75, n=10, r=10, dim=7, reconstructed=True)
 def test_extrapolated_blocks_equal_full_array_richardson(seed, n, r, dim, reconstructed):
     rng = np.random.default_rng(seed)
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))]))
@@ -356,10 +359,11 @@ def test_extrapolated_blocks_equal_full_array_richardson(seed, n, r, dim, recons
     taus = np.linspace(-1.0, 1.0, 4)
     for m in (1, n):
         assert np.array_equal(left_limit(ext, m), full[m - 1].sum(axis=0))
-        # as a function of time, at the sample times of interval m past its left node
-        np.testing.assert_allclose(ext(mesh.to_physical(m, taus[1:])),
-                                   legendre_table(full.shape[1] - 1, taus[1:]) @ full[m - 1],
-                                   rtol=1e-12, atol=1e-12)
+        # as a function of time, at the sample times of interval m past its left
+        # node, against the polynomial at the tau that sol(t) maps t back to
+        ts, (a, b) = mesh.to_physical(m, taus[1:]), mesh.nodes[m - 1:m + 1]
+        table = legendre_table(full.shape[1] - 1, (2.0 * ts - (a + b)) / (b - a))
+        np.testing.assert_allclose(ext(ts), table @ full[m - 1], rtol=1e-12, atol=1e-12)
 
 
 def test_extrapolated_solution_rejects_mismatched_members():
@@ -386,9 +390,15 @@ def _profile_text(mesh, coeffs_u, coeffs_star, norm_weight, reference, samples):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("experiment, p", [("heat1d", 12), ("heat2d", 6)])
-def test_run_profile_equals_materialized_computation(experiment, p):
-    n, samples = 4, 50
+@pytest.mark.parametrize("experiment, p, chunked", [
+    ("heat1d", 12, False), ("heat2d", 6, False), ("heat1d", 12, True), ("heat2d", 6, True)],
+    ids=["heat1d-12", "heat2d-6", "heat1d-12-chunked", "heat2d-6-chunked"])
+def test_run_profile_equals_materialized_computation(monkeypatch, experiment, p, chunked):
+    n, samples = (12 if chunked else 4), 50
+    if chunked:
+        # one interval per transform block: the streamed profile spans three chunks
+        monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", 1)
+        assert n == 3 * dg.STREAM_CHUNK_BLOCKS
     if experiment == "heat1d":
         cfg = Heat1dConfig(P=p)
         mesh = uniform_mesh(cfg.T, n)

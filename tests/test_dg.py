@@ -169,6 +169,13 @@ def test_jumps_of_a_block_are_right_minus_left_limits():
         np.testing.assert_allclose(sol.jump(n), right_limit(sol, n - 1) - outgoing,
                                    rtol=1e-14, atol=1e-15)
         assert np.array_equal(sol.jump(n), jumps[n - 1])
+    # a whole solution holds its one chunk for good: after the forward reads
+    # it reads interval N, then interval 1, with the array formulas' bits
+    for n in (3, 1):
+        block = slice(n - 1, n)
+        left = sol.u0 if n == 1 else sol.coeffs[n - 2:n - 1].sum(axis=1)
+        assert np.array_equal(sol.coefficients(block), sol.coeffs[block])
+        assert np.array_equal(sol.jumps(block), (-1.0) ** np.arange(3) @ sol.coeffs[block] - left)
     assert np.array_equal(sol.jumps(np.array([2, 0, 2])), jumps[[2, 0, 2]])
     assert sol.jumps(np.array([], dtype=int)).shape == (0, 2)
     # each read forms a new block: writing to one leaves the solution alone
