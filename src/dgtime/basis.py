@@ -102,21 +102,20 @@ def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(m)
 
 
-def legendre_coeff(v: Callable, interval: tuple[float, float], j: int,
-                   quad: tuple[np.ndarray, np.ndarray] | None = None):
+def legendre_coeff(v: Callable, interval: tuple[float, float], j: int):
     """Local Fourier-Legendre coefficient of v on an interval.
 
     Computes ((2j + 1) / k) * integral of v(t) p_j(t) over (a, b), where p_j
     is P_j mapped to the interval and k = b - a.  The integral is evaluated
-    by mapping the supplied quadrature rule (default: Gauss of size j + 3)
-    through `TimeMesh.to_physical`, so it is exact (to roundoff) whenever v
-    is a polynomial of degree <= 2m - 1 - j.  An interval without b > a
+    by mapping the Gauss rule of size j + 3 through `TimeMesh.to_physical`,
+    so it is exact (to roundoff) whenever v is a polynomial of degree
+    <= j + 5.  An interval without b > a
     raises ValueError (from `TimeMesh`).
 
     v is a function of time (`time_values`), called once with the array of
     quadrature times; a scalar state gives a float, a state vector a vector.
     """
-    nodes, weights = gauss_rule(j + 3) if quad is None else quad
+    nodes, weights = gauss_rule(j + 3)
     vals = time_values(v, TimeMesh(np.array(interval, dtype=float)).to_physical(1, nodes))
     coeff = 0.5 * (2 * j + 1) * np.tensordot(weights * legendre_eval(j, nodes), vals, axes=1)
     return coeff if np.ndim(coeff) else float(coeff)

@@ -78,8 +78,7 @@ class ExtrapolatedSolution(PiecewiseLegendre):
             raise ValueError("extrapolation partners must share the coefficient count")
         if fine.dim != 2 * coarse.dim + 1:
             raise ValueError("fine grid must refine the coarse grid by exactly 2")
-        self.mesh, self.norm_weight = coarse.mesh, coarse.norm_weight
-        self.degree_count, self.dim = coarse.degree_count, coarse.dim
+        super().__init__(coarse.mesh, coarse.degree_count, coarse.dim, coarse.norm_weight)
         self._coarse, self._fine = coarse, fine
 
     def coefficients(self, idx) -> np.ndarray:
@@ -96,7 +95,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
                       nodal=False, min_interval=1):
     """Maximum sampled (weighted) error of a piecewise solution.
 
-    approx is a PiecewiseLegendre (.mesh, .coefficients) with a .norm_weight;
+    approx is a PiecewiseLegendre (mesh, degree_count, dim, norm_weight);
     reference is a function of time (`time_values`): called with an array of
     times, it returns one exact state per time.  With
     nodal=True only the left limits at the mesh nodes enter.  weight is the
@@ -175,7 +174,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
                 t, diff = ts[:, -1], coeffs.sum(axis=1) - refs[:, -1]
             else:
                 t, diff = ts, tables[c] @ coeffs - refs
-            errs = np.sqrt(getattr(sol, "norm_weight", 1.0)) * np.linalg.norm(diff, axis=-1)
+            errs = np.sqrt(sol.norm_weight) * np.linalg.norm(diff, axis=-1)
             if weights[c] is not None:
                 # a negative exponent gives inf at t = 0, and min(inf, 1) = 1
                 with np.errstate(divide="ignore"):
@@ -463,15 +462,16 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     sol, recon = study.solve(mesh)
     scalar = experiment == "ode"
     taus = np.linspace(-1.0, 1.0, samples)
-    # U and U* on every interval, (N, samples, M) each, in one forward read of each
-    uvals, svals = (legendre_table(x.degree_count - 1, taus) @ x.coefficients(slice(None))
-                    for x in (sol, recon))
+    tables = [legendre_table(x.degree_count - 1, taus) for x in (sol, recon)]
     lines = ["t,U_minus_u,U_minus_Ustar"]
     for m in range(1, mesh.N + 1):
         ts = mesh.to_physical(m, taus)
         rvals = _reference_values(reference, ts)
+        # U and U* on interval m, (samples, M) each: the streams are read forward
+        uvals, svals = (tab @ x.coefficients(slice(m - 1, m))[0]
+                        for tab, x in zip(tables, (sol, recon)))
         for i, t in enumerate(ts):
-            u, s = uvals[m - 1, i], svals[m - 1, i]
+            u, s = uvals[i], svals[i]
             if scalar:
                 a = u[0] - rvals[i, 0]
                 b = u[0] - s[0]

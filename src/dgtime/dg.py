@@ -5,12 +5,13 @@ as local Legendre coefficients, so it may jump at the break points.  A
 piecewise solution is read in three ways only: the coefficients of a block
 of intervals (`coefficients(idx)`), the jumps at their left nodes
 (`DgSolution.jumps(idx)`, formed when read, so no (N, M) array of jumps is
-held), and its values as a function of time (`sol(t)`).  One step advances
-the expansion by solving the block system assembled in `system`; the
-right-hand side combines the outgoing value from the previous interval
-with moments of the separable forcing phi(t) g (`Forcing`) against the local
-test polynomials.  The vectorised phi is evaluated once per solve, at every
-quadrature time of the mesh.
+held), and its values as a function of time (`sol(t)`): the read protocol
+`PiecewiseLegendre`.  `DgSolution` is the one class that stores
+coefficients.  One step advances the expansion by solving the block system
+assembled in `system`; the right-hand side combines the outgoing value from
+the previous interval with moments of the separable forcing phi(t) g
+(`Forcing`) against the local test polynomials.  The vectorised phi is
+evaluated once per solve, at every quadrature time of the mesh.
 
 An operator with a closed-form eigenbasis (`system.SineEigenbasis`: the
 1D and 2D heat operators) is stepped in that basis: `LinearProblem.modal`
@@ -119,38 +120,64 @@ class LinearProblem:
 
 
 class PiecewiseLegendre:
-    """Piecewise polynomial stored as per-interval Legendre coefficients.
+    """Read protocol of a piecewise polynomial in per-interval Legendre coefficients.
 
-    coeffs has shape (N, q, M): N intervals, q coefficients per interval,
-    state dimension M.  It is read only through `coefficients` and as a
-    function of time (`mesh.time_values`) on (t_0, T], where a break point
-    takes the left limit.  The coefficients are held as a window of chunks
-    of consecutive intervals (`_window`); one built from an array holds it
-    as one chunk, which no read drops.  A subclass that sets mesh,
-    degree_count and dim and overrides `coefficients` may derive its
-    coefficients one block of intervals at a time instead of storing them.
+    It carries the time mesh, the coefficient count q per interval
+    (degree_count), the state dimension M (dim) and the norm weight.  A
+    subclass supplies `coefficients(idx)`, (len(idx), q, M) for the 0-based
+    slice or index array idx; this class reads it as a function of time
+    (`mesh.time_values`) on (t_0, T], where a break point takes the left limit.
     """
 
-    def __init__(self, mesh: TimeMesh, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 3 or coeffs.shape[0] != mesh.N:
-            raise ValueError("coefficient array must have shape (N, q, M)")
-        self.mesh = mesh
-        self.coeffs = coeffs
-        self.degree_count, self.dim = coeffs.shape[1:]
-        self._window(iter([coeffs]))
+    def __init__(self, mesh: TimeMesh, degree_count: int, dim: int, norm_weight: float = 1.0):
+        self.mesh, self.degree_count, self.dim = mesh, degree_count, dim
+        self.norm_weight = norm_weight
 
-    def _window(self, chunks):
-        """Read the coefficients from chunks, an iterator of the (n, q, M)
-        arrays of consecutive intervals from interval 1 on.  A read of
-        intervals lo..hi - 1 drops the held chunks that end before lo,
-        carrying the left limit at the window's new first node, and takes
-        chunks until interval hi - 1 is held; reading an interval behind
-        the window raises ValueError."""
-        self._chunks = chunks
+    def __call__(self, t) -> np.ndarray:
+        """Values at the times t, shape np.shape(t) + (M,); a break point t_n gives
+        the left limit, from interval n, and a time outside (t_0, T] ValueError."""
+        t, nodes = np.asarray(t, dtype=float), self.mesh.nodes
+        if not np.all((nodes[0] < t) & (t <= nodes[-1])):
+            raise ValueError(f"times must lie in ({nodes[0]}, {nodes[-1]}]")
+        n = np.searchsorted(nodes, t.ravel(), side="left")  # interval n holds (t_{n-1}, t_n]
+        a, b = nodes[n - 1], nodes[n]
+        table = legendre_table(self.degree_count - 1, (2.0 * t.ravel() - (a + b)) / (b - a))
+        return (table[:, None, :] @ self.coefficients(n - 1)).reshape(t.shape + (self.dim,))
+
+
+class DgSolution(PiecewiseLegendre):
+    """DG solution with its trial degree, initial state and norm weight.
+
+    It reads its coefficients from a window of chunks, the (n, r, M) arrays
+    of consecutive intervals from interval 1 on, with u0 as the left limit
+    carried at its start.  A read of intervals lo..hi - 1 drops the held
+    chunks that end before lo, carrying the left limit at the new first
+    node, and takes chunks until interval hi - 1 is held; reading behind the
+    window raises ValueError.  coeffs is the (N, r, M) array, one chunk that
+    no read drops (ValueError unless it holds r coefficients per interval
+    and u0 is (M,)), or the chunk iterator of `dg_solve(..., stream=True)`,
+    which is stepped as it is read, forward only.
+    """
+
+    def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray | Iterator[np.ndarray],
+                 u0: np.ndarray, norm_weight: float = 1.0):
+        self.u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+        dim = len(self.u0)
+        if not isinstance(coeffs, Iterator):
+            coeffs = np.asarray(coeffs, dtype=float)
+            if coeffs.ndim != 3 or coeffs.shape[0] != mesh.N:
+                raise ValueError("coefficient array must have shape (N, q, M)")
+            dim = coeffs.shape[2]
+            if coeffs.shape[1] != r:
+                raise ValueError("coefficient count must equal r")
+            if self.u0.shape != (dim,):
+                raise ValueError(f"u0 has shape {self.u0.shape}, expected ({dim},)")
+            coeffs = iter([coeffs])
+        super().__init__(mesh, r, dim, norm_weight)
+        self.r, self._chunks = r, coeffs
         self._held: list[tuple[int, np.ndarray]] = []  # (first interval, coefficients)
         self._start = self._end = 0  # intervals _start.._end - 1 are held
-        self._carried = None  # left limit at t_{_start}, once a chunk is dropped
+        self._carried = self.u0  # left limit at t_{_start}
 
     def _rows(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients of the intervals lo..hi - 1, taking chunks as far as they need."""
@@ -179,42 +206,6 @@ class PiecewiseLegendre:
             return np.empty(i.shape + (self.degree_count, self.dim))
         lo = int(i.min())
         return self._rows(lo, int(i.max()) + 1)[i - lo]
-
-    def __call__(self, t) -> np.ndarray:
-        """Values at the times t, shape np.shape(t) + (M,); a break point t_n gives
-        the left limit, from interval n, and a time outside (t_0, T] ValueError."""
-        t, nodes = np.asarray(t, dtype=float), self.mesh.nodes
-        if not np.all((nodes[0] < t) & (t <= nodes[-1])):
-            raise ValueError(f"times must lie in ({nodes[0]}, {nodes[-1]}]")
-        n = np.searchsorted(nodes, t.ravel(), side="left")  # interval n holds (t_{n-1}, t_n]
-        a, b = nodes[n - 1], nodes[n]
-        table = legendre_table(self.degree_count - 1, (2.0 * t.ravel() - (a + b)) / (b - a))
-        return (table[:, None, :] @ self.coefficients(n - 1)).reshape(t.shape + (self.dim,))
-
-
-class DgSolution(PiecewiseLegendre):
-    """DG solution with its trial degree, initial state and norm weight.
-
-    coeffs is the (N, r, M) coefficient array, held whole; raises
-    ValueError unless it holds r coefficients per interval and u0 is (M,).
-    `dg_solve(..., stream=True)` passes instead the iterator of its chunks,
-    so the solution is stepped while it is read, forward only: its window
-    starts at interval 1 with u0 as the carried left limit.
-    """
-
-    def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray | Iterator[np.ndarray],
-                 u0: np.ndarray, norm_weight: float = 1.0):
-        self.u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-        if isinstance(coeffs, Iterator):
-            self.mesh, self.degree_count, self.dim = mesh, r, len(self.u0)
-            self._window(coeffs)
-        else:
-            super().__init__(mesh, coeffs)
-            if self.degree_count != r:
-                raise ValueError("coefficient count must equal r")
-            if self.u0.shape != (self.dim,):
-                raise ValueError(f"u0 has shape {self.u0.shape}, expected ({self.dim},)")
-        self.r, self.norm_weight, self._carried = r, norm_weight, self.u0
 
     def jumps(self, idx) -> np.ndarray:
         """Jumps of the intervals idx (0-based slice or index array), (len(idx), M):

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import legendre_coeff, legendre_eval, legendre_table, make_workspace
+from .basis import legendre_coeff, legendre_eval, legendre_table
 from .dg import DgSolution, PiecewiseLegendre, state_norm
 from .mesh import time_values
 
@@ -34,17 +34,16 @@ __all__ = [
 class Reconstruction(PiecewiseLegendre):
     """Continuous piecewise polynomial of degree r correcting the DG solution.
 
-    It keeps the DG solution by reference.  The coefficients of a block of
-    intervals are those of the DG solution with half_signed = (-1)^r / 2
-    times the jump at t_{n-1} (`sol.jumps` of the block) added to
-    coefficient r - 1 and its negative appended as coefficient r, so no
-    (N, r + 1, M) array is held.
+    It keeps the DG solution by reference and shares its mesh, dimension and
+    norm weight.  The coefficients of a block of intervals are those of the
+    DG solution with half_signed = (-1)^r / 2 times the jump at t_{n-1}
+    (`sol.jumps` of the block) added to coefficient r - 1 and its negative
+    appended as coefficient r, so no (N, r + 1, M) array is held.
     """
 
     def __init__(self, sol: DgSolution):
-        self.mesh, self.r, self.norm_weight = sol.mesh, sol.r, sol.norm_weight
-        self.degree_count, self.dim = sol.r + 1, sol.dim
-        self._sol = sol
+        super().__init__(sol.mesh, sol.r + 1, sol.dim, sol.norm_weight)
+        self.r, self._sol = sol.r, sol
 
     def coefficients(self, idx) -> np.ndarray:
         half = 0.5 * (-1.0) ** self.r * self._sol.jumps(idx)
@@ -86,7 +85,7 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
     sol.mesh._check_index(n)
     r = sol.r
     a, b = sol.mesh.nodes[n - 1], sol.mesh.nodes[n]
-    anr = np.atleast_1d(legendre_coeff(u, (a, b), r, make_workspace(r).quad))
+    anr = np.atleast_1d(legendre_coeff(u, (a, b), r))
 
     taus = np.linspace(-1.0, 1.0, samples)
     profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)

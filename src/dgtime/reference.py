@@ -143,8 +143,8 @@ class ContourRule:
         return self.z[k:], self.zprime[k:]
 
 
-def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int = 32) -> ContourRule:
-    """Contour z(x) = mu (1 + sin(ix - alpha)) sampled at 2K + 1 points.
+def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRule:
+    """Contour z(x) = mu (1 + sin(ix - alpha)) sampled at 2K + 1 points, K = half_nodes.
 
     mu is set from the cap on mu * t_max; the truncation point xmax makes the
     tail factor exp(mu t_min (1 - sin(alpha) cosh(xmax))) meet the target

@@ -3,6 +3,7 @@
 A piecewise solution is read through `coefficients(idx)`, `jumps(idx)` and
 `sol(t)` only.  These helpers spell out, from `coefficients`, the values on
 one interval at reference coordinates and the one-sided limits at a node;
+`ArrayPiecewise` reads a piecewise polynomial from one coefficient array;
 `pi_tilde_project` builds the right-node interpolating projection of the
 paper's analysis; `invert_scalar` runs a scalar Laplace transform through
 the contour inversion the references use.
@@ -14,6 +15,17 @@ from dgtime.basis import legendre_table, make_workspace
 from dgtime.dg import PiecewiseLegendre
 from dgtime.mesh import time_values
 from dgtime.reference import _invert_values, _stack_values
+
+
+class ArrayPiecewise(PiecewiseLegendre):
+    """A piecewise polynomial read from its whole (N, q, M) coefficient array."""
+
+    def __init__(self, mesh, coeffs):
+        super().__init__(mesh, *coeffs.shape[1:])
+        self._coeffs = coeffs
+
+    def coefficients(self, idx):
+        return self._coeffs[idx]
 
 
 def interval_values(x, n, taus):
@@ -48,7 +60,7 @@ def pi_tilde_project(v, mesh, r):
     coeffs = np.empty((mesh.N, r, vals.shape[-1]))
     coeffs[:, : r - 1] = scale[:, None] * (table.T @ (ws.quad_weights[:, None] * vals[:, :-1]))
     coeffs[:, r - 1] = vals[:, -1] - coeffs[:, : r - 1].sum(axis=1)
-    return PiecewiseLegendre(mesh, coeffs)
+    return ArrayPiecewise(mesh, coeffs)
 
 
 def invert_scalar(transform, ts, rule):

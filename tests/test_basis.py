@@ -257,8 +257,7 @@ def test_coefficient_reproduction_random_polynomial():
     a, b = 0.25, 0.75
     coef = rng.standard_normal(r)  # monomial coefficients, degree r - 1
     v = lambda t: np.polynomial.polynomial.polyval(t, coef)
-    ws = make_workspace(r)
-    legendre_coeffs = [legendre_coeff(v, (a, b), j, ws.quad) for j in range(r)]
+    legendre_coeffs = [legendre_coeff(v, (a, b), j) for j in range(r)]
     taus = np.linspace(-1, 1, 50)
     t = 0.5 * ((b - a) * taus + (a + b))
     recon = legendre_table(r - 1, taus) @ np.array(legendre_coeffs)

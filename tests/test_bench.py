@@ -19,7 +19,7 @@ from dgtime.bench import (
     run_profile,
 )
 from dgtime.basis import legendre_table
-from dgtime.dg import DgSolution, dg_solve, state_norm
+from dgtime.dg import DgSolution, PiecewiseLegendre, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from dgtime.postprocess import reconstruct
@@ -316,6 +316,42 @@ def test_measuring_a_streamed_row_holds_no_coefficient_array(monkeypatch):
     assert whole_peak > n * r * dim * 8 > 2 * peak
 
 
+def test_profile_reads_its_streams_interval_by_interval(monkeypatch):
+    # heat2d's 529 interior points stepped in chunks of 4 x 4 intervals: the
+    # profile holds no (N, r, M) coefficient array and no (N, samples, M)
+    # sample array, only a chunk and one interval's samples at a time
+    n, r, p = 512, 3, 24
+    dim = (p - 1) ** 2
+    monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", 4 * r * dim)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        text = run_profile("heat2d", r=r, n=n, p=p, samples=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text.splitlines()) == 1 + 2 * n
+    assert peak - before < n * r * dim * 8 / 2
+
+
+def test_piecewise_legendre_is_the_read_protocol_alone():
+    # the base class sets the four protocol fields and stores no coefficients;
+    # a DG solution, its reconstruction and a Richardson combination set them
+    # through it, and only the DG solution holds a coefficient window
+    mesh = uniform_mesh(1.0, 2)
+    base = PiecewiseLegendre(mesh, 3, 2, 0.5)
+    assert sorted(vars(base)) == ["degree_count", "dim", "mesh", "norm_weight"]
+    assert (base.mesh, base.degree_count, base.dim, base.norm_weight) == (mesh, 3, 2, 0.5)
+    assert PiecewiseLegendre(mesh, 3, 2).norm_weight == 1.0
+    coarse = DgSolution(mesh, 2, np.ones((2, 2, 3)), np.zeros(3), 0.25)
+    fine = DgSolution(mesh, 2, np.ones((2, 2, 7)), np.zeros(7), 0.125)
+    for x, fields in ((coarse, (2, 3, 0.25)), (reconstruct(coarse), (3, 3, 0.25)),
+                      (ExtrapolatedSolution(coarse, fine), (2, 3, 0.25))):
+        assert x.mesh is mesh and (x.degree_count, x.dim, x.norm_weight) == fields
+        assert not hasattr(x, "coeffs")
+        assert hasattr(x, "_held") == (x is coarse)
+
+
 def test_extrapolated_solution_samples_richardson_of_samples():
     mesh = uniform_mesh(1.0, 3)
     rng = np.random.default_rng(5)
@@ -403,14 +439,14 @@ def test_run_profile_equals_materialized_computation(monkeypatch, experiment, p,
         cfg = Heat1dConfig(P=p)
         mesh = uniform_mesh(cfg.T, n)
         sols = [dg_solve(heat1d_problem(c), mesh, 3) for c in (cfg, cfg.refined())]
-        coeffs_u = richardson(*(s.coeffs for s in sols))
+        coeffs_u = richardson(*(s.coefficients(slice(None)) for s in sols))
         coeffs_star = richardson(*(reconstruct(s).coefficients(slice(None)) for s in sols))
         reference = Heat1dReference(cfg, bench._sample_floor(cfg.T, n, samples), cfg.T)
     else:
         problem = heat2d_problem(Heat2dConfig(Px=p, Py=p))
         mesh = uniform_mesh(problem.T, n)
         sols = [dg_solve(problem, mesh, 3, moment_quadrature="radau")]
-        coeffs_u = sols[0].coeffs
+        coeffs_u = sols[0].coefficients(slice(None))
         coeffs_star = reconstruct(sols[0]).coefficients(slice(None))
         reference = Heat2dReference(problem, bench._sample_floor(problem.T, n, samples),
                                     problem.T)

@@ -97,7 +97,7 @@ def _long_double_modal_solve(problem, factors, N, r):
 def _check_against_long_double(problem, factors, N, r):
     assert problem.A.eigenbasis is not None
     mesh, exact = _long_double_modal_solve(problem, factors, N, r)
-    coeffs = dg_solve(problem, mesh, r).coeffs
+    coeffs = dg_solve(problem, mesh, r).coefficients(slice(None))
     err = np.linalg.norm((coeffs - exact).ravel()) / np.linalg.norm(exact.ravel())
     assert float(err) <= 5e-15
 
@@ -126,8 +126,8 @@ def test_single_point_grid_steps_in_its_eigenbasis():
     plain = LinearProblem(sparse_operator(problem.A.matrix), problem.u0, problem.T,
                           forcing=problem.forcing)
     mesh = uniform_mesh(problem.T, 8)
-    np.testing.assert_allclose(dg_solve(problem, mesh, 3).coeffs,
-                               dg_solve(plain, mesh, 3).coeffs, rtol=1e-14)
+    np.testing.assert_allclose(dg_solve(problem, mesh, 3).coefficients(slice(None)),
+                               dg_solve(plain, mesh, 3).coefficients(slice(None)), rtol=1e-14)
 
 
 @st.composite
@@ -170,7 +170,7 @@ def constant_band_problems(draw):
 def test_eigenbasis_path_matches_sparse_lu_path(problems, r):
     problem, plain, mesh = problems
     assert problem.A.eigenbasis is not None and plain.A.eigenbasis is None
-    modal, direct = dg_solve(problem, mesh, r).coeffs, dg_solve(plain, mesh, r).coeffs
+    modal, direct = (dg_solve(p, mesh, r).coefficients(slice(None)) for p in (problem, plain))
     assert np.linalg.norm(modal - direct) <= 1e-12 * np.linalg.norm(direct)
 
     ts = np.linspace(problem.T / 4, problem.T, 5)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from dgtime.basis import legendre_eval, legendre_table, radau_abscissas
 from dgtime.bench import max_error_sampled
-from dgtime.dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve, state_norm
+from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import Heat2dConfig, heat2d_problem, ode_problem
 from dgtime.postprocess import error_profile_deviation, jump_indicator, reconstruct
 from dgtime.reference import Heat2dReference, ode_exact
 from dgtime.system import diagonal_operator, scalar_operator, tridiagonal_operator
 
-from dg_helpers import interval_values, left_limit, pi_tilde_project, right_limit
+from dg_helpers import ArrayPiecewise, interval_values, left_limit, pi_tilde_project, right_limit
 from test_system import random_spd_tridiagonal
 
 
@@ -30,12 +30,12 @@ def interval_max_error(sol, n, samples=50):
 
 def test_reconstruction_coefficient_table():
     sol = ode_solution(3, 6)
-    coeffs = reconstruct(sol).coefficients(slice(None))
+    coeffs, dg_coeffs = reconstruct(sol).coefficients(slice(None)), sol.coefficients(slice(None))
     for n in range(1, 7):
         jump = sol.jump(n)
         half = 0.5 * (-1.0) ** 3 * jump
-        np.testing.assert_allclose(coeffs[n - 1][:2], sol.coeffs[n - 1][:2], rtol=1e-14)
-        np.testing.assert_allclose(coeffs[n - 1][2], sol.coeffs[n - 1][2] + half, rtol=1e-13)
+        np.testing.assert_allclose(coeffs[n - 1][:2], dg_coeffs[n - 1][:2], rtol=1e-14)
+        np.testing.assert_allclose(coeffs[n - 1][2], dg_coeffs[n - 1][2] + half, rtol=1e-13)
         np.testing.assert_allclose(coeffs[n - 1][3], -half, rtol=1e-13)
 
 
@@ -48,9 +48,9 @@ def random_solution(rng, n, r, dim):
 
 def materialized_jumps(sol):
     """The whole (N, M) array of jumps, built at once."""
-    jumps = (-1.0) ** np.arange(sol.r) @ sol.coeffs
+    jumps = (-1.0) ** np.arange(sol.r) @ sol.coefficients(slice(None))
     jumps[0] -= sol.u0
-    jumps[1:] -= sol.coeffs[:-1].sum(axis=1)
+    jumps[1:] -= sol.coefficients(slice(None))[:-1].sum(axis=1)
     return jumps
 
 
@@ -58,7 +58,7 @@ def materialized_reconstruction(sol):
     """The whole (N, r + 1, M) reconstruction, built as one array."""
     r = sol.r
     half_signed = 0.5 * (-1.0) ** r * materialized_jumps(sol)
-    coeffs = np.concatenate([sol.coeffs, -half_signed[:, None, :]], axis=1)
+    coeffs = np.concatenate([sol.coefficients(slice(None)), -half_signed[:, None, :]], axis=1)
     coeffs[:, r - 1, :] += half_signed
     return coeffs
 
@@ -156,7 +156,7 @@ def test_reconstruction_identities_on_dg_solves_with_random_meshes(seed, n, r, d
                                             rng.standard_normal(dim)))
     sol = dg_solve(problem, mesh, r)
     recon = reconstruct(sol)
-    atol = 1e-12 * (1.0 + np.max(np.abs(sol.coeffs)))
+    atol = 1e-12 * (1.0 + np.max(np.abs(sol.coefficients(slice(None)))))
     for m in range(1, n + 1):
         outgoing = sol.u0 if m == 1 else left_limit(sol, m - 1)
         np.testing.assert_allclose(sol.jump(m), right_limit(sol, m - 1) - outgoing,
@@ -200,7 +200,7 @@ def test_reconstruction_of_jumpless_solution_is_identity():
     )
     sol = dg_solve(problem, uniform_mesh(1.0, 3), 2)
     coeffs = reconstruct(sol).coefficients(slice(None))
-    np.testing.assert_allclose(coeffs[:, :2, :], sol.coeffs, atol=1e-14)
+    np.testing.assert_allclose(coeffs[:, :2, :], sol.coefficients(slice(None)), atol=1e-14)
     np.testing.assert_allclose(coeffs[:, 2, :], 0.0, atol=1e-14)
 
 
@@ -306,7 +306,7 @@ def test_pi_tilde_drops_top_degree_to_lower_one():
     mesh = uniform_mesh(1.0, 2)
     top = np.zeros((2, r + 1, 1))
     top[:, r] = 1.0
-    v = PiecewiseLegendre(mesh, top)  # P_r of each interval's reference coordinate
+    v = ArrayPiecewise(mesh, top)  # P_r of each interval's reference coordinate
     proj = pi_tilde_project(v, mesh, r)
     taus = np.linspace(-1, 1, 25)
     for n in (1, 2):
@@ -337,7 +337,7 @@ def test_pi_tilde_reproduces_low_degree_and_interpolates_on_random_meshes(seed, 
     taus = np.linspace(-1.0, 1.0, 9)
     ts = mesh.to_physical(np.arange(1, n + 1), taus)
     proj = pi_tilde_project(poly, mesh, r)
-    assert proj.coeffs.shape == (n, r, dim)
+    assert proj.coefficients(slice(None)).shape == (n, r, dim)
     for m in range(1, n + 1):
         np.testing.assert_allclose(interval_values(proj, m, taus),
                                    np.reshape(poly(ts[m - 1]), (taus.size, dim)),
