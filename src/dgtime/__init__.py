@@ -5,17 +5,7 @@ degree-r reconstruction, a jump-based error indicator, Laplace-transform
 reference solutions, and a benchmark CLI for convergence studies.
 """
 
-from .basis import (
-    LegendreWorkspace,
-    gauss_rule,
-    g_matrix,
-    h_diag,
-    legendre_coeff,
-    legendre_eval,
-    make_workspace,
-    radau_abscissas,
-    radau_rule,
-)
+from .basis import legendre_coeff
 from .bench import (
     ConvergenceTable,
     ExtrapolatedSolution,
@@ -24,42 +14,34 @@ from .bench import (
     run_experiment,
     run_profile,
 )
-from .dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve, state_norm
+from .dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve
 from .mesh import TimeMesh, uniform_mesh
-from .models import (
-    Heat1dConfig,
-    Heat2dConfig,
-    heat1d_problem,
-    heat2d_problem,
-    ode_problem,
-)
-from .postprocess import (
-    Reconstruction,
-    error_profile_deviation,
-    jump_indicator,
-    reconstruct,
-)
-from .reference import (
-    ContourRule,
-    Heat1dReference,
-    Heat2dReference,
-    fhat,
-    hyperbolic_contour,
-    ode_exact,
-    resolvent_2d,
-    richardson,
-    uhat_1d,
-)
+from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
+from .postprocess import Reconstruction, error_profile_deviation, jump_indicator, reconstruct
+from .reference import Heat1dReference, Heat2dReference, ode_exact
 from .system import (
-    BlockSystemFactorization,
     LinearOperator,
-    factorize_step_matrix,
     kronecker_sum_operator,
     scalar_operator,
-    solve_step,
     sparse_operator,
     tridiagonal_operator,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# what the README's library use, the CLI and the benchmark read from the top
+# level; the building blocks stay in their modules (dgtime.basis, ...)
+__all__ = [
+    # problems and the operators a LinearProblem takes
+    "LinearProblem", "Forcing", "LinearOperator", "scalar_operator", "tridiagonal_operator",
+    "sparse_operator", "kronecker_sum_operator", "ode_problem", "Heat1dConfig",
+    "Heat2dConfig", "heat1d_problem", "heat2d_problem",
+    # time meshes and the DG solve
+    "TimeMesh", "uniform_mesh", "dg_solve",
+    # piecewise solutions and their post-processing
+    "PiecewiseLegendre", "DgSolution", "Reconstruction", "ExtrapolatedSolution",
+    "reconstruct", "jump_indicator", "error_profile_deviation", "legendre_coeff",
+    # reference solutions
+    "ode_exact", "Heat1dReference", "Heat2dReference",
+    # measurement, tables and the CLI's runners
+    "max_error_sampled", "observed_rates", "ConvergenceTable", "run_experiment", "run_profile",
+]
 __version__ = "0.1.0"

@@ -131,10 +131,6 @@ class LegendreWorkspace:
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
 
-    @property
-    def quad(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.quad_nodes, self.quad_weights
-
 
 @lru_cache(maxsize=None)
 def make_workspace(r: int) -> LegendreWorkspace:

@@ -2,8 +2,8 @@
 
 The solution on each interval is a polynomial of degree at most r - 1 stored
 as local Legendre coefficients, so it may jump at the break points.  A
-piecewise solution is read in three ways only: the coefficients of a block
-of intervals (`coefficients(idx)`), the jumps at their left nodes
+piecewise solution is read in three ways only: the coefficients of a slice
+of consecutive intervals (`coefficients(idx)`), the jumps at their left nodes
 (`DgSolution.jumps(idx)`, formed when read, so no (N, M) array of jumps is
 held), and its values as a function of time (`sol(t)`): the read protocol
 `PiecewiseLegendre`.  `DgSolution` is the one class that stores
@@ -125,7 +125,8 @@ class PiecewiseLegendre:
     It carries the time mesh, the coefficient count q per interval
     (degree_count), the state dimension M (dim) and the norm weight.  A
     subclass supplies `coefficients(idx)`, (len(idx), q, M) for the 0-based
-    slice or index array idx; this class reads it as a function of time
+    slice idx of consecutive intervals (step 1; `_span` gives its bounds
+    and rejects anything else); this class reads it as a function of time
     (`mesh.time_values`) on (t_0, T], where a break point takes the left limit.
     """
 
@@ -142,7 +143,17 @@ class PiecewiseLegendre:
         n = np.searchsorted(nodes, t.ravel(), side="left")  # interval n holds (t_{n-1}, t_n]
         a, b = nodes[n - 1], nodes[n]
         table = legendre_table(self.degree_count - 1, (2.0 * t.ravel() - (a + b)) / (b - a))
-        return (table[:, None, :] @ self.coefficients(n - 1)).reshape(t.shape + (self.dim,))
+        # one read of the intervals that cover the times, indexed here
+        lo, hi = (int(n.min()) - 1, int(n.max())) if n.size else (0, 0)
+        coeffs = self.coefficients(slice(lo, hi))[n - 1 - lo]
+        return (table[:, None, :] @ coeffs).reshape(t.shape + (self.dim,))
+
+    def _span(self, idx) -> tuple[int, int]:
+        """(lo, hi) of a slice idx of intervals lo..hi - 1; anything else raises ValueError."""
+        if not (isinstance(idx, slice) and idx.step in (None, 1)):
+            raise ValueError(f"intervals are read by a slice with step 1, got {idx!r}")
+        lo, hi, _ = idx.indices(self.mesh.N)
+        return lo, max(lo, hi)
 
 
 class DgSolution(PiecewiseLegendre):
@@ -197,24 +208,23 @@ class DgSolution(PiecewiseLegendre):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def coefficients(self, idx) -> np.ndarray:
-        """Coefficients of the intervals idx (0-based slice or index array), (len(idx), q, M)."""
-        if isinstance(idx, slice) and idx.step in (None, 1):
-            lo, hi, _ = idx.indices(self.mesh.N)
-            return self._rows(lo, hi) if hi > lo else np.empty((0, self.degree_count, self.dim))
-        i = np.arange(self.mesh.N)[idx]
-        if i.size == 0:
-            return np.empty(i.shape + (self.degree_count, self.dim))
-        lo = int(i.min())
-        return self._rows(lo, int(i.max()) + 1)[i - lo]
+        """Coefficients of the intervals idx (a 0-based slice), (len(idx), q, M)."""
+        lo, hi = self._span(idx)
+        return self._rows(lo, hi) if hi > lo else np.empty((0, self.degree_count, self.dim))
 
     def jumps(self, idx) -> np.ndarray:
-        """Jumps of the intervals idx (0-based slice or index array), (len(idx), M):
-        the row of interval n is the jump at t_{n-1}, the right limit from
-        interval n minus the left limit from interval n - 1 (u0 for n = 1)."""
-        i = np.arange(self.mesh.N)[idx]
-        coeffs = self.coefficients(idx)  # first: the read may move the window on
-        left = self.coefficients(np.maximum(i - 1, self._start)).sum(axis=1)
-        left[i == self._start] = self._carried
+        """Jumps of the intervals idx (a 0-based slice), (len(idx), M): the row
+        of interval n is the jump at t_{n-1}, the right limit from interval n
+        minus the left limit from interval n - 1 (u0 for n = 1)."""
+        lo, hi = self._span(idx)
+        if hi == lo:
+            return np.empty((0, self.dim))
+        if lo > self._start:  # one read of the intervals lo - 1..hi - 1
+            rows = self._rows(lo - 1, hi)
+            coeffs, left = rows[1:], rows[:-1].sum(axis=1)
+        else:  # at the window's start the carried left limit; behind it _rows raises
+            coeffs = self._rows(lo, hi)
+            left = np.concatenate([self._carried[None], coeffs[:-1].sum(axis=1)])
         return (-1.0) ** np.arange(self.r) @ coeffs - left
 
     def jump(self, n: int) -> np.ndarray:
@@ -266,7 +276,7 @@ def _dg_chunks(problem: LinearProblem, mesh: TimeMesh, r: int, moment_quadrature
     """
     ws = make_workspace(r)
     if moment_quadrature == "gauss":
-        q_nodes, q_weights = ws.quad
+        q_nodes, q_weights = ws.quad_nodes, ws.quad_weights
     elif moment_quadrature == "radau":
         q_nodes, q_weights = radau_rule(r)
     else:

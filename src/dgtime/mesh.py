@@ -41,7 +41,11 @@ class TimeMesh:
         return np.diff(self.nodes)
 
     def _check_index(self, n):
-        if np.any((np.asarray(n) < 1) | (np.asarray(n) > self.N)):
+        """ValueError unless n is an integer, or an integer array, in 1..N."""
+        i = np.asarray(n)
+        if i.dtype.kind not in "iu":  # signed or unsigned integers
+            raise ValueError(f"interval index must be an integer, got {n!r}")
+        if np.any((i < 1) | (i > self.N)):
             raise ValueError(f"interval index {n} outside 1..{self.N}")
 
     def to_physical(self, n, tau):

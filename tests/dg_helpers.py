@@ -1,9 +1,10 @@
 """Shared test helpers: the one-interval readings the tests compare against.
 
-A piecewise solution is read through `coefficients(idx)`, `jumps(idx)` and
-`sol(t)` only.  These helpers spell out, from `coefficients`, the values on
-one interval at reference coordinates and the one-sided limits at a node;
-`ArrayPiecewise` reads a piecewise polynomial from one coefficient array;
+A piecewise solution is read through `coefficients(idx)` and `jumps(idx)`,
+for a slice idx of consecutive intervals, and `sol(t)` only.  These helpers
+spell out, from `coefficients`, the values on one interval at reference
+coordinates and the one-sided limits at a node; `ArrayPiecewise` reads a
+piecewise polynomial from one coefficient array, by the same slices;
 `pi_tilde_project` builds the right-node interpolating projection of the
 paper's analysis; `invert_scalar` runs a scalar Laplace transform through
 the contour inversion the references use.
@@ -25,7 +26,8 @@ class ArrayPiecewise(PiecewiseLegendre):
         self._coeffs = coeffs
 
     def coefficients(self, idx):
-        return self._coeffs[idx]
+        lo, hi = self._span(idx)
+        return self._coeffs[lo:hi]
 
 
 def interval_values(x, n, taus):

@@ -1,13 +1,17 @@
-"""Import-time dependencies: the built-in experiments run on numpy alone.
+"""Import-time dependencies and the top-level names.
 
-scipy is loaded on first use only, by general sparse operators, non-constant
-tridiagonal bands and the `.matrix` of an operator or a factorization.
+The built-in experiments run on numpy alone: scipy is loaded on first use
+only, by general sparse operators, non-constant tridiagonal bands and the
+`.matrix` of an operator or a factorization.  `dgtime.__all__` lists what
+the README and the benchmark read from the top level, and no submodule.
 """
 
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,7 +19,8 @@ import scipy.sparse as sp
 from dgtime.basis import make_workspace
 from dgtime.system import factorize_step_matrix, shifted_lu, solve_step, sparse_operator
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 WITHOUT_SCIPY = textwrap.dedent("""
     import sys
@@ -63,3 +68,22 @@ def test_sparse_paths_load_scipy_on_first_use():
     rhs = rng.standard_normal((3, 6))
     np.testing.assert_allclose(fac.matrix @ solve_step(fac, rhs).ravel(), rhs.ravel(),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_all_lists_the_top_level_names_the_readme_and_the_benchmark_read():
+    import dgtime
+
+    namespace = {}
+    exec("from dgtime import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dgtime.__all__)
+    assert len(set(dgtime.__all__)) == len(dgtime.__all__)
+    assert not [name for name in dgtime.__all__
+                if isinstance(getattr(dgtime, name), ModuleType)]
+    # every dt.<name> the README and perfbench/workloads.py use; dt.bench.TableRow
+    # reaches through a submodule, which stays an attribute of the package
+    for path in (ROOT / "README.md", ROOT / "perfbench" / "workloads.py"):
+        names = set(re.findall(r"\bdt\.(\w+)", path.read_text()))
+        assert names, path
+        for name in names:
+            if not isinstance(getattr(dgtime, name), ModuleType):
+                assert name in dgtime.__all__, (path.name, name)

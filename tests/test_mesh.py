@@ -97,6 +97,28 @@ def test_to_physical_rejects_bad_index():
         mesh.to_physical(4, 0.0)
 
 
+def test_non_integral_interval_index_raises_naming_it():
+    from dgtime.dg import dg_solve
+    from dgtime.models import ode_problem
+    from dgtime.postprocess import error_profile_deviation, jump_indicator
+    from dgtime.reference import ode_exact
+
+    mesh = uniform_mesh(2.0, 4)
+    sol = dg_solve(ode_problem(), mesh, 2)
+    for read, bad in ((lambda n: jump_indicator(sol, n), 2.5),
+                      (lambda n: mesh.to_physical(n, 0.0), 1.5),
+                      (lambda n: error_profile_deviation(sol, ode_exact, n), 2.0),
+                      (lambda n: mesh.to_physical(n, 0.0), np.array([1.0, 2.0]))):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+            read(bad)
+    # Python and numpy integers, and integer index arrays, pass
+    for n in (2, np.int32(2), np.int64(2)):
+        assert mesh.to_physical(n, 1.0) == mesh.nodes[2]
+        assert jump_indicator(sol, n) == jump_indicator(sol, 2)
+    assert np.array_equal(mesh.to_physical(np.array([1, 2], dtype=np.int32), 1.0),
+                          mesh.nodes[1:3])
+
+
 def test_to_physical_index_array_gives_one_row_per_interval():
     mesh = TimeMesh(np.array([0.0, 0.3, 1.1, 1.15, 2.0]))
     taus = np.linspace(-1.0, 1.0, 7)

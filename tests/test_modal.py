@@ -74,7 +74,7 @@ def _long_double_modal_solve(problem, factors, N, r):
     mesh = uniform_mesh(problem.T, N)
     k = problem.T / N
     ws = make_workspace(r)
-    nodes, weights = ws.quad
+    nodes, weights = ws.quad_nodes, ws.quad_weights
     a, b = mesh.nodes[:-1, None], mesh.nodes[1:, None]
     t_quad = 0.5 * ((1.0 - nodes) * a + (1.0 + nodes) * b)
     phi = problem.forcing.phi(t_quad)

@@ -122,7 +122,7 @@ def test_first_ode_step_against_dense_assembly():
     fac = factorize_step_matrix(scalar_operator(lam), ws, k)
 
     signs = (-1.0) ** np.arange(r)
-    nodes, weights = ws.quad
+    nodes, weights = ws.quad_nodes, ws.quad_weights
     t = 0.5 * k * (nodes + 1.0)
     moments = np.array([
         0.5 * k * np.sum(weights * np.cos(np.pi * t) *
