@@ -449,8 +449,9 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     Richardson-extrapolated from the grids P and 2P, heat2d uses Radau
     moments.  samples defaults to 50 for every experiment.  For the scalar
     ODE the two columns are signed differences, matching the usual
-    error-profile plots; for the PDEs they are discrete norms.  Raises
-    ValueError for the ode with a p.
+    error-profile plots; for the PDEs they are discrete norms.  The
+    solutions are read in the blocks of `max_error_sampled`, the reference
+    is called once per interval.  Raises ValueError for the ode with a p.
     """
     _check_ode_options(experiment, p)
     r, p, _, _, moments = _with_defaults(experiment, r, p, None, None, None)
@@ -464,19 +465,21 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     taus = np.linspace(-1.0, 1.0, samples)
     tables = [legendre_table(x.degree_count - 1, taus) for x in (sol, recon)]
     lines = ["t,U_minus_u,U_minus_Ustar"]
-    for m in range(1, mesh.N + 1):
-        ts = mesh.to_physical(m, taus)
-        rvals = _reference_values(reference, ts)
-        # U and U* on interval m, (samples, M) each: the streams are read forward
-        uvals, svals = (tab @ x.coefficients(slice(m - 1, m))[0]
+    block = max(1, MEASURE_BLOCK_ELEMENTS // (samples * sol.dim))
+    for start in range(0, mesh.N, block):
+        stop = min(start + block, mesh.N)
+        ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, samples)
+        # one reference call per interval: a call per block moves the bits
+        rvals = np.concatenate([_reference_values(reference, row) for row in ts])
+        # U and U* on the block, (B * samples, M) each: the streams are read forward
+        uvals, svals = ((tab @ x.coefficients(slice(start, stop))).reshape(-1, x.dim)
                         for tab, x in zip(tables, (sol, recon)))
-        for i, t in enumerate(ts):
-            u, s = uvals[i], svals[i]
+        for t, u, s, ref in zip(ts.ravel(), uvals, svals, rvals):
             if scalar:
-                a = u[0] - rvals[i, 0]
+                a = u[0] - ref[0]
                 b = u[0] - s[0]
             else:
-                a = state_norm(u - rvals[i], sol.norm_weight)
+                a = state_norm(u - ref, sol.norm_weight)
                 b = state_norm(u - s, sol.norm_weight)
             lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r}")
     return "\n".join(lines) + "\n"

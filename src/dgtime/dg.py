@@ -215,7 +215,8 @@ class DgSolution(PiecewiseLegendre):
     def jumps(self, idx) -> np.ndarray:
         """Jumps of the intervals idx (a 0-based slice), (len(idx), M): the row
         of interval n is the jump at t_{n-1}, the right limit from interval n
-        minus the left limit from interval n - 1 (u0 for n = 1)."""
+        minus the left limit from interval n - 1 (u0 for n = 1).  The jump of
+        interval n alone is jumps(slice(n - 1, n))[0]."""
         lo, hi = self._span(idx)
         if hi == lo:
             return np.empty((0, self.dim))
@@ -226,11 +227,6 @@ class DgSolution(PiecewiseLegendre):
             coeffs = self._rows(lo, hi)
             left = np.concatenate([self._carried[None], coeffs[:-1].sum(axis=1)])
         return (-1.0) ** np.arange(self.r) @ coeffs - left
-
-    def jump(self, n: int) -> np.ndarray:
-        """Jump at t_{n-1}, `jumps` of interval n."""
-        self.mesh._check_index(n)
-        return self.jumps(slice(n - 1, n))[0]
 
 
 def dg_solve(problem: LinearProblem, mesh: TimeMesh, r: int,

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import legendre_coeff, legendre_eval, legendre_table
+from .basis import legendre_coeff, legendre_table
 from .dg import DgSolution, PiecewiseLegendre, state_norm
 from .mesh import time_values
 
@@ -67,8 +67,10 @@ def reconstruct(sol: DgSolution) -> Reconstruction:
 
 
 def jump_indicator(sol: DgSolution, n: int) -> float:
-    """Norm of the solution jump at t_{n-1}; estimates the max error on I_n."""
-    return state_norm(sol.jump(n), sol.norm_weight)
+    """Norm of the solution jump at t_{n-1}, an estimate of the max error on I_n;
+    ValueError for n outside 1..N, which the slice read would clip silently."""
+    sol.mesh._check_index(n)
+    return state_norm(sol.jumps(slice(n - 1, n))[0], sol.norm_weight)
 
 
 def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
@@ -88,9 +90,10 @@ def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
     anr = np.atleast_1d(legendre_coeff(u, (a, b), r))
 
     taus = np.linspace(-1.0, 1.0, samples)
-    profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
+    table = legendre_table(r, taus)
+    profile = table[:, r] - table[:, r - 1]
     uvals = time_values(u, sol.mesh.to_physical(n, taus)).reshape(samples, -1)
-    uh = legendre_table(r - 1, taus) @ sol.coefficients(slice(n - 1, n))[0]
+    uh = table[:, :r] @ sol.coefficients(slice(n - 1, n))[0]
     resid = uh - uvals + profile[:, None] * anr[None, :]
     dev = max(state_norm(row, sol.norm_weight) for row in resid)
     return anr, dev

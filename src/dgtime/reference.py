@@ -123,8 +123,9 @@ def uhat_1d(x, z, cfg) -> np.ndarray:
 class ContourRule:
     """Trapezoid rule on a hyperbolic Bromwich contour for a time window.
 
-    Nodes come in conjugate pairs around one real node (the middle entry);
-    real parts are bounded above by mu (1 - sin alpha).
+    z and zprime hold the real node first and then the K upper half-plane
+    nodes; the lower nodes are their conjugates, which a real inversion
+    never needs.  Real parts are bounded above by mu (1 - sin alpha).
     """
 
     z: np.ndarray
@@ -133,23 +134,15 @@ class ContourRule:
     t_min: float
     t_max: float
 
-    @property
-    def half_count(self) -> int:
-        return (self.z.size - 1) // 2
-
-    def upper(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real node followed by the upper half-plane nodes."""
-        k = self.half_count
-        return self.z[k:], self.zprime[k:]
-
 
 def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRule:
-    """Contour z(x) = mu (1 + sin(ix - alpha)) sampled at 2K + 1 points, K = half_nodes.
+    """Contour z(x) = mu (1 + sin(ix - alpha)) sampled at x = 0, h, ..., K h = xmax.
 
-    mu is set from the cap on mu * t_max; the truncation point xmax makes the
-    tail factor exp(mu t_min (1 - sin(alpha) cosh(xmax))) meet the target
-    error, which for wider windows pushes xmax out and so requires more
-    nodes to keep the step (and hence the aliasing error) small.
+    K = half_nodes: the real node and the upper half of the 2K + 1 trapezoid
+    nodes.  mu is set from the cap on mu * t_max; the truncation point xmax
+    makes the tail factor exp(mu t_min (1 - sin(alpha) cosh(xmax))) meet the
+    target error, which for wider windows pushes xmax out and so requires
+    more nodes to keep the step (and hence the aliasing error) small.
 
     The budget assumes the transform's singularities lie on the nonpositive
     real axis, i.e. an operator A with nonnegative real spectrum (the heat
@@ -171,7 +164,7 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRu
     cosh_target = (CONTOUR_TRUNC * ratio / CONTOUR_MU_TMAX + 1.0) / math.sin(CONTOUR_ANGLE)
     xmax = math.acosh(cosh_target)
     h = xmax / half_nodes
-    xk = h * np.arange(-half_nodes, half_nodes + 1)
+    xk = h * np.arange(half_nodes + 1)
     sin_a, cos_a = math.sin(CONTOUR_ANGLE), math.cos(CONTOUR_ANGLE)
     z = mu * (1.0 - sin_a * np.cosh(xk) + 1j * cos_a * np.sinh(xk))
     zprime = mu * (-sin_a * np.sinh(xk) + 1j * cos_a * np.cosh(xk))
@@ -179,21 +172,20 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRu
 
 
 def _stack_values(values: np.ndarray) -> np.ndarray:
-    """Complex transform values V at the upper nodes as the real stack [Im V; Re V]."""
+    """Complex transform values V at the contour nodes as the real stack [Im V; Re V]."""
     return np.concatenate([values.imag, values.real])
 
 
 def _invert_values(rule: ContourRule, stacked: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Trapezoid inversion for cached transform values at the upper nodes.
+    """Trapezoid inversion for cached transform values at the nodes of rule.
 
     stacked is `_stack_values` of the values V.  Only Im(K V) is needed, and
     Im(K V) = Re K Im V + Im K Re V = [Re K, Im K] @ stacked, one real
     product in place of a complex one.
     """
-    zu, zpu = rule.upper()
-    coeff = np.ones(zu.size)
+    coeff = np.ones(rule.z.size)
     coeff[0] = 0.5  # the real node is shared between the two half sums
-    kernel = (rule.step / math.pi) * np.exp(np.outer(ts, zu)) * (coeff * zpu)[None, :]
+    kernel = (rule.step / math.pi) * np.exp(np.outer(ts, rule.z)) * (coeff * rule.zprime)[None, :]
     return np.concatenate([kernel.real, kernel.imag], axis=1) @ stacked
 
 
@@ -247,7 +239,7 @@ class _BandedContourReference:
     One contour cannot cover a window like [T/6400, T] at full accuracy with
     a fixed node budget, so the window splits into geometric bands of ratio
     at most DEFAULT_BAND_RATIO, each with its own rule and cached transform
-    values at the upper nodes, fetched in one `_transforms` call per band
+    values at its nodes, fetched in one `_transforms` call per band
     and kept as the real stack of `_stack_values`.  source is what a
     subclass is built from, so `type(self)(source, t_min, t_max,
     half_nodes)` builds the same reference with other nodes; initial is the
@@ -267,9 +259,8 @@ class _BandedContourReference:
         while True:
             lo = max(hi / DEFAULT_BAND_RATIO, self.t_min)
             rule = hyperbolic_contour(lo, hi, half_nodes)
-            zu, _ = rule.upper()
             self._rules.append(rule)
-            self._values.append(_stack_values(self._transforms(zu)))
+            self._values.append(_stack_values(self._transforms(rule.z)))
             if lo <= self.t_min * (1.0 + 1e-12):
                 break
             hi = lo

@@ -67,6 +67,5 @@ def pi_tilde_project(v, mesh, r):
 
 def invert_scalar(transform, ts, rule):
     """Contour inversion of a scalar transform (vectorised over z) at the times ts."""
-    zu, _ = rule.upper()
-    values = np.asarray(transform(zu), dtype=complex)[:, None]
+    values = np.asarray(transform(rule.z), dtype=complex)[:, None]
     return _invert_values(rule, _stack_values(values), np.asarray(ts, dtype=float))[:, 0]

@@ -317,16 +317,18 @@ def test_measuring_a_streamed_row_holds_no_coefficient_array(monkeypatch):
 
 
 def test_profile_reads_its_streams_interval_by_interval(monkeypatch):
-    # heat2d's 529 interior points stepped in chunks of 4 x 4 intervals: the
-    # profile holds no (N, r, M) coefficient array and no (N, samples, M)
-    # sample array, only a chunk and one interval's samples at a time
-    n, r, p = 512, 3, 24
+    # heat2d's 529 interior points stepped in chunks of 4 x 4 intervals and
+    # read in blocks of 4 intervals: the profile holds no (N, r, M)
+    # coefficient array and no (N, samples, M) sample array, only a chunk
+    # and one block's samples at a time
+    n, r, p, samples = 512, 3, 24, 2
     dim = (p - 1) ** 2
     monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", 4 * r * dim)
+    monkeypatch.setattr(bench, "MEASURE_BLOCK_ELEMENTS", 4 * samples * dim)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        text = run_profile("heat2d", r=r, n=n, p=p, samples=2)
+        text = run_profile("heat2d", r=r, n=n, p=p, samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

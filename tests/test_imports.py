@@ -3,17 +3,21 @@
 The built-in experiments run on numpy alone: scipy is loaded on first use
 only, by general sparse operators, non-constant tridiagonal bands and the
 `.matrix` of an operator or a factorization.  `dgtime.__all__` lists what
-the README and the benchmark read from the top level, and no submodule.
+the README and the benchmark read from the top level, and no submodule;
+each submodule's `__all__` names only what it defines.
 """
 
+import importlib
 import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 from types import ModuleType
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from dgtime.basis import make_workspace
@@ -87,3 +91,18 @@ def test_all_lists_the_top_level_names_the_readme_and_the_benchmark_read():
         for name in names:
             if not isinstance(getattr(dgtime, name), ModuleType):
                 assert name in dgtime.__all__, (path.name, name)
+
+
+@pytest.mark.parametrize("name", sorted({path.stem for path in (SRC / "dgtime").glob("*.py")}
+                                         - {"__init__", "__main__"}))
+def test_submodule_all_names_resolve_and_star_import_binds_them(name):
+    # a name left in __all__ after its definition went fails the star import
+    module = importlib.import_module(f"dgtime.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    for attr in module.__all__:
+        assert hasattr(module, attr), (name, attr)
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(f"from dgtime.{name} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(module.__all__)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgtime.basis import legendre_eval, legendre_table, radau_abscissas
+from dgtime.basis import legendre_table, radau_rule
 from dgtime.bench import max_error_sampled
 from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
@@ -32,8 +32,7 @@ def test_reconstruction_coefficient_table():
     sol = ode_solution(3, 6)
     coeffs, dg_coeffs = reconstruct(sol).coefficients(slice(None)), sol.coefficients(slice(None))
     for n in range(1, 7):
-        jump = sol.jump(n)
-        half = 0.5 * (-1.0) ** 3 * jump
+        half = 0.5 * (-1.0) ** 3 * sol.jumps(slice(n - 1, n))[0]
         np.testing.assert_allclose(coeffs[n - 1][:2], dg_coeffs[n - 1][:2], rtol=1e-14)
         np.testing.assert_allclose(coeffs[n - 1][2], dg_coeffs[n - 1][2] + half, rtol=1e-13)
         np.testing.assert_allclose(coeffs[n - 1][3], -half, rtol=1e-13)
@@ -114,7 +113,8 @@ def test_jump_blocks_equal_the_whole_mesh_jumps(seed, n, r, dim):
         assert np.array_equal(sol.jumps(idx), jumps[idx])
         assert np.array_equal(recon.coefficients(idx), full[idx])
     for m in (1, start + 1, n):
-        assert np.array_equal(sol.jump(m), jumps[m - 1])
+        assert np.array_equal(sol.jumps(slice(m - 1, m))[0], jumps[m - 1])
+        assert jump_indicator(sol, m) == state_norm(jumps[m - 1], sol.norm_weight)
 
 
 def test_measuring_holds_no_array_of_jumps():
@@ -152,13 +152,13 @@ def test_reading_one_interval_allocates_nothing_of_size_n():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        reads = (sol.coefficients(slice(m - 1, m)), sol.jumps(slice(m - 1, m)), sol.jump(m),
-                 recon.coefficients(slice(m - 1, m)))
+        reads = (sol.coefficients(slice(m - 1, m)), sol.jumps(slice(m - 1, m)),
+                 jump_indicator(sol, m), recon.coefficients(slice(m - 1, m)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before < n * np.dtype(np.int64).itemsize
-    assert np.array_equal(reads[1][0], reads[2])
+    assert reads[2] == state_norm(reads[1][0])
     assert reads[3].shape == (1, 2, 1)
 
 
@@ -177,21 +177,22 @@ def test_reconstruction_identities_on_dg_solves_with_random_meshes(seed, n, r, d
     atol = 1e-12 * (1.0 + np.max(np.abs(sol.coefficients(slice(None)))))
     for m in range(1, n + 1):
         outgoing = sol.u0 if m == 1 else left_limit(sol, m - 1)
-        np.testing.assert_allclose(sol.jump(m), right_limit(sol, m - 1) - outgoing,
-                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(sol.jumps(slice(m - 1, m))[0],
+                                   right_limit(sol, m - 1) - outgoing, rtol=0, atol=atol)
     # U* is continuous and starts from u0
     np.testing.assert_allclose(right_limit(recon, 0), sol.u0, rtol=0, atol=atol)
     for m in range(1, n):
         np.testing.assert_allclose(left_limit(recon, m), right_limit(recon, m), rtol=0, atol=atol)
     # U* = U at the interior Radau points, and U - U* is the scaled Radau polynomial
-    interior = radau_abscissas(r)[:-1]
+    interior = radau_rule(r)[0][:-1]
     taus = np.linspace(-1.0, 1.0, 11)
-    profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
+    table = legendre_table(r, taus)
+    profile = table[:, r] - table[:, r - 1]
     for m in range(1, n + 1):
         if interior.size:
             np.testing.assert_allclose(interval_values(recon, m, interior),
                                        interval_values(sol, m, interior), rtol=0, atol=atol)
-        expected = 0.5 * (-1.0) ** r * np.outer(profile, sol.jump(m))
+        expected = 0.5 * (-1.0) ** r * np.outer(profile, sol.jumps(slice(m - 1, m))[0])
         np.testing.assert_allclose(interval_values(sol, m, taus) - interval_values(recon, m, taus),
                                    expected, rtol=0, atol=atol)
 
@@ -226,7 +227,7 @@ def test_reconstruction_interpolates_at_interior_radau_points():
     r = 4
     sol = ode_solution(r, 8)
     recon = reconstruct(sol)
-    radau = radau_abscissas(r)
+    radau = radau_rule(r)[0]
     for n in range(1, 9):
         u_vals = interval_values(sol, n, radau[:-1])
         s_vals = interval_values(recon, n, radau[:-1])
@@ -262,10 +263,11 @@ def test_u_minus_ustar_is_scaled_radau_polynomial():
     sol = ode_solution(r, 6)
     recon = reconstruct(sol)
     taus = np.linspace(-1, 1, 50)
-    profile = legendre_eval(r, taus) - legendre_eval(r - 1, taus)
+    table = legendre_table(r, taus)
+    profile = table[:, r] - table[:, r - 1]
     for n in range(1, 7):
         diff = interval_values(sol, n, taus)[:, 0] - interval_values(recon, n, taus)[:, 0]
-        expected = 0.5 * (-1.0) ** r * sol.jump(n)[0] * profile
+        expected = 0.5 * (-1.0) ** r * sol.jumps(slice(n - 1, n))[0, 0] * profile
         np.testing.assert_allclose(diff, expected, rtol=1e-11, atol=1e-14)
 
 
@@ -328,7 +330,7 @@ def test_pi_tilde_drops_top_degree_to_lower_one():
     proj = pi_tilde_project(v, mesh, r)
     taus = np.linspace(-1, 1, 25)
     for n in (1, 2):
-        expected = legendre_eval(r - 1, taus)
+        expected = legendre_table(r - 1, taus)[:, r - 1]
         np.testing.assert_allclose(interval_values(proj, n, taus)[:, 0], expected,
                                    rtol=1e-11, atol=1e-12)
 
@@ -415,7 +417,7 @@ def test_error_profile_residual_converges_one_order_faster():
 
 def test_radau_point_superconvergence():
     r = 3
-    radau = radau_abscissas(r)
+    radau = radau_rule(r)[0]
     errors = {}
     for N in (16, 32, 64):
         sol = ode_solution(r, N)
@@ -458,7 +460,7 @@ def test_jump_estimate_and_radau_superconvergence_on_heat2d():
         effectivity = jumps / max_errors(sol, ns, np.linspace(-1.0, 1.0, 50))
         assert np.all((0.95 <= effectivity) & (effectivity <= 1.05)), (N, effectivity)
         distance[N] = np.max(np.abs(effectivity - 1.0))
-        radau_error[N] = np.max(max_errors(sol, ns, radau_abscissas(r)))
+        radau_error[N] = np.max(max_errors(sol, ns, radau_rule(r)[0]))
     assert distance[64] <= 0.5 * distance[16]
     rates = [np.log2(radau_error[N] / radau_error[2 * N]) for N in (16, 32, 64)]
     assert all(r + 0.7 <= rate <= r + 1.7 for rate in rates), rates

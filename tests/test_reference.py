@@ -161,7 +161,7 @@ def test_uhat_rejects_the_closed_negative_real_axis(z):
 
 
 _GREEN_X = (0.05, 0.6, 1.3, 1.95)
-_GREEN_NODES = hyperbolic_contour(0.25, 2.0, 48).upper()[0][::16]
+_GREEN_NODES = hyperbolic_contour(0.25, 2.0, 48).z[::16]
 
 
 @pytest.fixture(scope="module")
@@ -209,11 +209,11 @@ def test_uhat_matches_greens_function_quadrature(greens_monomials, u0_poly, with
 
 
 def test_contour_structure():
+    # the real node, then the K upper half-plane nodes; no lower node is formed
     rule = hyperbolic_contour(0.1, 1.0, half_nodes=20)
-    assert rule.z.size == 41
-    k = rule.half_count
-    assert rule.z[k].imag == 0.0
-    np.testing.assert_allclose(rule.z[:k], np.conj(rule.z[:k:-1]), rtol=1e-14)
+    assert rule.z.size == rule.zprime.size == 21
+    assert rule.z[0].imag == 0.0
+    assert np.all(rule.z[1:].imag > 0.0)
     assert np.max(rule.z.real) < 0.5 * 40.0  # bounded by mu (1 - sin alpha)
 
 
@@ -350,7 +350,7 @@ def test_uhat_vectorised_over_z_matches_single_nodes(with_forcing, p):
     cfg = Heat1dConfig(P=p, with_forcing=with_forcing)
     x = cfg.x_interior
     for t_min, t_max in [(0.25, 2.0), (2.0 / 64, 0.25), (2.0 / 6400, 2.0 / 4096)]:
-        zu, _ = hyperbolic_contour(t_min, t_max, half_nodes=48).upper()
+        zu = hyperbolic_contour(t_min, t_max, half_nodes=48).z
         many = uhat_1d(x, zu, cfg)
         assert many.shape == (zu.size, x.size)
         single = np.stack([uhat_1d(x, z, cfg) for z in zu])
