@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -372,10 +372,11 @@ def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
         problem = ode_problem()
         return _Study(problem.T, 1, "abs", _solver(problem, r, moments),
                       lambda t_lo: ode_exact, False)
+    drop = {"forcing": None} if homogeneous else {}  # the problem's forcing is the one switch
     if experiment == "heat1d":
         # Richardson extrapolation from the spatial grids P and 2P
-        cfg = Heat1dConfig(P=p, with_forcing=not homogeneous)
-        prob_c, prob_f = heat1d_problem(cfg), heat1d_problem(cfg.refined())
+        cfg = Heat1dConfig(P=p)
+        prob_c, prob_f = (replace(heat1d_problem(c), **drop) for c in (cfg, cfg.refined()))
 
         def solve(mesh):
             sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments, stream=True)
@@ -384,9 +385,9 @@ def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
                     ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f)))
 
         return _Study(cfg.T, p, "discrete-L2(h)", solve,
-                      lambda t_lo: Heat1dReference(cfg, t_lo, cfg.T), True)
-    cfg = Heat2dConfig(Px=p, Py=p, with_forcing=not homogeneous)
-    problem = heat2d_problem(cfg)
+                      lambda t_lo: Heat1dReference(cfg, prob_c.forcing, t_lo, cfg.T), True)
+    cfg = Heat2dConfig(Px=p, Py=p)
+    problem = replace(heat2d_problem(cfg), **drop)
     return _Study(cfg.T, p, "discrete-L2(hx*hy)", _solver(problem, r, moments),
                   lambda t_lo: Heat2dReference(problem, t_lo, cfg.T), True)
 

@@ -78,7 +78,8 @@ class LinearProblem:
 
     norm_weight is the mesh weight of the discrete spatial norm (1 for
     scalar problems, h or hx*hy for grid states).  forcing is the separable
-    right-hand side phi(t) g, or None for the homogeneous problem.
+    right-hand side phi(t) g, or None for the homogeneous problem.  A u0 or
+    profile of the wrong dimension or with a non-finite entry raises ValueError.
     """
 
     A: LinearOperator
@@ -93,6 +94,10 @@ class LinearProblem:
             raise ValueError("initial state dimension does not match the operator")
         if self.forcing is not None and self.forcing.profile.shape != (self.A.dim,):
             raise ValueError("forcing profile dimension does not match the operator")
+        if not np.all(np.isfinite(self.u0)):
+            raise ValueError("initial state u0 has a non-finite entry")
+        if self.forcing is not None and not np.all(np.isfinite(self.forcing.profile)):
+            raise ValueError("forcing profile has a non-finite entry")
         if self.T <= 0:
             raise ValueError("final time must be positive")
 

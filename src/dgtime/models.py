@@ -3,19 +3,19 @@
 The PDEs are discretized in space by standard central differences (method of
 lines), producing stiff linear systems that the DG time stepper advances.
 Thermal conductivities are chosen so the smallest discrete eigenvalue is
-close to 1, which normalises the time scale of the slowest mode.
+close to 1, which normalises the time scale of the slowest mode.  Both heat
+problems carry the forcing (1 + t) exp(-t); a homogeneous run drops it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .dg import Forcing, LinearProblem
-from .reference import fhat
 from .system import kronecker_sum_operator, scalar_operator, tridiagonal_operator
 
 __all__ = [
@@ -24,7 +24,18 @@ __all__ = [
     "ode_problem",
     "heat1d_problem",
     "heat2d_problem",
+    "fhat",
 ]
+
+ODE_LAMBDA = 0.5  # decay rate of the scalar model problem u' + u/2 = cos(pi t)
+
+
+def fhat(z):
+    """Laplace transform of (1 + t) exp(-t): 1/(z + 1) + 1/(z + 1)^2, elementwise."""
+    w = z + 1.0
+    if np.any(np.abs(w) < 1e-12):
+        raise ValueError("transform has a pole at z = -1")
+    return 1.0 / w + 1.0 / (w * w)
 
 
 def _heat_forcing(dim: int) -> Forcing:
@@ -43,7 +54,7 @@ def _check_positive(cfg, *names: str):
 def ode_problem() -> LinearProblem:
     """u' + u/2 = cos(pi t) on (0, 2] with u(0) = 1."""
     return LinearProblem(
-        A=scalar_operator(0.5),
+        A=scalar_operator(ODE_LAMBDA),
         u0=np.array([1.0]),
         T=2.0,
         forcing=Forcing(lambda t: np.cos(math.pi * t), np.ones(1)),
@@ -57,8 +68,7 @@ class Heat1dConfig:
     u0_poly lists the polynomial coefficients of the initial profile in
     increasing powers of x; the default is x(L - x).  An empty or
     non-finite u0_poly, and a kappa, L or T that is not finite and
-    positive, raise ValueError.  The forcing, when enabled, is the
-    spatially constant (1 + t) exp(-t).
+    positive, raise ValueError.
     """
 
     L: float = 2.0
@@ -66,7 +76,6 @@ class Heat1dConfig:
     P: int = 500
     T: float = 2.0
     u0_poly: tuple[float, ...] = (0.0, 2.0, -1.0)
-    with_forcing: bool = True
 
     def __post_init__(self):
         if self.P < 2:
@@ -90,8 +99,7 @@ class Heat1dConfig:
 
     def refined(self) -> "Heat1dConfig":
         """Same problem on the spatial grid refined by 2."""
-        return Heat1dConfig(self.L, self.kappa, 2 * self.P, self.T,
-                            self.u0_poly, self.with_forcing)
+        return replace(self, P=2 * self.P)
 
 
 def heat1d_problem(cfg: Heat1dConfig) -> LinearProblem:
@@ -104,7 +112,7 @@ def heat1d_problem(cfg: Heat1dConfig) -> LinearProblem:
         u0=cfg.u0(cfg.x_interior),
         T=cfg.T,
         norm_weight=cfg.h,
-        forcing=_heat_forcing(n) if cfg.with_forcing else None,
+        forcing=_heat_forcing(n),
     )
 
 
@@ -128,7 +136,6 @@ class Heat2dConfig:
     kappa: float = 2.0 / math.pi**2
     T: float = 2.0
     u0: Callable = _default_u0_2d
-    with_forcing: bool = True
 
     def __post_init__(self):
         if self.Px < 2 or self.Py < 2:
@@ -169,6 +176,6 @@ def heat2d_problem(cfg: Heat2dConfig) -> LinearProblem:
         u0=u0,
         T=cfg.T,
         norm_weight=cfg.hx * cfg.hy,
-        forcing=_heat_forcing(cfg.dim) if cfg.with_forcing else None,
+        forcing=_heat_forcing(cfg.dim),
     )
 

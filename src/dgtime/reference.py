@@ -5,7 +5,8 @@ the Laplace transform: for the 1D continuous solution, the transformed
 two-point problem with polynomial data is solved in closed form, as a
 polynomial particular solution plus two sinh boundary-layer terms; for the
 2D solution, the resolvent of the semidiscrete operator is diagonal in its
-sine eigenbasis.  Both are inverted numerically on a hyperbolic Bromwich
+sine eigenbasis.  Both take the problem's `Forcing` phi(t) g with phi's
+transform phi_hat.  Both are inverted numerically on a hyperbolic Bromwich
 contour (Weideman & Trefethen, Math. Comp. 76, 2007).  One step of
 Richardson extrapolation removes the leading spatial error of the 1D
 method-of-lines solutions.
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import ODE_LAMBDA
 from .system import shifted_lu
 
 __all__ = [
     "ode_exact",
-    "fhat",
     "uhat_1d",
     "ContourRule",
     "hyperbolic_contour",
@@ -35,8 +36,6 @@ __all__ = [
     "Heat1dReference",
     "Heat2dReference",
 ]
-
-_ODE_LAMBDA = 0.5
 
 # Hyperbolic contour budget: z = mu (1 + sin(i x - alpha)), |x| <= xmax.
 # CONTOUR_MU_TMAX caps mu * t_max, which bounds the integrand growth factor
@@ -54,7 +53,7 @@ REFINEMENT_EXTRA_NODES = 8  # refinement_check's twin has this many more half no
 
 def ode_exact(t):
     """Exact solution of u' + u/2 = cos(pi t), u(0) = 1."""
-    lam = _ODE_LAMBDA
+    lam = ODE_LAMBDA
     denom = lam * lam + math.pi**2
     t = np.asarray(t, dtype=float)
     out = (1.0 - lam / denom) * np.exp(-lam * t) + (
@@ -63,21 +62,16 @@ def ode_exact(t):
     return float(out) if out.ndim == 0 else out
 
 
-def fhat(z):
-    """Laplace transform of (1 + t) exp(-t): 1/(z + 1) + 1/(z + 1)^2, elementwise."""
-    w = z + 1.0
-    if np.any(np.abs(w) < 1e-12):
-        raise ValueError("transform has a pole at z = -1")
-    return 1.0 / w + 1.0 / (w * w)
-
-
-def uhat_1d(x, z, cfg) -> np.ndarray:
+def uhat_1d(x, z, cfg, forcing) -> np.ndarray:
     """Laplace transform of the continuous 1D heat solution at position(s) x.
 
     Solves the two-point problem z uhat - kappa uhat'' = g, uhat(0) =
-    uhat(L) = 0, with g = u0 + fhat(z) (the forcing term only when cfg has
-    one).  For the polynomial data of cfg it has the polynomial particular
-    solution p = sum_m kappa^m g^(2m) / z^(m+1), a finite sum, and
+    uhat(L) = 0, with g = u0 + g0 phi_hat(z) for the forcing phi(t) g0 of
+    the problem (`Forcing`; None for the homogeneous problem).  phi_hat is
+    called once, on the array of z.  A forcing without phi_hat or whose
+    profile is not constant raises ValueError.  For the polynomial data of
+    cfg it has the polynomial particular solution p = sum_m kappa^m
+    g^(2m) / z^(m+1), a finite sum, and
 
         uhat(x) = p(x) - p(0) s(L - x) - p(L) s(x),
         s(xi) = sinh(w xi) / sinh(w L)
@@ -90,6 +84,10 @@ def uhat_1d(x, z, cfg) -> np.ndarray:
     on the closed negative real axis, where the formula divides by z or by
     sinh(w L) = 0.
     """
+    if forcing is not None and forcing.phi_hat is None:
+        raise ValueError("the forcing has no Laplace transform phi_hat")
+    if forcing is not None and np.any(forcing.profile != forcing.profile[0]):
+        raise ValueError("uhat_1d needs a spatially constant forcing profile")
     L = cfg.L
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -101,8 +99,8 @@ def uhat_1d(x, z, cfg) -> np.ndarray:
     # coefficient stacks: powers of x along axis 0, one column per z
     poly = np.polynomial.polynomial
     g = np.repeat(np.asarray(cfg.u0_poly, dtype=complex)[:, None], zs.size, axis=1)
-    if cfg.with_forcing:
-        g[0] += fhat(zs)
+    if forcing is not None:
+        g[0] += forcing.profile[0] * forcing.phi_hat(zs)
     p = g / zs
     term = p
     while len(term) > 2:
@@ -240,13 +238,13 @@ class _BandedContourReference:
     a fixed node budget, so the window splits into geometric bands of ratio
     at most DEFAULT_BAND_RATIO, each with its own rule and cached transform
     values at its nodes, fetched in one `_transforms` call per band
-    and kept as the real stack of `_stack_values`.  source is what a
-    subclass is built from, so `type(self)(source, t_min, t_max,
-    half_nodes)` builds the same reference with other nodes; initial is the
-    state at t = 0.
+    and kept as the real stack of `_stack_values`.  source is the tuple of
+    arguments a subclass is built from, so `type(self)(*source, t_min,
+    t_max, half_nodes)` builds the same reference with other nodes; initial
+    is the state at t = 0.
     """
 
-    def __init__(self, source, initial: np.ndarray, t_min: float, t_max: float,
+    def __init__(self, source: tuple, initial: np.ndarray, t_min: float, t_max: float,
                  half_nodes: int):
         if not 0.0 < t_min <= t_max:
             raise ValueError("need 0 < t_min <= t_max")
@@ -300,7 +298,7 @@ class _BandedContourReference:
 
     def refinement_check(self, ts) -> float:
         """Max relative change of the reference values under node refinement."""
-        twin = type(self)(self._source, self.t_min, self.t_max,
+        twin = type(self)(*self._source, self.t_min, self.t_max,
                           self.half_nodes + REFINEMENT_EXTRA_NODES)
         base = self.eval_many(ts)
         other = twin.eval_many(ts)
@@ -310,16 +308,16 @@ class _BandedContourReference:
 
 
 class Heat1dReference(_BandedContourReference):
-    """Continuous 1D heat solution sampled on the interior grid of cfg."""
+    """Continuous 1D heat solution on the interior grid of cfg, forced as in `uhat_1d`."""
 
-    def __init__(self, cfg, t_min: float, t_max: float,
+    def __init__(self, cfg, forcing, t_min: float, t_max: float,
                  half_nodes: int = DEFAULT_BAND_HALF_NODES):
-        self.cfg = cfg
+        self.cfg, self.forcing = cfg, forcing
         self._x = cfg.x_interior
-        super().__init__(cfg, cfg.u0(self._x), t_min, t_max, half_nodes)
+        super().__init__((cfg, forcing), cfg.u0(self._x), t_min, t_max, half_nodes)
 
     def _transforms(self, zs: np.ndarray) -> np.ndarray:
-        return uhat_1d(self._x, zs, self.cfg)
+        return uhat_1d(self._x, zs, self.cfg, self.forcing)
 
 
 class Heat2dReference(_BandedContourReference):
@@ -340,7 +338,7 @@ class Heat2dReference(_BandedContourReference):
             raise ValueError(f"the operator has a negative eigenvalue {float(np.min(spectrum))!r}: "
                              "the contour needs a nonnegative spectrum")
         self.problem = problem
-        super().__init__(problem, problem.u0, t_min, t_max, half_nodes)
+        super().__init__((problem,), problem.u0, t_min, t_max, half_nodes)
 
     def _transforms(self, zs: np.ndarray) -> np.ndarray:
         return resolvent_2d(zs, self.problem)

@@ -18,7 +18,7 @@ from dgtime.basis import g_matrix, h_diag, legendre_table, make_workspace, radau
 from dgtime.bench import HEAT_N_LIST, _reference_floor
 from dgtime.dg import Forcing, LinearProblem, dg_solve
 from dgtime.mesh import uniform_mesh
-from dgtime.models import Heat1dConfig, Heat2dConfig, heat2d_problem, ode_problem
+from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from dgtime.postprocess import error_profile_deviation, jump_indicator, reconstruct
 from dgtime.reference import (
     Heat1dReference,
@@ -164,11 +164,13 @@ def reference_gate():
     t_lo_cut = _reference_floor(2.0, HEAT_N_LIST, True, 50)
     t_lo_full = _reference_floor(2.0, HEAT_N_LIST, False, 50)
 
-    ref = Heat1dReference(Heat1dConfig(), t_lo_cut, 2.0)
+    cfg = Heat1dConfig()
+    forcing = heat1d_problem(cfg).forcing
+    ref = Heat1dReference(cfg, forcing, t_lo_cut, 2.0)
     checks["heat1d cutoff"] = ref.refinement_check(cutoff_times)
-    ref = Heat1dReference(Heat1dConfig(), t_lo_full, 2.0)
+    ref = Heat1dReference(cfg, forcing, t_lo_full, 2.0)
     checks["heat1d weighted (mixed)"] = ref.refinement_check(full_times)
-    ref = Heat1dReference(Heat1dConfig(with_forcing=False), t_lo_full, 2.0)
+    ref = Heat1dReference(cfg, None, t_lo_full, 2.0)
     checks["heat1d weighted (homogeneous)"] = ref.refinement_check(full_times)
 
     times_2d = _experiment_sample_times(HEAT_N_LIST, 2.0, 4, cutoff=True)

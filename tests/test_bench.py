@@ -21,7 +21,14 @@ from dgtime.bench import (
 from dgtime.basis import legendre_table
 from dgtime.dg import DgSolution, PiecewiseLegendre, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
+from dgtime.models import (
+    Heat1dConfig,
+    Heat2dConfig,
+    fhat,
+    heat1d_problem,
+    heat2d_problem,
+    ode_problem,
+)
 from dgtime.postprocess import reconstruct
 from dgtime.reference import Heat1dReference, Heat2dReference, ode_exact, richardson
 
@@ -443,7 +450,8 @@ def test_run_profile_equals_materialized_computation(monkeypatch, experiment, p,
         sols = [dg_solve(heat1d_problem(c), mesh, 3) for c in (cfg, cfg.refined())]
         coeffs_u = richardson(*(s.coefficients(slice(None)) for s in sols))
         coeffs_star = richardson(*(reconstruct(s).coefficients(slice(None)) for s in sols))
-        reference = Heat1dReference(cfg, bench._sample_floor(cfg.T, n, samples), cfg.T)
+        reference = Heat1dReference(cfg, heat1d_problem(cfg).forcing,
+                                    bench._sample_floor(cfg.T, n, samples), cfg.T)
     else:
         problem = heat2d_problem(Heat2dConfig(Px=p, Py=p))
         mesh = uniform_mesh(problem.T, n)
@@ -630,6 +638,28 @@ def test_ode_rejects_pde_options_before_solving(monkeypatch):
     with pytest.raises(SystemExit, match="ode experiment takes no homogeneous"):
         main(["ode", "--r", "2", "--N", "4,8", "--homogeneous"])
     assert calls == []
+
+
+@pytest.mark.parametrize("experiment", ["heat1d", "heat2d"])
+def test_homogeneous_study_drops_the_forcing_from_problems_and_reference(monkeypatch, experiment):
+    # the problem's forcing is the one switch: the solved problems (P and 2P
+    # for heat1d) and the reference all read it
+    solved = []
+    monkeypatch.setattr(bench, "dg_solve", lambda problem, *args, **kwargs: solved.append(problem))
+    monkeypatch.setattr(bench, "reconstruct", lambda sol: sol)
+    monkeypatch.setattr(bench, "ExtrapolatedSolution", lambda *sols: sols)
+    for homogeneous in (False, True):
+        solved.clear()
+        study = bench._study(experiment, 2, 6, "gauss", homogeneous)
+        study.solve(uniform_mesh(study.T, 2))
+        reference = study.reference(0.5)
+        forcings = [problem.forcing for problem in solved]
+        forcings.append(reference.forcing if experiment == "heat1d" else reference.problem.forcing)
+        assert len(forcings) == (3 if experiment == "heat1d" else 2)
+        if homogeneous:
+            assert forcings == [None] * len(forcings)
+        else:
+            assert all(forcing.phi_hat is fhat for forcing in forcings)
 
 
 def test_profile_rejects_the_flags_it_ignores(monkeypatch):

@@ -1,4 +1,6 @@
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,6 +353,28 @@ def test_forcing_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="forcing profile dimension"):
         LinearProblem(A=spd_tridiagonal(3), u0=np.ones(3), T=1.0,
                       forcing=Forcing(np.cos, np.ones(4)))
+
+
+def test_non_finite_initial_state_rejected():
+    # unchecked, a NaN entry reached Heat2dReference as a singular resolvent
+    # system and dg_solve as non-finite coefficients at step n = 1
+    problem = heat2d_problem(Heat2dConfig(Px=6, Py=6))
+    u0 = problem.u0.copy()
+    u0[7] = np.nan
+    with pytest.raises(ValueError, match="^initial state u0 has a non-finite entry$"):
+        replace(problem, u0=u0)
+
+
+def test_non_finite_forcing_profile_rejected():
+    # unchecked, an inf entry printed RuntimeWarnings before any error
+    problem = heat2d_problem(Heat2dConfig(Px=6, Py=6))
+    profile = problem.forcing.profile.copy()
+    profile[-1] = np.inf
+    forcing = Forcing(problem.forcing.phi, profile, problem.forcing.phi_hat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^forcing profile has a non-finite entry$"):
+            replace(problem, forcing=forcing)
 
 
 def test_forcing_phi_called_once_per_solve():

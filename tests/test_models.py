@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from dgtime.models import (
     Heat1dConfig,
     Heat2dConfig,
+    fhat,
     heat1d_problem,
     heat2d_problem,
     ode_problem,
@@ -60,8 +63,24 @@ def test_heat1d_initial_profile():
 
 
 def test_heat1d_homogeneous_config():
-    problem = heat1d_problem(Heat1dConfig(P=20, with_forcing=False))
-    assert problem.forcing is None
+    # the configs carry no forcing switch: every heat problem has the model
+    # forcing, and a homogeneous problem drops it from the problem itself
+    assert len(dataclasses.fields(Heat1dConfig)) == 5
+    assert len(dataclasses.fields(Heat2dConfig)) == 7
+    problems = [heat1d_problem(Heat1dConfig(P=20)), heat2d_problem(Heat2dConfig(Px=4, Py=4))]
+    for problem in problems:
+        assert problem.forcing.phi_hat is fhat
+        assert np.all(problem.forcing.profile == 1.0)
+    homogeneous = dataclasses.replace(problems[0], forcing=None)
+    assert homogeneous.forcing is None
+    assert np.array_equal(homogeneous.f(np.array([0.7])), np.zeros((1, 19)))
+
+
+def test_heat1d_refined_doubles_p_and_keeps_every_other_field():
+    cfg = Heat1dConfig(L=3.0, kappa=0.7, P=12, T=1.5, u0_poly=(1.0, -0.5, 0.25))
+    fine = cfg.refined()
+    assert fine.P == 24
+    assert (fine.L, fine.kappa, fine.T, fine.u0_poly) == (3.0, 0.7, 1.5, (1.0, -0.5, 0.25))
 
 
 def test_heat1d_forcing_is_spatially_constant():
@@ -72,7 +91,7 @@ def test_heat1d_forcing_is_spatially_constant():
     ts = np.array([[0.7, 1.1, 0.0]])
     assert problem.f(ts).shape == (1, 3, 19)
     assert np.array_equal(problem.f(ts)[0, 0], vals)
-    assert heat1d_problem(Heat1dConfig(P=20, with_forcing=False)).f(ts).shape == (1, 3, 19)
+    assert dataclasses.replace(problem, forcing=None).f(ts).shape == (1, 3, 19)
     assert np.ptp(vals) == 0.0
     assert vals[0] == pytest.approx(1.7 * np.exp(-0.7), rel=1e-14)
 

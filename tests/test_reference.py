@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,11 +8,17 @@ from scipy.integrate import quad, solve_ivp
 
 from dgtime.dg import Forcing, LinearProblem
 from dgtime.system import LinearOperator, SineEigenbasis, diagonal_operator, sparse_operator
-from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem
+from dgtime.models import (
+    ODE_LAMBDA,
+    Heat1dConfig,
+    Heat2dConfig,
+    fhat,
+    heat1d_problem,
+    heat2d_problem,
+)
 from dgtime.reference import (
     Heat1dReference,
     Heat2dReference,
-    fhat,
     hyperbolic_contour,
     ode_exact,
     resolvent_2d,
@@ -21,7 +28,12 @@ from dgtime.reference import (
 
 from dg_helpers import invert_scalar
 
-LAM = 0.5
+LAM = ODE_LAMBDA
+
+
+def model_forcing(cfg, forced=True):
+    """The forcing a heat1d problem on cfg carries, or None for the homogeneous one."""
+    return heat1d_problem(cfg).forcing if forced else None
 
 
 def test_ode_exact_initial_value():
@@ -118,27 +130,57 @@ def test_heat2d_reference_leaves_sparse_spectra_unchecked():
 def test_uhat_boundary_values():
     cfg = Heat1dConfig(P=10)
     for z in (2.0 + 1.0j, 50.0 + 300.0j):
-        vals = uhat_1d(np.array([0.0, cfg.L]), z, cfg)
+        vals = uhat_1d(np.array([0.0, cfg.L]), z, cfg, model_forcing(cfg))
         assert np.max(np.abs(vals)) <= 1e-12
 
 
 def test_uhat_symmetry_of_symmetric_data():
     cfg = Heat1dConfig(P=16)
     x = np.array([0.3, 0.9, 1.1, 1.7])
-    vals = uhat_1d(x, 3.0 - 2.0j, cfg)
+    vals = uhat_1d(x, 3.0 - 2.0j, cfg, model_forcing(cfg))
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-12)
 
 
+def _decay2_forcing(profile):
+    """phi = e^{-2t} with phi_hat = 1/(z + 2): a forcing other than the models' one."""
+    return Forcing(lambda t: np.exp(-2.0 * t), profile, lambda z: 1.0 / (z + 2.0))
+
+
 def test_uhat_satisfies_the_transformed_equation():
-    # finite-difference residual of -uhat'' + (z/kappa) uhat = g at midpoint
+    # finite-difference residual of -uhat'' + (z/kappa) uhat = g at midpoint,
+    # for the model forcing and for 0.75 e^{-2t}, whose transform is 0.75/(z + 2)
     cfg = Heat1dConfig()
     z = 4.0 + 3.0j
     x0, d = cfg.L / 2, 1e-4
-    stencil = uhat_1d(np.array([x0 - d, x0, x0 + d]), z, cfg)
-    second = (stencil[0] - 2 * stencil[1] + stencil[2]) / d**2
-    g = (cfg.u0(x0) + fhat(z)) / cfg.kappa
-    resid = -second + (z / cfg.kappa) * stencil[1] - g
-    assert abs(resid) / abs(g) <= 1e-6
+    mids = []
+    for forcing, forcing_hat in ((model_forcing(cfg), fhat(z)),
+                                 (_decay2_forcing(np.full(cfg.P - 1, 0.75)), 0.75 / (z + 2.0))):
+        stencil = uhat_1d(np.array([x0 - d, x0, x0 + d]), z, cfg, forcing)
+        second = (stencil[0] - 2 * stencil[1] + stencil[2]) / d**2
+        g = (cfg.u0(x0) + forcing_hat) / cfg.kappa
+        resid = -second + (z / cfg.kappa) * stencil[1] - g
+        assert abs(resid) / abs(g) <= 1e-6
+        mids.append(stencil[1])
+    assert abs(mids[0] - mids[1]) > 1e-3  # the forcing argument is read
+
+
+def test_heat1d_reference_twin_reads_the_same_forcing():
+    # a twin on the model forcing would differ by O(1) from this reference
+    cfg = Heat1dConfig(P=20)
+    ref = Heat1dReference(cfg, _decay2_forcing(np.ones(cfg.P - 1)), 0.05, 2.0)
+    assert ref.refinement_check(np.geomspace(0.05, 2.0, 20)) <= 1e-11
+
+
+def test_uhat_rejects_a_forcing_it_cannot_transform():
+    cfg = Heat1dConfig(P=10)
+    ramp = _decay2_forcing(cfg.x_interior)
+    untransformed = Forcing(lambda t: np.exp(-2.0 * t), np.ones(cfg.P - 1))
+    for forcing, message in ((ramp, "spatially constant forcing profile"),
+                             (untransformed, "no Laplace transform phi_hat")):
+        with pytest.raises(ValueError, match=message):
+            uhat_1d(cfg.x_interior, 2.0 + 1.0j, cfg, forcing)
+        with pytest.raises(ValueError, match=message):
+            Heat1dReference(cfg, forcing, 0.5, 2.0)
 
 
 def test_uhat_finite_at_large_frequencies():
@@ -146,7 +188,7 @@ def test_uhat_finite_at_large_frequencies():
     cfg = Heat1dConfig(P=500)
     rule = hyperbolic_contour(2.0 / 4096, 2.0 / 512, half_nodes=48)
     z = rule.z[-1]
-    vals = uhat_1d(cfg.x_interior, z, cfg)
+    vals = uhat_1d(cfg.x_interior, z, cfg, model_forcing(cfg))
     assert np.all(np.isfinite(vals.view(float)))
 
 
@@ -155,9 +197,9 @@ def test_uhat_rejects_the_closed_negative_real_axis(z):
     cfg = Heat1dConfig(P=10)
     message = re.escape(f"negative real axis, got z = {complex(z)}")
     with pytest.raises(ValueError, match=message):
-        uhat_1d(cfg.x_interior, z, cfg)
+        uhat_1d(cfg.x_interior, z, cfg, model_forcing(cfg))
     with pytest.raises(ValueError, match=message):
-        uhat_1d(cfg.x_interior, np.array([2.0 + 1.0j, z]), cfg)
+        uhat_1d(cfg.x_interior, np.array([2.0 + 1.0j, z]), cfg, model_forcing(cfg))
 
 
 _GREEN_X = (0.05, 0.6, 1.3, 1.95)
@@ -188,19 +230,19 @@ def greens_monomials():
         return [[[green(w, mpmath.mpf(x), d) for d in range(5)] for x in _GREEN_X] for w in ws]
 
 
-@pytest.mark.parametrize("with_forcing", [True, False])
+@pytest.mark.parametrize("forced", [True, False])
 @pytest.mark.parametrize("u0_poly", [(1.5,), (0.0, 2.0, -1.0), (1.0, -0.5, 0.75, -0.25),
                                      (0.0, 0.0, 0.0, 0.0, 1.0)])
-def test_uhat_matches_greens_function_quadrature(greens_monomials, u0_poly, with_forcing):
+def test_uhat_matches_greens_function_quadrature(greens_monomials, u0_poly, forced):
     # measured at most 5.3e-16 relative up to degree 3 and 2.0e-15 for x^4
     import mpmath
 
-    cfg = Heat1dConfig(P=10, u0_poly=u0_poly, with_forcing=with_forcing)
-    got = uhat_1d(np.array(_GREEN_X), _GREEN_NODES, cfg)
+    cfg = Heat1dConfig(P=10, u0_poly=u0_poly)
+    got = uhat_1d(np.array(_GREEN_X), _GREEN_NODES, cfg, model_forcing(cfg, forced))
     with mpmath.workdps(30):
         for z, row, monomials in zip(_GREEN_NODES, got, greens_monomials):
             g = [mpmath.mpf(c) for c in u0_poly]
-            if with_forcing:
+            if forced:
                 g[0] += 1 / (mpmath.mpc(z) + 1) + 1 / (mpmath.mpc(z) + 1) ** 2
             expected = np.array([complex(mpmath.fsum(c * m for c, m in zip(g, at_x)))
                                  for at_x in monomials])
@@ -285,7 +327,7 @@ def test_richardson_rejects_incompatible_sizes():
         richardson(np.zeros(4), np.zeros(8))
 
 
-def _fourier_heat1d(cfg, x, ts, terms=20001):
+def _fourier_heat1d(cfg, forced, x, ts, terms=20001):
     """Continuous 1D heat solution from its sine series, forcing tail in closed form.
 
     With lam_m = kappa (m pi / L)^2 and a_m = lam_m - 1, mode m of the
@@ -314,7 +356,7 @@ def _fourier_heat1d(cfg, x, ts, terms=20001):
     out = []
     for t in ts:
         u = sines @ (b * np.exp(-lam * t))
-        if cfg.with_forcing:
+        if forced:
             u = u + sines[:, 0] * c[0] * np.exp(-t) * (t + 0.5 * t * t)
             u = u + np.exp(-t) * ((1.0 + t) * s1 - s2)
             u = u - sines[:, 1:] @ (c[1:] * np.exp(-lam[1:] * t) * (1 / a - 1 / a**2))
@@ -325,13 +367,13 @@ def _fourier_heat1d(cfg, x, ts, terms=20001):
 def test_heat1d_reference_matches_fourier_series():
     # measured maximum 1.3e-14 relative with forcing, 4.8e-14 without
     ts = np.geomspace(0.01, 2.0, 24)
-    for with_forcing in (True, False):
-        cfg = Heat1dConfig(P=30, with_forcing=with_forcing)
-        ref = Heat1dReference(cfg, 0.01, 2.0)
-        expected = _fourier_heat1d(cfg, cfg.x_interior, ts)
+    cfg = Heat1dConfig(P=30)
+    for forced in (True, False):
+        ref = Heat1dReference(cfg, model_forcing(cfg, forced), 0.01, 2.0)
+        expected = _fourier_heat1d(cfg, forced, cfg.x_interior, ts)
         err = (np.linalg.norm(ref.eval_many(ts) - expected, axis=1)
                / np.linalg.norm(expected, axis=1))
-        assert np.max(err) <= 1e-11, f"with_forcing={with_forcing}"
+        assert np.max(err) <= 1e-11, f"forced={forced}"
 
 
 def test_fourier_oracle_closed_form_tail():
@@ -344,26 +386,26 @@ def test_fourier_oracle_closed_form_tail():
     np.testing.assert_allclose(series, closed, atol=1e-12)
 
 
-@pytest.mark.parametrize("with_forcing", [True, False])
+@pytest.mark.parametrize("forced", [True, False])
 @pytest.mark.parametrize("p", [50, 500])
-def test_uhat_vectorised_over_z_matches_single_nodes(with_forcing, p):
-    cfg = Heat1dConfig(P=p, with_forcing=with_forcing)
-    x = cfg.x_interior
+def test_uhat_vectorised_over_z_matches_single_nodes(forced, p):
+    cfg = Heat1dConfig(P=p)
+    x, forcing = cfg.x_interior, model_forcing(cfg, forced)
     for t_min, t_max in [(0.25, 2.0), (2.0 / 64, 0.25), (2.0 / 6400, 2.0 / 4096)]:
         zu = hyperbolic_contour(t_min, t_max, half_nodes=48).z
-        many = uhat_1d(x, zu, cfg)
+        many = uhat_1d(x, zu, cfg, forcing)
         assert many.shape == (zu.size, x.size)
-        single = np.stack([uhat_1d(x, z, cfg) for z in zu])
+        single = np.stack([uhat_1d(x, z, cfg, forcing) for z in zu])
         scale = np.max(np.abs(single), axis=1, keepdims=True)
         assert np.max(np.abs(many - single) / scale) <= 1e-14
     # scalar positions and scalar z keep their shapes
-    assert np.ndim(uhat_1d(0.7, 2.0 + 1.0j, cfg)) == 0
-    assert uhat_1d(0.7, zu, cfg).shape == zu.shape
+    assert np.ndim(uhat_1d(0.7, 2.0 + 1.0j, cfg, forcing)) == 0
+    assert uhat_1d(0.7, zu, cfg, forcing).shape == zu.shape
 
 
 def test_banded_reference_called_on_times_gives_one_state_per_time():
     cfg = Heat1dConfig(P=12)
-    ref = Heat1dReference(cfg, 0.1, 1.0)
+    ref = Heat1dReference(cfg, model_forcing(cfg), 0.1, 1.0)
     ts = np.array([0.0, 0.1, 0.35, 1.0])
     many = ref.eval_many(ts)
     assert many.shape == (4, 11)
@@ -376,13 +418,13 @@ def test_banded_reference_called_on_times_gives_one_state_per_time():
 
 def test_heat1d_reference_initial_state():
     cfg = Heat1dConfig(P=12)
-    ref = Heat1dReference(cfg, 0.1, 1.0)
+    ref = Heat1dReference(cfg, model_forcing(cfg), 0.1, 1.0)
     np.testing.assert_allclose(ref.eval_many([0.0])[0], cfg.u0(cfg.x_interior), rtol=1e-14)
 
 
 def test_banded_reference_rejects_times_outside_its_window():
     cfg = Heat1dConfig(P=20)
-    ref = Heat1dReference(cfg, 0.01, 1.0)
+    ref = Heat1dReference(cfg, model_forcing(cfg), 0.01, 1.0)
     for t in (1.0 + 1e-8, 4.0, 8.0, 0.01 * (1 - 1e-8), 1e-3, -0.5, np.nan):
         with pytest.raises(ValueError, match="outside the reference window"):
             ref.eval_many([0.5, t])
@@ -396,7 +438,7 @@ def test_banded_reference_assigns_band_edges_to_the_upper_band(monkeypatch):
     import dgtime.reference as reference_module
 
     cfg = Heat1dConfig(P=20)
-    ref = Heat1dReference(cfg, 0.01, 1.0)
+    ref = Heat1dReference(cfg, model_forcing(cfg), 0.01, 1.0)
     rules = ref._rules
     assert len(rules) == 3  # [1/8, 1], [1/64, 1/8], [0.01, 1/64]
     calls = []
@@ -417,7 +459,7 @@ def test_banded_reference_assigns_band_edges_to_the_upper_band(monkeypatch):
 
 def test_reference_self_accuracy_under_refinement():
     cfg = Heat1dConfig(P=40)
-    ref = Heat1dReference(cfg, 0.002, 2.0)
+    ref = Heat1dReference(cfg, model_forcing(cfg), 0.002, 2.0)
     times = np.geomspace(0.002, 2.0, 40)
     assert ref.refinement_check(times) <= 1e-11
 
@@ -440,7 +482,7 @@ def _moment_exp(x, k):
     return np.where(np.abs(x) < 1.0, series, closed)
 
 
-def _modal_heat2d(cfg, ts):
+def _modal_heat2d(cfg, forced, ts):
     """Semidiscrete 2D heat solution from the DST-I eigenpairs of the 5-point Laplacian.
 
     Mode (i, j) has eigenvalue lam = ly_i + lx_j and solves c' + lam c =
@@ -463,7 +505,7 @@ def _modal_heat2d(cfg, ts):
     out = []
     for t in ts:
         c = np.exp(-lam * t) * c0
-        if cfg.with_forcing:
+        if forced:
             at = (lam - 1.0) * t
             c = c + f * math.exp(-t) * t * ((1.0 + t) * _moment_exp(at, 1)
                                             - t * _moment_exp(at, 2))
@@ -472,12 +514,15 @@ def _modal_heat2d(cfg, ts):
 
 
 @pytest.mark.parametrize("px,py", [(8, 12), (50, 50)])
-@pytest.mark.parametrize("with_forcing", [True, False])
-def test_heat2d_reference_matches_modal_solution(px, py, with_forcing):
-    cfg = Heat2dConfig(Px=px, Py=py, with_forcing=with_forcing)
+@pytest.mark.parametrize("forced", [True, False])
+def test_heat2d_reference_matches_modal_solution(px, py, forced):
+    cfg = Heat2dConfig(Px=px, Py=py)
+    problem = heat2d_problem(cfg)
+    if not forced:
+        problem = dataclasses.replace(problem, forcing=None)
     t_min = cfg.T / 1000
-    ref = Heat2dReference(heat2d_problem(cfg), t_min, cfg.T)
+    ref = Heat2dReference(problem, t_min, cfg.T)
     ts = np.concatenate([np.geomspace(t_min, cfg.T, 25), np.linspace(t_min, cfg.T, 25)])
-    expected = _modal_heat2d(cfg, ts)
+    expected = _modal_heat2d(cfg, forced, ts)
     err = np.linalg.norm(ref.eval_many(ts) - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert np.max(err) <= 1e-12
