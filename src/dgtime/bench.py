@@ -161,8 +161,10 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
         ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, S)
         refs = _reference_values(reference, ts.ravel()).reshape(stop - start, taus.size, -1)
         # one coefficient block per distinct solution: U is measured twice
-        # in [U, U*, U], and a derived solution computes its block on every call
-        blocks = {}
+        # in [U, U*, U], and a derived solution computes its block on every call.
+        # The last block's views go first, so no stream steps its next chunk
+        # while a view keeps the dropped one alive
+        blocks, coeffs = {}, None
         for c, sol in enumerate(approxes):
             rows = counted[c][idx]
             if not np.any(rows):

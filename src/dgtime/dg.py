@@ -28,7 +28,10 @@ consecutive intervals, whole transform blocks at a time.  Every
 stream=True the solution takes chunks of STREAM_CHUNK_BLOCKS transform
 blocks as its reader reaches them and drops those behind it, so it is
 read forward only and the tables measure a row without holding its
-(N, r, M) coefficient array.
+(N, r, M) coefficient array.  A dropped chunk is freed before the next
+one is stepped, and each step's result is copied into its chunk row at
+once, so no complex step buffer outlives its step: a forward read holds
+one chunk, two only while one read spans a chunk boundary.
 """
 
 from __future__ import annotations
@@ -204,11 +207,11 @@ class DgSolution(PiecewiseLegendre):
             while self._held and self._held[0][0] + len(self._held[0][1]) <= lo:
                 first, chunk = self._held.pop(0)
                 self._start, self._carried = first + len(chunk), chunk[-1:].sum(axis=1)[0]
+                del chunk  # freed before the next chunk is stepped
             if self._end >= hi:
                 break
-            chunk = next(self._chunks)
-            self._held.append((self._end, chunk))
-            self._end += len(chunk)
+            self._held.append((self._end, next(self._chunks)))
+            self._end += len(self._held[-1][1])
         parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held if first < hi]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -225,12 +228,11 @@ class DgSolution(PiecewiseLegendre):
         lo, hi = self._span(idx)
         if hi == lo:
             return np.empty((0, self.dim))
-        if lo > self._start:  # one read of the intervals lo - 1..hi - 1
-            rows = self._rows(lo - 1, hi)
-            coeffs, left = rows[1:], rows[:-1].sum(axis=1)
-        else:  # at the window's start the carried left limit; behind it _rows raises
-            coeffs = self._rows(lo, hi)
-            left = np.concatenate([self._carried[None], coeffs[:-1].sum(axis=1)])
+        # the left limit at t_lo first (carried at the window's start; behind
+        # it _rows raises), so the read of lo..hi - 1 may drop its chunk
+        first = self._carried[None] if lo == self._start else self._rows(lo - 1, lo).sum(axis=1)
+        coeffs = self._rows(lo, hi)
+        left = np.concatenate([first, coeffs[:-1].sum(axis=1)])
         return (-1.0) ** np.arange(self.r) @ coeffs - left
 
 
@@ -312,17 +314,19 @@ def _dg_chunks(problem: LinearProblem, mesh: TimeMesh, r: int, moment_quadrature
                 if forcing is not None:
                     rhs = rhs + moments[n - 1][:, None] * profile
 
-                U = solve_step(fac, rhs)
+                # copied into the chunk at once: the solve's complex buffer dies here
+                U = coeffs[n - 1 - lo]
+                U[...] = solve_step(fac, rhs)
                 if not np.all(np.isfinite(U)):
                     raise ValueError(f"non-finite DG coefficients at step n={n}, "
                                      f"t_n={float(mesh.nodes[n])!r}")
-                coeffs[n - 1 - lo] = U
                 prev_left = U.sum(axis=0)
             if basis is not None:
                 # in place, so the peak memory grows by one block, not by the chunk
                 for b in range(0, len(coeffs), block):
                     coeffs[b:b + block] = basis.transform(coeffs[b:b + block])
             yield coeffs
+            del coeffs, U  # the reader holds the chunk; the next is not stepped beside it
 
     return chunks(left)
 

@@ -169,17 +169,12 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRu
     return ContourRule(z, zprime, h, float(t_min), float(t_max))
 
 
-def _stack_values(values: np.ndarray) -> np.ndarray:
-    """Complex transform values V at the contour nodes as the real stack [Im V; Re V]."""
-    return np.concatenate([values.imag, values.real])
-
-
 def _invert_values(rule: ContourRule, stacked: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Trapezoid inversion for cached transform values at the nodes of rule.
 
-    stacked is `_stack_values` of the values V.  Only Im(K V) is needed, and
-    Im(K V) = Re K Im V + Im K Re V = [Re K, Im K] @ stacked, one real
-    product in place of a complex one.
+    stacked is the real stack [Im V; Re V] of the values V.  Only Im(K V) is
+    needed, and Im(K V) = Re K Im V + Im K Re V = [Re K, Im K] @ stacked,
+    one real product in place of a complex one.
     """
     coeff = np.ones(rule.z.size)
     coeff[0] = 0.5  # the real node is shared between the two half sums
@@ -187,7 +182,7 @@ def _invert_values(rule: ContourRule, stacked: np.ndarray, ts: np.ndarray) -> np
     return np.concatenate([kernel.real, kernel.imag], axis=1) @ stacked
 
 
-def resolvent_2d(z, problem) -> np.ndarray:
+def resolvent_2d(z, problem, *, out=None) -> np.ndarray:
     """Solve (z I + A) uhat = u0 + phi_hat(z) g for the state; the forcing is phi(t) g.
 
     z may be an array: the result then has one row per z.  The system is
@@ -197,23 +192,40 @@ def resolvent_2d(z, problem) -> np.ndarray:
     per z and one refinement pass, which brings the forward error of the
     fine-grid solves from ~1e-13 back to the roundoff level of the contour
     self-check.
+
+    The values go node by node into a real stack [Im uhat; Re uhat] of shape
+    (2 len(z), M): out when it is given, filled in place and returned (the
+    form the contour inversion reads, so a caller holds no complex copy of
+    all nodes), otherwise a scratch stack read back as the complex result.
+    Raises ValueError for a forcing without phi_hat and for an out of
+    another shape or dtype.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     op, u0, profile, basis = problem.modal()
-    out = np.empty((zs.size, op.dim), dtype=complex)
-    for row, zk in zip(out, zs):
+    if profile is not None and problem.forcing.phi_hat is None:
+        raise ValueError("the forcing has no Laplace transform phi_hat")
+    n = zs.size
+    stack = np.empty((2 * n, op.dim)) if out is None else out
+    if stack.shape != (2 * n, op.dim) or stack.dtype != float:
+        raise ValueError(f"out must be a float array of shape {(2 * n, op.dim)}")
+    for k, zk in enumerate(zs):
         rhs = u0.astype(complex)
         if profile is not None:
             rhs += problem.forcing.phi_hat(zk) * profile
         solver = shifted_lu(op, zk)
-        row[:] = solver.solve(rhs)
+        row = solver.solve(rhs)
         if basis is None:
             row += solver.solve(rhs - zk * row - op.matrix @ row)
+            stack[k], stack[n + k] = row.imag, row.real
         else:
-            row.real, row.imag = basis.transform(row.real), basis.transform(row.imag)
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError("singular resolvent system: contour crosses the spectrum")
-    return out.reshape(np.shape(z) + (op.dim,))
+            stack[k], stack[n + k] = basis.transform(row.imag), basis.transform(row.real)
+        if not np.all(np.isfinite(stack[k::n])):  # node k's two rows, no stack-sized mask
+            raise RuntimeError("singular resolvent system: contour crosses the spectrum")
+    if out is not None:
+        return out
+    values = stack[n:].astype(complex)
+    values.imag = stack[:n]
+    return values.reshape(np.shape(z) + (op.dim,))
 
 
 def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -237,11 +249,13 @@ class _BandedContourReference:
     One contour cannot cover a window like [T/6400, T] at full accuracy with
     a fixed node budget, so the window splits into geometric bands of ratio
     at most DEFAULT_BAND_RATIO, each with its own rule and cached transform
-    values at its nodes, fetched in one `_transforms` call per band
-    and kept as the real stack of `_stack_values`.  source is the tuple of
-    arguments a subclass is built from, so `type(self)(*source, t_min,
-    t_max, half_nodes)` builds the same reference with other nodes; initial
-    is the state at t = 0.
+    values at its nodes.  A band's values V are held as the real stack
+    [Im V; Re V] that `_invert_values` reads, (2(K + 1), M), allocated once
+    and filled in place by one `_transforms` call; `Heat2dReference` fills
+    it node by node, so its build holds no second copy of a band.  source
+    is the tuple of arguments a subclass is built from, so
+    `type(self)(*source, t_min, t_max, half_nodes)` builds the same
+    reference with other nodes; initial is the state at t = 0.
     """
 
     def __init__(self, source: tuple, initial: np.ndarray, t_min: float, t_max: float,
@@ -258,15 +272,17 @@ class _BandedContourReference:
             lo = max(hi / DEFAULT_BAND_RATIO, self.t_min)
             rule = hyperbolic_contour(lo, hi, half_nodes)
             self._rules.append(rule)
-            self._values.append(_stack_values(self._transforms(rule.z)))
+            stack = np.empty((2 * rule.z.size, initial.size))
+            self._transforms(rule.z, stack)
+            self._values.append(stack)
             if lo <= self.t_min * (1.0 + 1e-12):
                 break
             hi = lo
         # lower band edges with the contour's relative slack, ascending
         self._floors = np.array([rule.t_min * (1.0 - 1e-9) for rule in reversed(self._rules)])
 
-    def _transforms(self, zs: np.ndarray) -> np.ndarray:
-        """Transform values at the contour nodes zs, shape (len(zs), M)."""
+    def _transforms(self, zs: np.ndarray, out: np.ndarray) -> None:
+        """Fill out, (2 len(zs), M), with [Im V; Re V] of the transform values V at zs."""
         raise NotImplementedError
 
     def eval_many(self, ts) -> np.ndarray:
@@ -316,22 +332,22 @@ class Heat1dReference(_BandedContourReference):
         self._x = cfg.x_interior
         super().__init__((cfg, forcing), cfg.u0(self._x), t_min, t_max, half_nodes)
 
-    def _transforms(self, zs: np.ndarray) -> np.ndarray:
-        return uhat_1d(self._x, zs, self.cfg, self.forcing)
+    def _transforms(self, zs: np.ndarray, out: np.ndarray) -> None:
+        values = uhat_1d(self._x, zs, self.cfg, self.forcing)
+        out[:zs.size], out[zs.size:] = values.imag, values.real
 
 
 class Heat2dReference(_BandedContourReference):
     """Semidiscrete 2D heat solution via the resolvent; needs phi_hat.
 
-    Each band's transform values come from one `resolvent_2d` call.  Raises
-    ValueError when the operator's known spectrum (`hyperbolic_contour`)
-    has a negative value.
+    Each band's transform values come from one `resolvent_2d` call, which
+    fills the band's real stack node by node.  Raises ValueError when the
+    operator's known spectrum (`hyperbolic_contour`) has a negative value,
+    and, through `resolvent_2d`, for a forcing without phi_hat.
     """
 
     def __init__(self, problem, t_min: float, t_max: float,
                  half_nodes: int = DEFAULT_BAND_HALF_NODES):
-        if problem.forcing is not None and problem.forcing.phi_hat is None:
-            raise ValueError("the forcing has no Laplace transform phi_hat")
         A = problem.A
         spectrum = A.diagonal if A.eigenbasis is None else A.eigenbasis.eigenvalues
         if spectrum is not None and np.min(spectrum) < 0.0:
@@ -340,5 +356,5 @@ class Heat2dReference(_BandedContourReference):
         self.problem = problem
         super().__init__((problem,), problem.u0, t_min, t_max, half_nodes)
 
-    def _transforms(self, zs: np.ndarray) -> np.ndarray:
-        return resolvent_2d(zs, self.problem)
+    def _transforms(self, zs: np.ndarray, out: np.ndarray) -> None:
+        resolvent_2d(zs, self.problem, out=out)

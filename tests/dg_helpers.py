@@ -6,8 +6,9 @@ spell out, from `coefficients`, the values on one interval at reference
 coordinates and the one-sided limits at a node; `ArrayPiecewise` reads a
 piecewise polynomial from one coefficient array, by the same slices;
 `pi_tilde_project` builds the right-node interpolating projection of the
-paper's analysis; `invert_scalar` runs a scalar Laplace transform through
-the contour inversion the references use.
+paper's analysis; `stack_values` lays complex transform values out as the
+real stack the references hold; `invert_scalar` runs a scalar Laplace
+transform through the contour inversion the references use.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from dgtime.basis import legendre_table, make_workspace
 from dgtime.dg import PiecewiseLegendre
 from dgtime.mesh import time_values
-from dgtime.reference import _invert_values, _stack_values
+from dgtime.reference import _invert_values
 
 
 class ArrayPiecewise(PiecewiseLegendre):
@@ -65,7 +66,12 @@ def pi_tilde_project(v, mesh, r):
     return ArrayPiecewise(mesh, coeffs)
 
 
+def stack_values(values):
+    """Complex transform values V at the contour nodes as the real stack [Im V; Re V]."""
+    return np.concatenate([values.imag, values.real])
+
+
 def invert_scalar(transform, ts, rule):
     """Contour inversion of a scalar transform (vectorised over z) at the times ts."""
     values = np.asarray(transform(rule.z), dtype=complex)[:, None]
-    return _invert_values(rule, _stack_values(values), np.asarray(ts, dtype=float))[:, 0]
+    return _invert_values(rule, stack_values(values), np.asarray(ts, dtype=float))[:, 0]

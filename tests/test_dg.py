@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,8 @@ from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.postprocess import jump_indicator
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from dgtime.reference import ode_exact
-from dgtime.system import SINE_FFT_LENGTH, scalar_operator, tridiagonal_operator
+from dgtime.system import (SINE_FFT_LENGTH, diagonal_operator, scalar_operator,
+                           tridiagonal_operator)
 
 from dg_helpers import interval_values, left_limit, right_limit
 
@@ -568,3 +570,31 @@ def test_streamed_solution_rejects_reads_behind_its_window(monkeypatch):
     # the window itself can be read again, also as a function of time
     t = whole.mesh.nodes[2 * chunk + 1]
     assert np.array_equal(stream(t), whole(t))
+
+
+def test_streamed_solution_holds_one_chunk_at_a_time(monkeypatch):
+    # a diagonal operator has no back transform, so the chunks are the only
+    # arrays of many intervals.  Read interval by interval, coefficients and
+    # jumps in either order, the stream frees each chunk before it steps the
+    # next and keeps no complex step result alive (two chunks at every
+    # boundary before)
+    r, dim, block = 2, 2000, 16
+    monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", block * r * dim)
+    chunk = dg.STREAM_CHUNK_BLOCKS * block
+    problem = LinearProblem(diagonal_operator(np.linspace(1.0, 100.0, dim)),
+                            np.random.default_rng(5).standard_normal(dim), 1.0,
+                            forcing=Forcing(np.cos, np.ones(dim)))
+    mesh = uniform_mesh(1.0, 4 * chunk)
+    for reads in (("coefficients", "jumps"), ("jumps", "coefficients")):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sol = dg_solve(problem, mesh, r, stream=True)
+            for n in range(mesh.N):
+                for read in reads:
+                    getattr(sol, read)(slice(n, n + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del sol
+        assert peak - before < 1.5 * chunk * r * dim * 8, reads

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dgtime.reference import (
     uhat_1d,
 )
 
-from dg_helpers import invert_scalar
+from dg_helpers import invert_scalar, stack_values
 
 LAM = ODE_LAMBDA
 
@@ -102,6 +103,57 @@ def test_heat2d_reference_rejects_forcing_without_transform():
                                   Forcing(problem.forcing.phi, problem.forcing.profile))
     with pytest.raises(ValueError, match="no Laplace transform phi_hat"):
         Heat2dReference(untransformed, 0.5, 2.0)
+
+
+def test_resolvent_2d_rejects_forcing_without_transform():
+    # the public function names the missing transform itself, before any node is solved
+    problem = heat2d_problem(Heat2dConfig(Px=4, Py=4))
+    untransformed = dataclasses.replace(
+        problem, forcing=Forcing(problem.forcing.phi, problem.forcing.profile))
+    with pytest.raises(ValueError, match="no Laplace transform phi_hat"):
+        resolvent_2d(np.array([1.0, 2.0 + 1.0j]), untransformed)
+    # a homogeneous problem needs no transform
+    assert resolvent_2d(1.0, dataclasses.replace(problem, forcing=None)).shape == (9,)
+
+
+@pytest.mark.parametrize("kind", ["forced", "homogeneous", "sparse"])
+def test_band_stacks_hold_the_resolvent_values_bit_for_bit(kind):
+    # each band's real stack is filled node by node in place; it equals the
+    # stack of the complex values resolvent_2d returns, on the eigenbasis path
+    # and on the sparse LU path with its refinement pass
+    problem = heat2d_problem(Heat2dConfig(Px=6, Py=5))
+    if kind == "homogeneous":
+        problem = dataclasses.replace(problem, forcing=None)
+    elif kind == "sparse":
+        problem = dataclasses.replace(problem, A=sparse_operator(problem.A.matrix))
+        assert problem.A.eigenbasis is None and problem.A.diagonal is None
+    ref = Heat2dReference(problem, problem.T / 20, problem.T)
+    assert len(ref._rules) == 2
+    for rule, stack in zip(ref._rules, ref._values):
+        assert np.array_equal(stack, stack_values(resolvent_2d(rule.z, problem)))
+        out = np.empty_like(stack)
+        assert resolvent_2d(rule.z, problem, out=out) is out
+        assert np.array_equal(out, stack)
+    with pytest.raises(ValueError, match="out must be a float array of shape"):
+        resolvent_2d(rule.z, problem, out=out[1:])
+    with pytest.raises(ValueError, match="out must be a float array of shape"):
+        resolvent_2d(rule.z, problem, out=out.astype(complex))
+
+
+def test_heat2d_reference_build_holds_each_band_once():
+    # one band at P = 40: the build peaks at the stack it keeps plus a few
+    # M-sized node temporaries, with no complex copy of the band beside it
+    # (2x the stack before the values went straight into it)
+    problem = heat2d_problem(Heat2dConfig(Px=40, Py=40))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ref = Heat2dReference(problem, problem.T / 4, problem.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ref._values) == 1
+    assert peak - before < 1.25 * ref._values[0].nbytes
 
 
 def test_heat2d_reference_rejects_a_negative_known_spectrum():
