@@ -40,6 +40,7 @@ from .mesh import time_values, uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from .postprocess import reconstruct
 from .reference import Heat1dReference, Heat2dReference, ode_exact, richardson
+from .system import MAX_DEGREE
 
 __all__ = [
     "TableRow",
@@ -49,12 +50,11 @@ __all__ = [
     "observed_rates",
     "run_experiment",
     "run_profile",
+    "TableSpec",
     "main",
 ]
 
 DEFAULT_SAMPLES = 50
-HEAT2D_SAMPLES = 4
-ODE_N_LIST = (4, 8, 16, 32, 64, 128)
 HEAT_N_LIST = (8, 16, 32, 64, 128)
 # most sample times x state entries one block of an error measurement holds
 MEASURE_BLOCK_ELEMENTS = 2 ** 16
@@ -282,116 +282,132 @@ def _weight_exponents(r: int, weighted: float | None) -> tuple[float | None, flo
     return r - weighted, r + 1 - weighted, 2 * r - 1 - weighted
 
 
-def _sample_floor(T: float, n_max: int, samples: int) -> float:
-    """Smallest positive sample time: the first interior grid point of I_1."""
-    return (T / n_max) / (samples - 1)
-
-
 def _reference_floor(T: float, n_list: Sequence[int], cutoff: bool, samples: int) -> float:
     """Smallest positive time the reference will be asked for.
 
     Without a cutoff that is the first sample inside I_1 on the finest mesh.
     With the cutoff window the first included interval is the one whose
-    right node reaches T/4, and its samples extend down to its left node.
+    right node reaches T/4, and its samples extend down to its left node,
+    or to its first interior sample when that node is t = 0.
     """
-    if not cutoff:
-        return _sample_floor(T, max(n_list), samples)
     floors = []
-    for n in n_list:
-        first = math.ceil(n / 4.0)
-        left = (first - 1) * T / n
-        floors.append(left if left > 0 else _sample_floor(T, n, samples))
+    for n in n_list if cutoff else (max(n_list),):
+        left = (math.ceil(n / 4.0) - 1) * T / n if cutoff else 0.0
+        floors.append(left if left > 0 else (T / n) / (samples - 1))
     return min(floors)
 
 
-# per-experiment defaults of (r, P, N list, samples, moment quadrature); the
-# ODE has no spatial grid and reports P = 1
+# per-experiment defaults of the TableSpec fields; the ODE has no spatial
+# grid and reports P = 1
 _DEFAULTS = {
-    "ode": (4, 1, ODE_N_LIST, DEFAULT_SAMPLES, "gauss"),
-    "heat1d": (3, 500, HEAT_N_LIST, DEFAULT_SAMPLES, "gauss"),
-    "heat2d": (3, 50, HEAT_N_LIST, HEAT2D_SAMPLES, "radau"),
+    "ode": dict(r=4, p=1, n_list=(4, 8, 16, 32, 64, 128), samples=DEFAULT_SAMPLES, moments="gauss"),
+    "heat1d": dict(r=3, p=500, n_list=HEAT_N_LIST, samples=DEFAULT_SAMPLES, moments="gauss"),
+    "heat2d": dict(r=3, p=50, n_list=HEAT_N_LIST, samples=4, moments="radau"),
 }
 
 
-def _with_defaults(experiment: str, *values) -> list:
-    """(r, P, N list, samples, moments) with each None replaced by its default."""
-    if experiment not in _DEFAULTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    return [d if v is None else v for v, d in zip(values, _DEFAULTS[experiment])]
+def _refuse(what: str, given: dict) -> None:
+    """Reject a request that gives any of the options it takes none of."""
+    if any(given.values()):
+        raise ValueError(f"{what} takes no " + ", ".join(name for name, on in given.items() if on))
 
 
-def _check_ode_options(experiment: str, p=None, homogeneous=False) -> None:
-    """Reject the PDE options for the ODE: it has no grid or forcing switch."""
-    given = {"p": p is not None, "homogeneous": homogeneous}
-    if experiment == "ode" and any(given.values()):
-        raise ValueError("the ode experiment takes no "
-                         + ", ".join(name for name, value in given.items() if value))
+@dataclass(frozen=True)
+class TableSpec:
+    """One run of the CLI: a convergence table, or with profile=True an error profile.
 
-
-def _check_request(r: int, n_list: Sequence[int], samples: int, weighted=None) -> None:
-    """Reject a bad request before anything is built or solved."""
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
-    if len(n_list) == 0:
-        raise ValueError("the N list is empty")
-    if min(n_list) < 1:
-        raise ValueError(f"N values must be at least 1, got {list(n_list)}")
-    _check_doubling(n_list)
-    if weighted is not None and not math.isfinite(weighted):
-        raise ValueError(f"weighted must be finite, got {weighted}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples per interval (both endpoints)")
-
-
-@dataclass
-class _Study:
-    """A built-in experiment as the tables measure it.
-
-    solve maps a time mesh to the measured solution and its reconstruction,
-    streamed (read forward only, stepped while read); reference maps t_lo
-    to the exact solution on [t_lo, T].
-    Weighted PDE runs measure the sampled sups from I_2 on (skip_first).
+    The fields are the CLI's options (n_list is --N, p is --P).  Building a
+    spec replaces each None by its per-experiment default, except that a
+    profile samples DEFAULT_SAMPLES points per interval for every
+    experiment, and makes n_list a tuple.  The ode's p and a profile's
+    moments are then defaults that a request may not give.  A bad request
+    raises ValueError, before anything is built or solved, in this order: a
+    profile without exactly one N or with weighted, cutoff, homogeneous or
+    moments; the ode with p or homogeneous; an unknown experiment; r below 1
+    or above MAX_DEGREE; an empty N list, an N below 1 or a non-doubling N
+    list; a non-finite weighted; fewer than 2 samples.
     """
 
-    T: float
-    P: int
-    norm: str
-    solve: Callable
-    reference: Callable
-    skip_first: bool
+    experiment: str
+    r: int | None = None
+    n_list: Sequence[int] | None = None
+    p: int | None = None
+    weighted: float | None = None
+    cutoff: bool = False
+    homogeneous: bool = False
+    samples: int | None = None
+    moments: str | None = None
+    profile: bool = False
+
+    def __post_init__(self):
+        if self.profile:
+            if self.n_list is None or len(self.n_list) != 1:
+                raise ValueError("--profile needs exactly one value in --N")
+            _refuse("--profile", {"--weighted": self.weighted is not None, "--cutoff": self.cutoff,
+                                  "--homogeneous": self.homogeneous,
+                                  "--moments": self.moments is not None})
+        if self.experiment == "ode":  # it has no grid or forcing switch
+            _refuse("the ode experiment", {"p": self.p is not None,
+                                           "homogeneous": self.homogeneous})
+        if self.experiment not in _DEFAULTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.profile and self.samples is None:
+            object.__setattr__(self, "samples", DEFAULT_SAMPLES)  # for every experiment
+        for name, value in _DEFAULTS[self.experiment].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_list", tuple(self.n_list))
+        if self.r < 1:
+            raise ValueError(f"r must be at least 1, got {self.r}")
+        if self.r > MAX_DEGREE:  # the step solver's own message
+            raise ValueError(f"r={self.r} is outside the supported range 1..{MAX_DEGREE} "
+                             "of the step solver")
+        if len(self.n_list) == 0:
+            raise ValueError("the N list is empty")
+        if min(self.n_list) < 1:
+            raise ValueError(f"N values must be at least 1, got {list(self.n_list)}")
+        _check_doubling(self.n_list)
+        if self.weighted is not None and not math.isfinite(self.weighted):
+            raise ValueError(f"weighted must be finite, got {self.weighted}")
+        if self.samples < 2:
+            raise ValueError("need at least 2 samples per interval (both endpoints)")
 
 
-def _solver(problem, r, moments):
+def _solver(problem, spec):
     def solve(mesh):
-        sol = dg_solve(problem, mesh, r, moment_quadrature=moments, stream=True)
+        sol = dg_solve(problem, mesh, spec.r, moment_quadrature=spec.moments, stream=True)
         return sol, reconstruct(sol)
 
     return solve
 
 
-def _study(experiment, r, p, moments, homogeneous=False) -> _Study:
-    if experiment == "ode":
+def _study(spec: TableSpec) -> tuple[float, str, Callable, Callable]:
+    """(T, norm, solve, make_reference): spec's experiment as the tables measure it.
+
+    solve maps a time mesh to the measured solution and its reconstruction,
+    streamed (read forward only, stepped while read); make_reference maps
+    t_lo to the exact solution on [t_lo, T].
+    """
+    if spec.experiment == "ode":
         problem = ode_problem()
-        return _Study(problem.T, 1, "abs", _solver(problem, r, moments),
-                      lambda t_lo: ode_exact, False)
-    drop = {"forcing": None} if homogeneous else {}  # the problem's forcing is the one switch
-    if experiment == "heat1d":
+        return problem.T, "abs", _solver(problem, spec), lambda t_lo: ode_exact
+    drop = {"forcing": None} if spec.homogeneous else {}  # the problem's forcing is the one switch
+    if spec.experiment == "heat1d":
         # Richardson extrapolation from the spatial grids P and 2P
-        cfg = Heat1dConfig(P=p)
+        cfg = Heat1dConfig(P=spec.p)
         prob_c, prob_f = (replace(heat1d_problem(c), **drop) for c in (cfg, cfg.refined()))
+        solve_c, solve_f = _solver(prob_c, spec), _solver(prob_f, spec)
 
         def solve(mesh):
-            sol_c = dg_solve(prob_c, mesh, r, moment_quadrature=moments, stream=True)
-            sol_f = dg_solve(prob_f, mesh, r, moment_quadrature=moments, stream=True)
-            return (ExtrapolatedSolution(sol_c, sol_f),
-                    ExtrapolatedSolution(reconstruct(sol_c), reconstruct(sol_f)))
+            (sol_c, star_c), (sol_f, star_f) = solve_c(mesh), solve_f(mesh)
+            return ExtrapolatedSolution(sol_c, sol_f), ExtrapolatedSolution(star_c, star_f)
 
-        return _Study(cfg.T, p, "discrete-L2(h)", solve,
-                      lambda t_lo: Heat1dReference(cfg, prob_c.forcing, t_lo, cfg.T), True)
-    cfg = Heat2dConfig(Px=p, Py=p)
+        return (cfg.T, "discrete-L2(h)", solve,
+                lambda t_lo: Heat1dReference(cfg, prob_c.forcing, t_lo, cfg.T))
+    cfg = Heat2dConfig(Px=spec.p, Py=spec.p)
     problem = replace(heat2d_problem(cfg), **drop)
-    return _Study(cfg.T, p, "discrete-L2(hx*hy)", _solver(problem, r, moments),
-                  lambda t_lo: Heat2dReference(problem, t_lo, cfg.T), True)
+    return (cfg.T, "discrete-L2(hx*hy)", _solver(problem, spec),
+            lambda t_lo: Heat2dReference(problem, t_lo, cfg.T))
 
 
 def run_experiment(experiment: str, r: int | None = None,
@@ -407,31 +423,29 @@ def run_experiment(experiment: str, r: int | None = None,
     on a coarse grid of 4 points per interval and integrates the forcing
     moments by the Radau rule (the Radau IIA form of the stepper); the
     others use 50 points and near-exact Gauss moments.  heat1d is
-    Richardson-extrapolated from the grids P and 2P.  Raises ValueError for
-    r < 1, an empty or non-doubling N list, an N below 1, fewer than 2
-    samples or a non-finite weighted, before anything is solved, and for the
-    ode with p or homogeneous.
+    Richardson-extrapolated from the grids P and 2P.  A bad request raises
+    ValueError (see TableSpec) before anything is built or solved.
     """
-    _check_ode_options(experiment, p, homogeneous)
-    r, p, n_list, samples, moments = _with_defaults(experiment, r, p, n_list, samples, moments)
-    n_list = tuple(n_list)
-    _check_request(r, n_list, samples, weighted)
-    study = _study(experiment, r, p, moments, homogeneous)
-    reference = study.reference(_reference_floor(study.T, n_list, cutoff, samples))
-    exps = _weight_exponents(r, weighted)
-    window = (study.T / 4.0, study.T) if cutoff else None
-    skip_first = study.skip_first and weighted is not None
+    return _table(TableSpec(experiment, r, n_list, p, weighted, cutoff, homogeneous, samples,
+                            moments))
+
+
+def _table(spec: TableSpec) -> ConvergenceTable:
+    T, norm, solve, make_reference = _study(spec)
+    reference = make_reference(_reference_floor(T, spec.n_list, spec.cutoff, spec.samples))
+    exps = _weight_exponents(spec.r, spec.weighted)
+    window = (T / 4.0, T) if spec.cutoff else None
+    skip_first = spec.experiment != "ode" and spec.weighted is not None
     raw = []
-    for n in n_list:
+    for n in spec.n_list:
         # the row is stepped while it is measured, and no name holds its
         # solutions, so they are freed before the next row
-        errors = _row_errors(*study.solve(uniform_mesh(study.T, n)), reference, exps, window,
-                             samples, skip_first)
-        raw.append((n, study.P, *errors))
-    weight_desc = "none" if weighted is None else f"min(t^(order-{weighted}),1)"
-    window_desc = f"[{study.T / 4}, {study.T}]" if cutoff else "full"
-    return ConvergenceTable(experiment, study.norm, weight_desc, window_desc,
-                            _attach_rates(raw))
+        errors = _row_errors(*solve(uniform_mesh(T, n)), reference, exps, window, spec.samples,
+                             skip_first)
+        raw.append((n, spec.p, *errors))
+    weight_desc = "none" if spec.weighted is None else f"min(t^(order-{spec.weighted}),1)"
+    window_desc = f"[{T / 4}, {T}]" if spec.cutoff else "full"
+    return ConvergenceTable(spec.experiment, norm, weight_desc, window_desc, _attach_rates(raw))
 
 
 def _row_errors(approx, approx_star, reference, exps, window, samples, skip_first=False):
@@ -454,24 +468,25 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     ODE the two columns are signed differences, matching the usual
     error-profile plots; for the PDEs they are discrete norms.  The
     solutions are read in the blocks of `max_error_sampled`, the reference
-    is called once per interval.  Raises ValueError for the ode with a p.
+    is called once per interval.  A bad request raises ValueError (see
+    TableSpec) before anything is built or solved.
     """
-    _check_ode_options(experiment, p)
-    r, p, _, _, moments = _with_defaults(experiment, r, p, None, None, None)
-    samples = DEFAULT_SAMPLES if samples is None else samples
-    _check_request(r, (n,), samples)
-    study = _study(experiment, r, p, moments)
-    reference = study.reference(_sample_floor(study.T, n, samples))
-    mesh = uniform_mesh(study.T, n)
-    sol, recon = study.solve(mesh)
-    scalar = experiment == "ode"
-    taus = np.linspace(-1.0, 1.0, samples)
+    return _profile(TableSpec(experiment, r, (n,), p, samples=samples, profile=True))
+
+
+def _profile(spec: TableSpec) -> str:
+    T, _, solve, make_reference = _study(spec)
+    reference = make_reference(_reference_floor(T, spec.n_list, spec.cutoff, spec.samples))
+    mesh = uniform_mesh(T, spec.n_list[0])
+    sol, recon = solve(mesh)
+    scalar = spec.experiment == "ode"
+    taus = np.linspace(-1.0, 1.0, spec.samples)
     tables = [legendre_table(x.degree_count - 1, taus) for x in (sol, recon)]
     lines = ["t,U_minus_u,U_minus_Ustar"]
-    block = max(1, MEASURE_BLOCK_ELEMENTS // (samples * sol.dim))
+    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * sol.dim))
     for start in range(0, mesh.N, block):
         stop = min(start + block, mesh.N)
-        ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, samples)
+        ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, S)
         # one reference call per interval: a call per block moves the bits
         rvals = np.concatenate([_reference_values(reference, row) for row in ts])
         # U and U* on the block, (B * samples, M) each: the streams are read forward
@@ -497,13 +512,14 @@ def _parse_n_list(text: str | None) -> tuple[int, ...] | None:
         raise SystemExit(f"invalid --N list: {text!r}") from exc
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The CLI: a subcommand per experiment, an option per TableSpec field, --format and --out."""
     parser = argparse.ArgumentParser(
         prog="dgtime",
         description="Convergence benchmarks for DG time stepping of parabolic problems",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("ode", "heat1d", "heat2d"):
+    for name in _DEFAULTS:
         q = sub.add_parser(name, help=f"run the {name} experiment")
         q.add_argument("--r", type=int, default=None, help="polynomial degree count")
         q.add_argument("--N", type=str, default=None, help="comma list of step counts")
@@ -522,25 +538,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         q.add_argument("--profile", action="store_true",
                        help="dump per-sample error profile data instead of a table "
                             "(takes no --weighted, --cutoff, --homogeneous or --moments)")
-    args = parser.parse_args(argv)
+    return parser
 
-    n_list = _parse_n_list(args.N)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        if args.profile:
-            if n_list is None or len(n_list) != 1:
-                raise SystemExit("--profile needs exactly one value in --N")
-            given = {"weighted": args.weighted is not None, "cutoff": args.cutoff,
-                     "homogeneous": args.homogeneous, "moments": args.moments is not None}
-            if any(given.values()):
-                raise SystemExit("--profile takes no "
-                                 + ", ".join(f"--{name}" for name, on in given.items() if on))
-            text = run_profile(args.experiment, r=args.r, n=n_list[0], p=args.P,
-                               samples=args.samples)
+        spec = TableSpec(args.experiment, args.r, _parse_n_list(args.N), args.P, args.weighted,
+                         args.cutoff, args.homogeneous, args.samples, args.moments, args.profile)
+        if spec.profile:
+            text = _profile(spec)
         else:
-            table = run_experiment(args.experiment, r=args.r, n_list=n_list, p=args.P,
-                                   weighted=args.weighted, cutoff=args.cutoff,
-                                   homogeneous=args.homogeneous, samples=args.samples,
-                                   moments=args.moments)
+            table = _table(spec)
             text = table.to_csv() if args.format == "csv" else table.to_markdown()
     except ValueError as exc:  # a bad request ends with its message, not a traceback
         raise SystemExit(str(exc)) from exc

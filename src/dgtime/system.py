@@ -401,7 +401,8 @@ class BlockSystemFactorization:
         )
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return (self._V @ self._solver.solve(self._T @ rhs)).real
+        # a real copy: the .real view would keep the complex (r, M) product alive
+        return (self._V @ self._solver.solve(self._T @ rhs)).real.copy()
 
     def _apply(self, U: np.ndarray) -> np.ndarray:
         return self._G @ U + self.k * self._H[:, None] * self._A.apply(U.T).T

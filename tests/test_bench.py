@@ -12,6 +12,7 @@ import dgtime.dg as dg
 from dgtime.bench import (
     ConvergenceTable,
     ExtrapolatedSolution,
+    TableSpec,
     main,
     max_error_sampled,
     observed_rates,
@@ -451,15 +452,15 @@ def test_run_profile_equals_materialized_computation(monkeypatch, experiment, p,
         coeffs_u = richardson(*(s.coefficients(slice(None)) for s in sols))
         coeffs_star = richardson(*(reconstruct(s).coefficients(slice(None)) for s in sols))
         reference = Heat1dReference(cfg, heat1d_problem(cfg).forcing,
-                                    bench._sample_floor(cfg.T, n, samples), cfg.T)
+                                    bench._reference_floor(cfg.T, (n,), False, samples), cfg.T)
     else:
         problem = heat2d_problem(Heat2dConfig(Px=p, Py=p))
         mesh = uniform_mesh(problem.T, n)
         sols = [dg_solve(problem, mesh, 3, moment_quadrature="radau")]
         coeffs_u = sols[0].coefficients(slice(None))
         coeffs_star = reconstruct(sols[0]).coefficients(slice(None))
-        reference = Heat2dReference(problem, bench._sample_floor(problem.T, n, samples),
-                                    problem.T)
+        t_lo = bench._reference_floor(problem.T, (n,), False, samples)
+        reference = Heat2dReference(problem, t_lo, problem.T)
     expected = _profile_text(mesh, coeffs_u, coeffs_star, sols[0].norm_weight, reference,
                              samples)
     assert run_profile(experiment, n=n, p=p) == expected
@@ -640,6 +641,34 @@ def test_ode_rejects_pde_options_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_table_spec_resolves_the_per_experiment_defaults():
+    assert TableSpec("heat2d") == TableSpec("heat2d", 3, (8, 16, 32, 64, 128), 50, None, False,
+                                            False, 4, "radau")
+    ode = TableSpec("ode", n_list=[4, 8])
+    assert (ode.r, ode.n_list, ode.p, ode.samples, ode.moments) == (4, (4, 8), 1, 50, "gauss")
+    # a profile samples 50 points per interval for every experiment
+    assert TableSpec("heat2d", n_list=[8], profile=True).samples == 50
+    assert TableSpec("heat2d", n_list=[8], samples=3, profile=True).samples == 3
+
+
+def test_degree_beyond_the_step_solver_is_rejected_before_the_reference(monkeypatch):
+    # r above MAX_DEGREE fails with the step solver's own message, but before
+    # the contour reference is built, not at the first step factorization
+    calls, built = _count_solves(monkeypatch), []
+    for name in ("Heat1dReference", "Heat2dReference"):
+        monkeypatch.setattr(bench, name, lambda *args: built.append(args))
+    message = r"^r=13 is outside the supported range 1\.\.12 of the step solver$"
+    for experiment in ("heat1d", "heat2d"):
+        with pytest.raises(SystemExit, match=message):
+            main([experiment, "--r", "13"])
+        with pytest.raises(ValueError, match=message):
+            run_profile(experiment, r=13, n=4, p=6)
+    with pytest.raises(ValueError, match=message):
+        run_experiment("ode", r=13)
+    assert calls == [] and built == []
+    assert TableSpec("heat2d", r=12).r == 12
+
+
 @pytest.mark.parametrize("experiment", ["heat1d", "heat2d"])
 def test_homogeneous_study_drops_the_forcing_from_problems_and_reference(monkeypatch, experiment):
     # the problem's forcing is the one switch: the solved problems (P and 2P
@@ -650,9 +679,10 @@ def test_homogeneous_study_drops_the_forcing_from_problems_and_reference(monkeyp
     monkeypatch.setattr(bench, "ExtrapolatedSolution", lambda *sols: sols)
     for homogeneous in (False, True):
         solved.clear()
-        study = bench._study(experiment, 2, 6, "gauss", homogeneous)
-        study.solve(uniform_mesh(study.T, 2))
-        reference = study.reference(0.5)
+        spec = TableSpec(experiment, r=2, p=6, moments="gauss", homogeneous=homogeneous)
+        T, _, solve, make_reference = bench._study(spec)
+        solve(uniform_mesh(T, 2))
+        reference = make_reference(0.5)
         forcings = [problem.forcing for problem in solved]
         forcings.append(reference.forcing if experiment == "heat1d" else reference.problem.forcing)
         assert len(forcings) == (3 if experiment == "heat1d" else 2)

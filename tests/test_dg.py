@@ -5,18 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dgtime.dg as dg
 from dgtime.basis import legendre_coeff, legendre_table, make_workspace
 from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.postprocess import jump_indicator
+from dgtime.postprocess import jump_indicator, reconstruct
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from dgtime.reference import ode_exact
-from dgtime.system import (SINE_FFT_LENGTH, diagonal_operator, scalar_operator,
-                           tridiagonal_operator)
+from dgtime.system import (MAX_DEGREE, SINE_FFT_LENGTH, diagonal_operator, scalar_operator,
+                           sparse_operator, tridiagonal_operator)
 
 from dg_helpers import interval_values, left_limit, right_limit
+from test_system import spd_operators
 
 
 def spd_tridiagonal(n, seed=0):
@@ -598,3 +601,50 @@ def test_streamed_solution_holds_one_chunk_at_a_time(monkeypatch):
             tracemalloc.stop()
         del sol
         assert peak - before < 1.5 * chunk * r * dim * 8, reads
+
+
+def _scaled(A, c):
+    """c A for an operator of `spd_operators`, solved as A is: by division or by sparse LU."""
+    if A.diagonal is not None:
+        return diagonal_operator(c * A.diagonal)
+    return sparse_operator(c * A.matrix)
+
+
+def _constant_tridiagonal(n, a, extra):
+    return lambda c: tridiagonal_operator(*(c * band for band in (
+        np.full(n - 1, a), np.full(n, 2.0 * abs(a) + extra), np.full(n - 1, a))))
+
+
+# each entry maps a factor c to an operator c A: the `spd_operators` of
+# test_system (sparse LU and diagonal division), a scalar (the dense M = 1
+# step) and a constant-band tridiagonal operator (the sine eigenbasis)
+scalable_operators = st.one_of(
+    spd_operators.map(lambda A: lambda c: A if c == 1.0 else _scaled(A, c)),
+    st.floats(0.01, 100.0).map(lambda lam: lambda c: scalar_operator(c * lam)),
+    st.builds(_constant_tridiagonal, st.integers(2, 40), st.floats(-2.0, -0.1),
+              st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator=scalable_operators, r=st.integers(1, MAX_DEGREE), s=st.integers(-3, 3),
+       moments=st.sampled_from(["gauss", "radau"]), N=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_of_two_time_scaling_is_bit_exact(operator, r, s, moments, N, seed):
+    # v(t) = u(t / c) solves v' + (A / c) v = phi(t / c) g / c when u solves
+    # u' + A u = phi g.  With c = 2^s every step size, shift and forcing
+    # moment only gains a power of two, so the DG solutions share every bit
+    c = 2.0 ** s
+    rng = np.random.default_rng(seed)
+    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, N))])
+    u0, g = rng.standard_normal((2, operator(1.0).dim))
+    sols = []
+    for scale in (1.0, c):
+        phi = lambda t, scale=scale: (np.cos(3.0 * t / scale) + t / scale) / scale
+        problem = LinearProblem(operator(1.0 / scale), u0, nodes[-1] * scale,
+                                forcing=Forcing(phi, g))
+        sols.append(dg_solve(problem, TimeMesh(nodes * scale), r, moment_quadrature=moments))
+    every = slice(None)
+    for read in (lambda sol: sol.coefficients(every), lambda sol: sol.jumps(every),
+                 lambda sol: reconstruct(sol).coefficients(every)):
+        assert np.array_equal(read(sols[1]), read(sols[0]))
