@@ -26,8 +26,8 @@ the reader, so a table row holds no full coefficient array at all.
 
 from __future__ import annotations
 
-import argparse
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -88,6 +88,16 @@ class ExtrapolatedSolution(PiecewiseLegendre):
 def _reference_values(reference, ts: np.ndarray) -> np.ndarray:
     """The reference states at the 1-D times ts in one call, shape (len(ts), M)."""
     return time_values(reference, ts).reshape(len(ts), -1)
+
+
+def _blocks(mesh, taus: np.ndarray, dim: int, start: int, end: int):
+    """Yield (idx, ts): slices of the 0-based intervals start..end - 1 and their
+    sample times, shape (B, len(taus)), in blocks of at most MEASURE_BLOCK_ELEMENTS
+    sample times x dim state entries (one interval when that alone holds more)."""
+    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * dim))
+    for lo in range(start, end, block):
+        hi = min(lo + block, end)
+        yield slice(lo, hi), mesh.to_physical(np.arange(lo + 1, hi + 1), taus)
 
 
 def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAMPLES,
@@ -153,13 +163,9 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     # nodal values are the tau = 1 samples, the last of the grid
     taus = np.array([1.0]) if all(nodals) else np.linspace(-1.0, 1.0, samples_per_interval)
     tables = [legendre_table(a.degree_count - 1, taus) for a in approxes]
-    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * approxes[0].dim))
     worst = [0.0] * len(approxes)
-    for start in range(first_measured, end_measured, block):
-        stop = min(start + block, end_measured)
-        idx = slice(start, stop)
-        ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, S)
-        refs = _reference_values(reference, ts.ravel()).reshape(stop - start, taus.size, -1)
+    for idx, ts in _blocks(mesh, taus, approxes[0].dim, first_measured, end_measured):
+        refs = _reference_values(reference, ts.ravel()).reshape(ts.shape + (-1,))
         # one coefficient block per distinct solution: U is measured twice
         # in [U, U*, U], and a derived solution computes its block on every call.
         # The last block's views go first, so no stream steps its next chunk
@@ -184,7 +190,7 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
             block_max = float(np.max(errs[rows]))
             if not math.isfinite(block_max):  # max() would drop a NaN silently
                 raise ValueError(f"non-finite error {block_max} on intervals "
-                                 f"{start + 1}..{stop} of approximation {c}")
+                                 f"{idx.start + 1}..{idx.stop} of approximation {c}")
             worst[c] = max(worst[c], block_max)
     return worst if many else worst[0]
 
@@ -320,12 +326,13 @@ class TableSpec:
     spec replaces each None by its per-experiment default, except that a
     profile samples DEFAULT_SAMPLES points per interval for every
     experiment, and makes n_list a tuple.  The ode's p and a profile's
-    moments are then defaults that a request may not give.  A bad request
-    raises ValueError, before anything is built or solved, in this order: a
-    profile without exactly one N or with weighted, cutoff, homogeneous or
-    moments; the ode with p or homogeneous; an unknown experiment; r below 1
-    or above MAX_DEGREE; an empty N list, an N below 1 or a non-doubling N
-    list; a non-finite weighted; fewer than 2 samples.
+    moments may only be given as those defaults, so `replace` rebuilds a
+    built spec.  A bad request raises ValueError, before anything is built
+    or solved, in this order: a profile without exactly one N or with
+    weighted, cutoff, homogeneous or another moments; the ode with another p
+    or homogeneous; an unknown experiment; a non-integer r, r below 1 or
+    above MAX_DEGREE; an empty N list, a non-integer N, an N below 1 or a
+    non-doubling N list; a non-finite weighted; fewer than 2 samples.
     """
 
     experiment: str
@@ -340,23 +347,26 @@ class TableSpec:
     profile: bool = False
 
     def __post_init__(self):
+        defaults = _DEFAULTS.get(self.experiment, {})
         if self.profile:
             if self.n_list is None or len(self.n_list) != 1:
                 raise ValueError("--profile needs exactly one value in --N")
             _refuse("--profile", {"--weighted": self.weighted is not None, "--cutoff": self.cutoff,
                                   "--homogeneous": self.homogeneous,
-                                  "--moments": self.moments is not None})
+                                  "--moments": self.moments not in (None, defaults.get("moments"))})
         if self.experiment == "ode":  # it has no grid or forcing switch
-            _refuse("the ode experiment", {"p": self.p is not None,
+            _refuse("the ode experiment", {"p": self.p not in (None, defaults["p"]),
                                            "homogeneous": self.homogeneous})
         if self.experiment not in _DEFAULTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.profile and self.samples is None:
             object.__setattr__(self, "samples", DEFAULT_SAMPLES)  # for every experiment
-        for name, value in _DEFAULTS[self.experiment].items():
+        for name, value in defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         object.__setattr__(self, "n_list", tuple(self.n_list))
+        if not isinstance(self.r, numbers.Integral):
+            raise ValueError(f"r must be an integer, got {self.r!r}")
         if self.r < 1:
             raise ValueError(f"r must be at least 1, got {self.r}")
         if self.r > MAX_DEGREE:  # the step solver's own message
@@ -364,6 +374,8 @@ class TableSpec:
                              "of the step solver")
         if len(self.n_list) == 0:
             raise ValueError("the N list is empty")
+        if not all(isinstance(n, numbers.Integral) for n in self.n_list):
+            raise ValueError(f"N values must be integers, got {list(self.n_list)}")
         if min(self.n_list) < 1:
             raise ValueError(f"N values must be at least 1, got {list(self.n_list)}")
         _check_doubling(self.n_list)
@@ -435,27 +447,21 @@ def _table(spec: TableSpec) -> ConvergenceTable:
     reference = make_reference(_reference_floor(T, spec.n_list, spec.cutoff, spec.samples))
     exps = _weight_exponents(spec.r, spec.weighted)
     window = (T / 4.0, T) if spec.cutoff else None
-    skip_first = spec.experiment != "ode" and spec.weighted is not None
+    # weighted full-window runs measure the sampled sups from I_2 on (the
+    # nodal maximum still sees every node, including t_1)
+    first = 2 if spec.experiment != "ode" and spec.weighted is not None else 1
     raw = []
     for n in spec.n_list:
-        # the row is stepped while it is measured, and no name holds its
-        # solutions, so they are freed before the next row
-        errors = _row_errors(*solve(uniform_mesh(T, n)), reference, exps, window, spec.samples,
-                             skip_first)
+        # one pass: err_U, err_U* and the nodal column share every reference
+        # value, and the row is stepped while it is measured
+        sol, star = solve(uniform_mesh(T, n))
+        errors = max_error_sampled([sol, star, sol], reference, spec.samples, exps, window,
+                                   nodal=[False, False, True], min_interval=[first, first, 1])
+        del sol, star  # freed before the next row is set up
         raw.append((n, spec.p, *errors))
     weight_desc = "none" if spec.weighted is None else f"min(t^(order-{spec.weighted}),1)"
     window_desc = f"[{T / 4}, {T}]" if spec.cutoff else "full"
     return ConvergenceTable(spec.experiment, norm, weight_desc, window_desc, _attach_rates(raw))
-
-
-def _row_errors(approx, approx_star, reference, exps, window, samples, skip_first=False):
-    # one pass: err_U, err_U* and the nodal column share every reference
-    # value.  Weighted full-window runs measure the sampled sups from I_2 on
-    # (the nodal maximum still sees every node, including t_1)
-    first = 2 if skip_first else 1
-    return tuple(max_error_sampled([approx, approx_star, approx], reference, samples, exps,
-                                   window, nodal=[False, False, True],
-                                   min_interval=[first, first, 1]))
 
 
 def run_profile(experiment: str, r: int | None = None, n: int = 8,
@@ -467,8 +473,8 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
     moments.  samples defaults to 50 for every experiment.  For the scalar
     ODE the two columns are signed differences, matching the usual
     error-profile plots; for the PDEs they are discrete norms.  The
-    solutions are read in the blocks of `max_error_sampled`, the reference
-    is called once per interval.  A bad request raises ValueError (see
+    solutions are read in the blocks of `max_error_sampled` (`_blocks`), the
+    reference is called once per interval.  A bad request raises ValueError (see
     TableSpec) before anything is built or solved.
     """
     return _profile(TableSpec(experiment, r, (n,), p, samples=samples, profile=True))
@@ -477,20 +483,16 @@ def run_profile(experiment: str, r: int | None = None, n: int = 8,
 def _profile(spec: TableSpec) -> str:
     T, _, solve, make_reference = _study(spec)
     reference = make_reference(_reference_floor(T, spec.n_list, spec.cutoff, spec.samples))
-    mesh = uniform_mesh(T, spec.n_list[0])
-    sol, recon = solve(mesh)
+    sol, recon = solve(uniform_mesh(T, spec.n_list[0]))
     scalar = spec.experiment == "ode"
     taus = np.linspace(-1.0, 1.0, spec.samples)
     tables = [legendre_table(x.degree_count - 1, taus) for x in (sol, recon)]
     lines = ["t,U_minus_u,U_minus_Ustar"]
-    block = max(1, MEASURE_BLOCK_ELEMENTS // (taus.size * sol.dim))
-    for start in range(0, mesh.N, block):
-        stop = min(start + block, mesh.N)
-        ts = mesh.to_physical(np.arange(start + 1, stop + 1), taus)  # (B, S)
+    for idx, ts in _blocks(sol.mesh, taus, sol.dim, 0, sol.mesh.N):
         # one reference call per interval: a call per block moves the bits
         rvals = np.concatenate([_reference_values(reference, row) for row in ts])
         # U and U* on the block, (B * samples, M) each: the streams are read forward
-        uvals, svals = ((tab @ x.coefficients(slice(start, stop))).reshape(-1, x.dim)
+        uvals, svals = ((tab @ x.coefficients(idx)).reshape(-1, x.dim)
                         for tab, x in zip(tables, (sol, recon)))
         for t, u, s, ref in zip(ts.ravel(), uvals, svals, rvals):
             if scalar:
@@ -514,6 +516,8 @@ def _parse_n_list(text: str | None) -> tuple[int, ...] | None:
 
 def _parser() -> argparse.ArgumentParser:
     """The CLI: a subcommand per experiment, an option per TableSpec field, --format and --out."""
+    import argparse  # here, so that importing dgtime loads no argparse
+
     parser = argparse.ArgumentParser(
         prog="dgtime",
         description="Convergence benchmarks for DG time stepping of parabolic problems",
@@ -530,14 +534,14 @@ def _parser() -> argparse.ArgumentParser:
                        help="restrict errors to the window [T/4, T]")
         q.add_argument("--homogeneous", action="store_true", help="drop the forcing")
         q.add_argument("--samples", type=int, default=None,
-                       help="sample points per interval (default 50; 4 for heat2d)")
+                       help="sample points per interval (default 50; 4 for heat2d tables)")
         q.add_argument("--moments", choices=("gauss", "radau"), default=None,
                        help="forcing moment quadrature (default gauss; radau for heat2d)")
         q.add_argument("--format", choices=("csv", "md"), default="md")
         q.add_argument("--out", type=str, default=None)
         q.add_argument("--profile", action="store_true",
                        help="dump per-sample error profile data instead of a table "
-                            "(takes no --weighted, --cutoff, --homogeneous or --moments)")
+                            "(no --weighted, --cutoff, --homogeneous or non-default --moments)")
     return parser
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -312,8 +313,8 @@ def test_measuring_a_streamed_row_holds_no_coefficient_array(monkeypatch):
             before, _ = tracemalloc.get_traced_memory()
             sol = dg_solve(problem, mesh, r, stream=stream)
             assert type(sol) is DgSolution  # one class, streamed or whole
-            errors = bench._row_errors(sol, reconstruct(sol), zero_reference, (None,) * 3,
-                                       None, 2)
+            errors = bench.max_error_sampled([sol, reconstruct(sol), sol], zero_reference, 2,
+                                             nodal=[False, False, True])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -649,6 +650,41 @@ def test_table_spec_resolves_the_per_experiment_defaults():
     # a profile samples 50 points per interval for every experiment
     assert TableSpec("heat2d", n_list=[8], profile=True).samples == 50
     assert TableSpec("heat2d", n_list=[8], samples=3, profile=True).samples == 3
+
+
+def test_a_built_spec_is_rebuilt_by_replace():
+    # the ode's p and a profile's moments may be given as their defaults
+    ode = TableSpec("ode")
+    assert replace(ode, n_list=(4, 8)) == TableSpec("ode", n_list=(4, 8))
+    assert TableSpec("ode", p=1) == ode
+    profile = TableSpec("heat2d", n_list=(8,), profile=True)
+    assert replace(profile, samples=10) == TableSpec("heat2d", n_list=(8,), samples=10,
+                                                      profile=True)
+    assert TableSpec("heat1d", n_list=(8,), moments="gauss", profile=True).moments == "gauss"
+    # any other value is still refused
+    with pytest.raises(ValueError, match="^the ode experiment takes no p$"):
+        replace(ode, p=16)
+    with pytest.raises(ValueError, match="^--profile takes no --moments$"):
+        replace(profile, moments="gauss")
+
+
+def test_non_integer_r_or_n_is_rejected_before_anything_is_built(monkeypatch):
+    calls, built = _count_solves(monkeypatch), []
+    for name in ("Heat1dReference", "Heat2dReference"):
+        monkeypatch.setattr(bench, name, lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"^N values must be integers, got \[8\.0, 16\.0\]$"):
+        run_experiment("heat2d", n_list=(8.0, 16.0), p=6)
+    with pytest.raises(ValueError, match=r"^N values must be integers, got \[4\.0\]$"):
+        run_profile("heat1d", n=4.0, p=16)
+    with pytest.raises(ValueError, match=r"^r must be an integer, got 2\.5$"):
+        run_experiment("ode", r=2.5, n_list=(4, 8))
+    # checked before the range: 0.5 is not an integer, not a degree below 1
+    with pytest.raises(ValueError, match=r"^r must be an integer, got 0\.5$"):
+        run_profile("heat2d", r=0.5, n=4, p=6)
+    assert calls == [] and built == []
+    # numpy integers are integers
+    spec = TableSpec("ode", r=np.int64(2), n_list=np.array([4, 8]))
+    assert (spec.r, spec.n_list) == (2, (4, 8))
 
 
 def test_degree_beyond_the_step_solver_is_rejected_before_the_reference(monkeypatch):

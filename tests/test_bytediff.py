@@ -2,10 +2,12 @@
 
 A CLI option, choice or experiment that no run uses would change the
 tables without the byte diff seeing it.  Every run must also be a valid
-request: it builds its TableSpec without a solve.
+request: it builds its TableSpec without a solve, and the built spec
+builds again unchanged.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import shlex
 from pathlib import Path
@@ -74,4 +76,5 @@ def test_every_run_builds_a_table_spec_without_a_solve(monkeypatch, run):
     with pytest.raises(_Built):
         bench.main(shlex.split(run))
     assert len(specs) == 1 and isinstance(specs[0], bench.TableSpec)
+    assert dataclasses.replace(specs[0]) == specs[0]  # a built spec builds again
     assert solves == []

@@ -53,6 +53,15 @@ def test_builtin_experiments_run_without_scipy():
     assert out.stdout.strip() == "ok"
 
 
+def test_import_loads_no_argparse():
+    # the CLI parser imports argparse when it is built, not when dgtime is imported
+    code = "import sys, dgtime; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_sparse_paths_load_scipy_on_first_use():
     rng = np.random.default_rng(3)
     B = sp.random(6, 6, density=0.3, random_state=4)
