@@ -328,11 +328,13 @@ class TableSpec:
     experiment, and makes n_list a tuple.  The ode's p and a profile's
     moments may only be given as those defaults, so `replace` rebuilds a
     built spec.  A bad request raises ValueError, before anything is built
-    or solved, in this order: a profile without exactly one N or with
-    weighted, cutoff, homogeneous or another moments; the ode with another p
-    or homogeneous; an unknown experiment; a non-integer r, r below 1 or
+    or solved, in this order: an unknown experiment; a profile without
+    exactly one N or with weighted, cutoff, homogeneous or another moments;
+    the ode with another p or homogeneous; a non-integer r, r below 1 or
     above MAX_DEGREE; an empty N list, a non-integer N, an N below 1 or a
-    non-doubling N list; a non-finite weighted; fewer than 2 samples.
+    non-doubling N list; a non-integer p; a non-finite weighted; a
+    non-integer samples or fewer than 2 samples.  numpy integers are
+    integers.
     """
 
     experiment: str
@@ -347,7 +349,9 @@ class TableSpec:
     profile: bool = False
 
     def __post_init__(self):
-        defaults = _DEFAULTS.get(self.experiment, {})
+        if self.experiment not in _DEFAULTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        defaults = _DEFAULTS[self.experiment]
         if self.profile:
             if self.n_list is None or len(self.n_list) != 1:
                 raise ValueError("--profile needs exactly one value in --N")
@@ -357,8 +361,6 @@ class TableSpec:
         if self.experiment == "ode":  # it has no grid or forcing switch
             _refuse("the ode experiment", {"p": self.p not in (None, defaults["p"]),
                                            "homogeneous": self.homogeneous})
-        if self.experiment not in _DEFAULTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.profile and self.samples is None:
             object.__setattr__(self, "samples", DEFAULT_SAMPLES)  # for every experiment
         for name, value in defaults.items():
@@ -379,8 +381,12 @@ class TableSpec:
         if min(self.n_list) < 1:
             raise ValueError(f"N values must be at least 1, got {list(self.n_list)}")
         _check_doubling(self.n_list)
+        if not isinstance(self.p, numbers.Integral):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.weighted is not None and not math.isfinite(self.weighted):
             raise ValueError(f"weighted must be finite, got {self.weighted}")
+        if not isinstance(self.samples, numbers.Integral):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError("need at least 2 samples per interval (both endpoints)")
 

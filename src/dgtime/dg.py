@@ -29,9 +29,10 @@ stream=True the solution takes chunks of STREAM_CHUNK_BLOCKS transform
 blocks as its reader reaches them and drops those behind it, so it is
 read forward only and the tables measure a row without holding its
 (N, r, M) coefficient array.  A dropped chunk is freed before the next
-one is stepped, and each step's result is copied into its chunk row at
-once, so no complex step buffer outlives its step: a forward read holds
-one chunk, two only while one read spans a chunk boundary.
+one is stepped, a read that runs past the held chunks keeps only its own
+rows of the chunk it starts in, and each step's result is copied into its
+chunk row at once, so no complex step buffer outlives its step: a forward
+read holds one chunk plus at most its own rows.
 """
 
 from __future__ import annotations
@@ -171,8 +172,10 @@ class DgSolution(PiecewiseLegendre):
     of consecutive intervals from interval 1 on, with u0 as the left limit
     carried at its start.  A read of intervals lo..hi - 1 drops the held
     chunks that end before lo, carrying the left limit at the new first
-    node, and takes chunks until interval hi - 1 is held; reading behind the
-    window raises ValueError.  coeffs is the (N, r, M) array, one chunk that
+    node, and takes chunks until interval hi - 1 is held; before it takes
+    one, a held chunk that starts before lo is cut to its rows from lo on,
+    so the window then starts at lo.  Reading behind the window raises
+    ValueError.  coeffs is the (N, r, M) array, one chunk that
     no read drops (ValueError unless it holds r coefficients per interval
     and u0 is (M,)), or the chunk iterator of `dg_solve(..., stream=True)`,
     which is stepped as it is read, forward only.
@@ -210,6 +213,14 @@ class DgSolution(PiecewiseLegendre):
                 del chunk  # freed before the next chunk is stepped
             if self._end >= hi:
                 break
+            if self._held and self._held[0][0] < lo:
+                # keep only this read's rows of the chunk it starts in, so the
+                # next chunk is stepped beside them, not beside the whole chunk
+                first, chunk = self._held[0]
+                i = lo - first
+                self._held[0] = (lo, chunk[i:].copy())
+                self._start, self._carried = lo, chunk[i - 1:i].sum(axis=1)[0]
+                del chunk
             self._held.append((self._end, next(self._chunks)))
             self._end += len(self._held[-1][1])
         parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held if first < hi]

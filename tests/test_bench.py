@@ -687,6 +687,24 @@ def test_non_integer_r_or_n_is_rejected_before_anything_is_built(monkeypatch):
     assert (spec.r, spec.n_list) == (2, (4, 8))
 
 
+def test_non_integer_p_or_samples_is_rejected_before_anything_is_built(monkeypatch):
+    calls, built = _count_solves(monkeypatch), []
+    for name in ("Heat1dReference", "Heat2dReference"):
+        monkeypatch.setattr(bench, name, lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got 10\.5$"):
+        run_experiment("ode", n_list=(4, 8), samples=10.5)
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got 4\.0$"):
+        run_profile("heat1d", n=4, p=16, samples=4.0)
+    with pytest.raises(ValueError, match=r"^p must be an integer, got 6\.5$"):
+        run_experiment("heat2d", n_list=(4, 8), p=6.5)
+    with pytest.raises(ValueError, match=r"^p must be an integer, got 16\.0$"):
+        run_profile("heat1d", n=4, p=16.0)
+    assert calls == [] and built == []
+    # numpy integers are integers
+    spec = TableSpec("heat2d", n_list=(4, 8), p=np.int64(6), samples=np.int32(3))
+    assert (spec.p, spec.samples) == (6, 3)
+
+
 def test_degree_beyond_the_step_solver_is_rejected_before_the_reference(monkeypatch):
     # r above MAX_DEGREE fails with the step solver's own message, but before
     # the contour reference is built, not at the first step factorization

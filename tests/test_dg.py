@@ -577,30 +577,33 @@ def test_streamed_solution_rejects_reads_behind_its_window(monkeypatch):
 
 def test_streamed_solution_holds_one_chunk_at_a_time(monkeypatch):
     # a diagonal operator has no back transform, so the chunks are the only
-    # arrays of many intervals.  Read interval by interval, coefficients and
-    # jumps in either order, the stream frees each chunk before it steps the
-    # next and keeps no complex step result alive (two chunks at every
-    # boundary before)
+    # arrays of many intervals.  Read 1 or 3 intervals at a time, coefficients
+    # and jumps in either order, the stream frees each chunk before it steps
+    # the next and keeps no complex step result alive (two chunks at every
+    # boundary before); a 3-interval read that straddles a boundary keeps
+    # only its own rows of the old chunk (two chunks there before)
     r, dim, block = 2, 2000, 16
     monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", block * r * dim)
     chunk = dg.STREAM_CHUNK_BLOCKS * block
+    assert chunk % 3
     problem = LinearProblem(diagonal_operator(np.linspace(1.0, 100.0, dim)),
                             np.random.default_rng(5).standard_normal(dim), 1.0,
                             forcing=Forcing(np.cos, np.ones(dim)))
     mesh = uniform_mesh(1.0, 4 * chunk)
-    for reads in (("coefficients", "jumps"), ("jumps", "coefficients")):
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            sol = dg_solve(problem, mesh, r, stream=True)
-            for n in range(mesh.N):
-                for read in reads:
-                    getattr(sol, read)(slice(n, n + 1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        del sol
-        assert peak - before < 1.5 * chunk * r * dim * 8, reads
+    for width in (1, 3):
+        for reads in (("coefficients", "jumps"), ("jumps", "coefficients")):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                sol = dg_solve(problem, mesh, r, stream=True)
+                for n in range(0, mesh.N, width):
+                    for read in reads:
+                        getattr(sol, read)(slice(n, n + width))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del sol
+            assert peak - before < 1.5 * chunk * r * dim * 8, (width, reads)
 
 
 def _scaled(A, c):

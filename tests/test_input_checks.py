@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dgtime.basis import g_matrix, h_diag, radau_rule
-from dgtime.bench import main
+from dgtime.bench import TableSpec, main
 from dgtime.dg import DgSolution
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import Heat1dConfig, heat1d_problem, ode_problem
@@ -53,6 +53,10 @@ CASES = {
                                 "need 0 < t_min <= t_max"),
     "CLI --N 8,x": (lambda: main(["ode", "--N", "8,x"]), SystemExit,
                     "invalid --N list: '8,x'"),
+    # the CLI's experiment choices keep this from the command line
+    "TableSpec unknown experiment before the profile flags": (
+        lambda: TableSpec("heat3d", n_list=(8,), profile=True, moments="gauss"), ValueError,
+        "unknown experiment 'heat3d'"),
 }
 
 
