@@ -310,6 +310,8 @@ _DEFAULTS = {
     "heat1d": dict(r=3, p=500, n_list=HEAT_N_LIST, samples=DEFAULT_SAMPLES, moments="gauss"),
     "heat2d": dict(r=3, p=50, n_list=HEAT_N_LIST, samples=4, moments="radau"),
 }
+# the forcing moment rules of `dg_solve`
+_MOMENTS = ("gauss", "radau")
 
 
 def _refuse(what: str, given: dict) -> None:
@@ -332,9 +334,9 @@ class TableSpec:
     exactly one N or with weighted, cutoff, homogeneous or another moments;
     the ode with another p or homogeneous; a non-integer r, r below 1 or
     above MAX_DEGREE; an empty N list, a non-integer N, an N below 1 or a
-    non-doubling N list; a non-integer p; a non-finite weighted; a
-    non-integer samples or fewer than 2 samples.  numpy integers are
-    integers.
+    non-doubling N list; a non-integer p; a weighted that is not a real
+    number or not finite; a non-integer samples or fewer than 2 samples;
+    moments other than "gauss" and "radau".  numpy integers are integers.
     """
 
     experiment: str
@@ -383,12 +385,16 @@ class TableSpec:
         _check_doubling(self.n_list)
         if not isinstance(self.p, numbers.Integral):
             raise ValueError(f"p must be an integer, got {self.p!r}")
+        if self.weighted is not None and not isinstance(self.weighted, numbers.Real):
+            raise ValueError(f"weighted must be a real number, got {self.weighted!r}")
         if self.weighted is not None and not math.isfinite(self.weighted):
             raise ValueError(f"weighted must be finite, got {self.weighted}")
         if not isinstance(self.samples, numbers.Integral):
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError("need at least 2 samples per interval (both endpoints)")
+        if self.moments not in _MOMENTS:  # dg_solve's own message
+            raise ValueError(f"unknown moment quadrature {self.moments!r}")
 
 
 def _solver(problem, spec):
@@ -541,7 +547,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--homogeneous", action="store_true", help="drop the forcing")
         q.add_argument("--samples", type=int, default=None,
                        help="sample points per interval (default 50; 4 for heat2d tables)")
-        q.add_argument("--moments", choices=("gauss", "radau"), default=None,
+        q.add_argument("--moments", choices=_MOMENTS, default=None,
                        help="forcing moment quadrature (default gauss; radau for heat2d)")
         q.add_argument("--format", choices=("csv", "md"), default="md")
         q.add_argument("--out", type=str, default=None)

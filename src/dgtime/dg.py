@@ -26,12 +26,13 @@ consecutive intervals, whole transform blocks at a time.  Every
 `DgSolution` reads its coefficients from a window of such chunks.
 `dg_solve` takes one chunk of all N intervals, a whole solution; with
 stream=True the solution takes chunks of STREAM_CHUNK_BLOCKS transform
-blocks as its reader reaches them and drops those behind it, so it is
-read forward only and the tables measure a row without holding its
-(N, r, M) coefficient array.  A dropped chunk is freed before the next
-one is stepped, a read that runs past the held chunks keeps only its own
-rows of the chunk it starts in, and each step's result is copied into its
-chunk row at once, so no complex step buffer outlives its step: a forward
+blocks as its reader reaches them, so it is read forward only and the
+tables measure a row without holding its (N, r, M) coefficient array.
+Rows are dropped by one rule, and only when a read is about to step the
+next chunk: the rows before the read's first interval go, a chunk that
+reaches past it keeps a copy of its own rows, and the left limit at the
+new first node is carried.  With each step's result copied into its chunk
+row at once, so that no complex step buffer outlives its step, a forward
 read holds one chunk plus at most its own rows.
 """
 
@@ -170,15 +171,15 @@ class DgSolution(PiecewiseLegendre):
 
     It reads its coefficients from a window of chunks, the (n, r, M) arrays
     of consecutive intervals from interval 1 on, with u0 as the left limit
-    carried at its start.  A read of intervals lo..hi - 1 drops the held
-    chunks that end before lo, carrying the left limit at the new first
-    node, and takes chunks until interval hi - 1 is held; before it takes
-    one, a held chunk that starts before lo is cut to its rows from lo on,
-    so the window then starts at lo.  Reading behind the window raises
-    ValueError.  coeffs is the (N, r, M) array, one chunk that
-    no read drops (ValueError unless it holds r coefficients per interval
-    and u0 is (M,)), or the chunk iterator of `dg_solve(..., stream=True)`,
-    which is stepped as it is read, forward only.
+    carried at its start.  A read of intervals lo..hi - 1 takes chunks until
+    interval hi - 1 is held.  Before it takes one, it drops every held row
+    before lo, keeping a copy of the rows from lo on of a chunk that reaches
+    past lo, and carries the left limit at t_lo; a read that takes no chunk
+    drops nothing.  Reading behind the window raises ValueError.  coeffs is
+    the (N, r, M) array, one chunk that no read drops (ValueError unless it
+    holds r coefficients per interval and u0 is (M,)), or the chunk iterator
+    of `dg_solve(..., stream=True)`, which is stepped as it is read, forward
+    only.
     """
 
     def __init__(self, mesh: TimeMesh, r: int, coeffs: np.ndarray | Iterator[np.ndarray],
@@ -206,24 +207,20 @@ class DgSolution(PiecewiseLegendre):
         if lo < self._start:
             raise ValueError(f"interval {lo + 1} lies behind the streamed window, "
                              f"which starts at interval {self._start + 1}")
-        while True:
-            while self._held and self._held[0][0] + len(self._held[0][1]) <= lo:
+        while self._end < hi:
+            # before the next chunk is stepped, drop the rows before lo: a chunk
+            # that reaches past lo keeps a copy of its rows from lo on
+            while self._held and self._held[0][0] < lo:
                 first, chunk = self._held.pop(0)
-                self._start, self._carried = first + len(chunk), chunk[-1:].sum(axis=1)[0]
+                i = min(lo - first, len(chunk))
+                self._start, self._carried = first + i, chunk[i - 1:i].sum(axis=1)[0]
+                if i < len(chunk):
+                    self._held.insert(0, (lo, chunk[i:].copy()))
                 del chunk  # freed before the next chunk is stepped
-            if self._end >= hi:
-                break
-            if self._held and self._held[0][0] < lo:
-                # keep only this read's rows of the chunk it starts in, so the
-                # next chunk is stepped beside them, not beside the whole chunk
-                first, chunk = self._held[0]
-                i = lo - first
-                self._held[0] = (lo, chunk[i:].copy())
-                self._start, self._carried = lo, chunk[i - 1:i].sum(axis=1)[0]
-                del chunk
             self._held.append((self._end, next(self._chunks)))
             self._end += len(self._held[-1][1])
-        parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held if first < hi]
+        parts = [chunk[max(lo - first, 0):hi - first] for first, chunk in self._held
+                 if first < hi and lo < first + len(chunk)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def coefficients(self, idx) -> np.ndarray:

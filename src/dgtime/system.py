@@ -34,9 +34,8 @@ the dense sine matrix on short axes and takes an rfft on long ones.
 
 Only numpy is imported at module load.  scipy is imported on first use, by
 `sparse_operator`, a sparse `shifted_lu`, the eigensolver of non-constant
-tridiagonal bands and the `.matrix` of an operator or a factorization,
-which is a scipy sparse matrix built on first access.  The built-in
-experiments reach none of these.
+tridiagonal bands and the `.matrix` of an operator, a scipy sparse matrix
+built on first access.  The built-in experiments reach none of these.
 """
 
 from __future__ import annotations
@@ -374,9 +373,7 @@ def _decoupling(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class BlockSystemFactorization:
     """Reusable direct factorization of kron(G, I) + k kron(diag(H), A).
 
-    Immutable after construction.  `matrix` assembles the block operator on
-    first use, so residuals and round trips can be checked against the
-    system that is solved.
+    Immutable after construction.
     """
 
     def __init__(self, A: LinearOperator, ws: LegendreWorkspace, k: float):
@@ -403,15 +400,6 @@ class BlockSystemFactorization:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular step system for k={self.k!r}, r={self.r}: "
                              "the operator has an eigenvalue the scheme cannot take") from exc
-
-    @cached_property
-    def matrix(self):
-        """The block operator as a scipy CSC matrix, assembled on first access."""
-        sp = _sparse()
-        eye = sp.identity(self.dim, format="csr")
-        return sp.kron(self._G, eye, format="csc") + self.k * sp.kron(
-            sp.diags(self._H), self._A.matrix, format="csc"
-        )
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
         # a real copy: the .real view would keep the complex (r, M) product alive

@@ -8,7 +8,8 @@ piecewise polynomial from one coefficient array, by the same slices;
 `pi_tilde_project` builds the right-node interpolating projection of the
 paper's analysis; `stack_values` lays complex transform values out as the
 real stack the references hold; `invert_scalar` runs a scalar Laplace
-transform through the contour inversion the references use.
+transform through the contour inversion the references use; `block_matrix`
+assembles the dense step operator that the step solver applies matrix-free.
 """
 
 import numpy as np
@@ -75,3 +76,8 @@ def invert_scalar(transform, ts, rule):
     """Contour inversion of a scalar transform (vectorised over z) at the times ts."""
     values = np.asarray(transform(rule.z), dtype=complex)[:, None]
     return _invert_values(rule, stack_values(values), np.asarray(ts, dtype=float))[:, 0]
+
+
+def block_matrix(A, ws, k):
+    """The dense (r M, r M) step operator kron(G, I) + k kron(diag(H), A) of one step of size k."""
+    return np.kron(ws.G, np.eye(A.dim)) + k * np.kron(np.diag(ws.H), A.matrix.toarray())

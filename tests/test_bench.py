@@ -705,6 +705,21 @@ def test_non_integer_p_or_samples_is_rejected_before_anything_is_built(monkeypat
     assert (spec.p, spec.samples) == (6, 3)
 
 
+def test_unknown_moments_or_non_real_weighted_is_rejected_before_anything_is_built(monkeypatch):
+    calls, built = _count_solves(monkeypatch), []
+    for name in ("Heat1dReference", "Heat2dReference"):
+        monkeypatch.setattr(bench, name, lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"^unknown moment quadrature 'simpson'$"):
+        run_experiment("heat2d", n_list=(4, 8), p=6, moments="simpson")
+    with pytest.raises(ValueError, match=r"^unknown moment quadrature 'simpson'$"):
+        run_experiment("heat1d", n_list=(4, 8), p=16, cutoff=True, moments="simpson")
+    with pytest.raises(ValueError, match=r"^weighted must be a real number, got '1\.25'$"):
+        run_experiment("heat1d", n_list=(4, 8), p=16, weighted="1.25")
+    assert calls == [] and built == []
+    # numpy floats are real numbers
+    assert TableSpec("ode", weighted=np.float32(1.25)).weighted == 1.25
+
+
 def test_degree_beyond_the_step_solver_is_rejected_before_the_reference(monkeypatch):
     # r above MAX_DEGREE fails with the step solver's own message, but before
     # the contour reference is built, not at the first step factorization

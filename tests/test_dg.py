@@ -18,7 +18,7 @@ from dgtime.reference import ode_exact
 from dgtime.system import (MAX_DEGREE, SINE_FFT_LENGTH, diagonal_operator, scalar_operator,
                            sparse_operator, tridiagonal_operator)
 
-from dg_helpers import interval_values, left_limit, right_limit
+from dg_helpers import block_matrix, interval_values, left_limit, right_limit
 from test_system import spd_operators
 
 
@@ -274,11 +274,10 @@ def test_galerkin_residual(make_problem, r, N):
     sol = dg_solve(problem, mesh, r)
     signs = (-1.0) ** np.arange(r)
     table = legendre_table(r - 1, ws.quad_nodes)
-    M = problem.A.dim
     prev = problem.u0
     for n in range(1, N + 1):
         k = mesh.steps[n - 1]
-        block = np.kron(ws.G, np.eye(M)) + k * np.kron(np.diag(ws.H), problem.A.matrix.toarray())
+        block = block_matrix(problem.A, ws, k)
         rhs = (signs[:, None] * prev[None, :])
         t_quad = mesh.to_physical(n, ws.quad_nodes)
         fvals = problem.f(t_quad)
@@ -325,7 +324,7 @@ def test_galerkin_residual_on_nonuniform_mesh():
     prev = problem.u0
     for n in range(1, mesh.N + 1):
         k = mesh.steps[n - 1]
-        block = np.kron(ws.G, np.eye(5)) + k * np.kron(np.diag(ws.H), problem.A.matrix.toarray())
+        block = block_matrix(problem.A, ws, k)
         rhs = signs[:, None] * prev[None, :]
         t_quad = mesh.to_physical(n, ws.quad_nodes)
         fvals = problem.f(t_quad)
@@ -573,6 +572,18 @@ def test_streamed_solution_rejects_reads_behind_its_window(monkeypatch):
     # the window itself can be read again, also as a function of time
     t = whole.mesh.nodes[2 * chunk + 1]
     assert np.array_equal(stream(t), whole(t))
+
+
+def test_streamed_solution_drops_rows_only_when_it_steps(monkeypatch):
+    # a read that straddles a chunk boundary steps the next chunk and keeps
+    # its own rows of the old one; a read that steps nothing drops nothing,
+    # so the jump at the straddled boundary is still read from the window
+    whole, streamed, chunk = _streamed_case(monkeypatch, "dense-1d")
+    stream = streamed()
+    for idx in (slice(chunk - 1, chunk + 1), slice(chunk + 1, chunk + 2)):
+        assert np.array_equal(stream.coefficients(idx), whole.coefficients(idx))
+    idx = slice(chunk - 1, chunk)
+    assert np.array_equal(stream.jumps(idx), whole.jumps(idx))
 
 
 def test_streamed_solution_holds_one_chunk_at_a_time(monkeypatch):

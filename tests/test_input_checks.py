@@ -57,6 +57,11 @@ CASES = {
     "TableSpec unknown experiment before the profile flags": (
         lambda: TableSpec("heat3d", n_list=(8,), profile=True, moments="gauss"), ValueError,
         "unknown experiment 'heat3d'"),
+    # the CLI's choices and float parsing keep these two from the command line
+    "TableSpec unknown moments": (lambda: TableSpec("heat2d", moments="simpson"), ValueError,
+                                  "unknown moment quadrature 'simpson'"),
+    "TableSpec string weighted": (lambda: TableSpec("ode", weighted="1.25"), ValueError,
+                                  "weighted must be a real number, got '1.25'"),
 }
 
 
