@@ -10,18 +10,22 @@ consecutive mesh halvings.
 Each table row is measured in one pass over its intervals, walked in
 blocks of whole intervals that hold at most MEASURE_BLOCK_ELEMENTS sample
 times x state entries (or one interval, when that alone holds more).  Per
-block the reference, a function of time (`mesh.time_values`), is called
-once with all of the block's sample times, and the values are shared by
-the three columns: the nodal value at t_n is the tau = 1 sample of
-interval n.  Each piecewise solution is sampled on all intervals of a
-block by one stacked matrix product.  The Richardson extrapolation of the
-1D solutions is linear, so it is applied to the Legendre coefficients
-rather than to every sample, one block at a time: the extrapolated
-solution and the reconstruction derive the coefficients of a block when
-it is measured.  The DG solutions are streamed (`dg_solve(...,
+block the coefficients of every measured solution are read first, then
+the reference, a function of time (`mesh.time_values`), is called once
+with all of the block's sample times, and the values are shared by the
+three columns: the nodal value at t_n is the tau = 1 sample of interval
+n.  A block's arrays are released before the next block is read.  Each
+piecewise solution is sampled on all intervals of a block by one stacked
+matrix product.  The Richardson extrapolation of the 1D solutions is
+linear, so it is applied to the Legendre coefficients rather than to
+every sample, one block at a time: the extrapolated solution and the
+reconstruction derive the coefficients of a block when it is measured.
+The DG solutions are streamed (`dg_solve(...,
 stream=True)`): a table row's pass, and `run_profile`, read their
 intervals in order, and they are stepped a few transform blocks ahead of
-the reader, so a table row holds no full coefficient array at all.
+the reader, so a table row holds no full coefficient array at all.  The
+steps run inside a block's coefficient read, before its reference call,
+so no block of reference values is held while a chunk is stepped.
 """
 
 from __future__ import annotations
@@ -165,18 +169,19 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     tables = [legendre_table(a.degree_count - 1, taus) for a in approxes]
     worst = [0.0] * len(approxes)
     for idx, ts in _blocks(mesh, taus, approxes[0].dim, first_measured, end_measured):
+        # one coefficient block per distinct counted solution (U is measured
+        # twice in [U, U*, U], and a derived solution computes its block on
+        # every call), read before the reference: a stream steps here, with
+        # no block of reference values beside it
+        blocks = {}
+        for c, sol in enumerate(approxes):
+            if np.any(counted[c][idx]) and id(sol) not in blocks:
+                blocks[id(sol)] = sol.coefficients(idx)
         refs = _reference_values(reference, ts.ravel()).reshape(ts.shape + (-1,))
-        # one coefficient block per distinct solution: U is measured twice
-        # in [U, U*, U], and a derived solution computes its block on every call.
-        # The last block's views go first, so no stream steps its next chunk
-        # while a view keeps the dropped one alive
-        blocks, coeffs = {}, None
         for c, sol in enumerate(approxes):
             rows = counted[c][idx]
             if not np.any(rows):
                 continue
-            if id(sol) not in blocks:
-                blocks[id(sol)] = sol.coefficients(idx)
             coeffs = blocks[id(sol)]
             if nodals[c]:
                 t, diff = ts[:, -1], coeffs.sum(axis=1) - refs[:, -1]
@@ -192,6 +197,9 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
                 raise ValueError(f"non-finite error {block_max} on intervals "
                                  f"{idx.start + 1}..{idx.stop} of approximation {c}")
             worst[c] = max(worst[c], block_max)
+        # every block counts some solution, so all of these are bound; released
+        # here, so no stream steps its next chunk while a view keeps the dropped one
+        del blocks, refs, coeffs, diff, errs
     return worst if many else worst[0]
 
 
@@ -501,11 +509,12 @@ def _profile(spec: TableSpec) -> str:
     tables = [legendre_table(x.degree_count - 1, taus) for x in (sol, recon)]
     lines = ["t,U_minus_u,U_minus_Ustar"]
     for idx, ts in _blocks(sol.mesh, taus, sol.dim, 0, sol.mesh.N):
-        # one reference call per interval: a call per block moves the bits
-        rvals = np.concatenate([_reference_values(reference, row) for row in ts])
-        # U and U* on the block, (B * samples, M) each: the streams are read forward
+        # U and U* on the block, (B * samples, M) each, read before the
+        # reference: the streams are read forward, stepped with no reference values held
         uvals, svals = ((tab @ x.coefficients(idx)).reshape(-1, x.dim)
                         for tab, x in zip(tables, (sol, recon)))
+        # one reference call per interval: a call per block moves the bits
+        rvals = np.concatenate([_reference_values(reference, row) for row in ts])
         for t, u, s, ref in zip(ts.ravel(), uvals, svals, rvals):
             if scalar:
                 a = u[0] - ref[0]

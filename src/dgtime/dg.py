@@ -18,7 +18,7 @@ An operator with a closed-form eigenbasis (`system.SineEigenbasis`: the
 transforms u0 and the forcing profile once, the steps solve the diagonal
 operator of the eigenvalues (M independent r x r problems, one broadcast
 division per step), and the coefficients are transformed back once, a
-bounded block of intervals at a time.
+bounded block of intervals at a time, in place in their chunk rows.
 
 The stepping loop is one generator (`_dg_chunks`): it carries the left
 limit from step to step and yields the back-transformed coefficients of
@@ -31,9 +31,10 @@ tables measure a row without holding its (N, r, M) coefficient array.
 Rows are dropped by one rule, and only when a read is about to step the
 next chunk: the rows before the read's first interval go, a chunk that
 reaches past it keeps a copy of its own rows, and the left limit at the
-new first node is carried.  With each step's result copied into its chunk
-row at once, so that no complex step buffer outlives its step, a forward
-read holds one chunk plus at most its own rows.
+new first node is carried.  Each step is solved into its chunk row
+(`solve_step(..., out=row)`) and each transform block is written back
+into its own rows, so no step result or transformed block lives beside
+the chunk, and a forward read holds one chunk plus at most its own rows.
 """
 
 from __future__ import annotations
@@ -322,17 +323,16 @@ def _dg_chunks(problem: LinearProblem, mesh: TimeMesh, r: int, moment_quadrature
                 if forcing is not None:
                     rhs = rhs + moments[n - 1][:, None] * profile
 
-                # copied into the chunk at once: the solve's complex buffer dies here
-                U = coeffs[n - 1 - lo]
-                U[...] = solve_step(fac, rhs)
+                # solved into its chunk row: no step result lives beside the chunk
+                U = solve_step(fac, rhs, out=coeffs[n - 1 - lo])
                 if not np.all(np.isfinite(U)):
                     raise ValueError(f"non-finite DG coefficients at step n={n}, "
                                      f"t_n={float(mesh.nodes[n])!r}")
                 prev_left = U.sum(axis=0)
             if basis is not None:
-                # in place, so the peak memory grows by one block, not by the chunk
+                # in place in the chunk: at most one block-sized scratch
                 for b in range(0, len(coeffs), block):
-                    coeffs[b:b + block] = basis.transform(coeffs[b:b + block])
+                    basis.transform(coeffs[b:b + block], out=coeffs[b:b + block])
             yield coeffs
             del coeffs, U  # the reader holds the chunk; the next is not stepped beside it
 

@@ -194,9 +194,10 @@ def resolvent_2d(z, problem, *, out=None) -> np.ndarray:
     self-check.
 
     The values go node by node into a real stack [Im uhat; Re uhat] of shape
-    (2 len(z), M): out when it is given, filled in place and returned (the
-    form the contour inversion reads, so a caller holds no complex copy of
-    all nodes), otherwise a scratch stack read back as the complex result.
+    (2 len(z), M), with an eigenbasis each part transformed straight into its
+    row: out when it is given, filled in place and returned (the form the
+    contour inversion reads, so a caller holds no complex copy of all
+    nodes), otherwise a scratch stack read back as the complex result.
     Raises ValueError for a forcing without phi_hat and for an out of
     another shape or dtype.
     """
@@ -218,7 +219,8 @@ def resolvent_2d(z, problem, *, out=None) -> np.ndarray:
             row += solver.solve(rhs - zk * row - op.matrix @ row)
             stack[k], stack[n + k] = row.imag, row.real
         else:
-            stack[k], stack[n + k] = basis.transform(row.imag), basis.transform(row.real)
+            basis.transform(row.imag, out=stack[k])
+            basis.transform(row.real, out=stack[n + k])
         if not np.all(np.isfinite(stack[k::n])):  # node k's two rows, no stack-sized mask
             raise RuntimeError("singular resolvent system: contour crosses the spectrum")
     if out is not None:

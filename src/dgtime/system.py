@@ -229,22 +229,23 @@ def _sine_matrix(n: int) -> np.ndarray:
     return q
 
 
-def _sine_transform(v: np.ndarray, axis: int) -> np.ndarray:
-    """Q v along axis -1 or -2, Q = `_sine_matrix(n)`.
+def _sine_transform(v: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Q v along axis -1 or -2, Q = `_sine_matrix(n)`, written into out (new when None).
 
-    Axes shorter than SINE_FFT_LENGTH multiply by the cached dense matrix;
-    longer ones take the rfft of the odd extension (0, v, 0, -reversed v),
-    whose imaginary part is -2 sum_j v_j sin(pi k j / (n + 1)) (Strang, SIAM
-    Rev. 41, 1999), in O(n log n) and without building Q.  The FFT branch
-    pads and transforms SINE_FFT_ROWS rows at a time into one real output,
+    out may be v itself.  Axes shorter than SINE_FFT_LENGTH multiply by the
+    cached dense matrix; longer ones take the rfft of the odd extension (0,
+    v, 0, -reversed v), whose imaginary part is -2 sum_j v_j sin(pi k j /
+    (n + 1)) (Strang, SIAM Rev. 41, 1999), in O(n log n) and without
+    building Q.  The FFT branch pads and transforms SINE_FFT_ROWS rows at a
+    time, each group copied into the pad before its rows of out are written,
     so its temporaries do not grow with the row count; an rfft row does not
     depend on the rows beside it, so the grouping keeps every bit.
     """
     n = v.shape[axis]
     if n < SINE_FFT_LENGTH:
         q = _sine_matrix(n)
-        return v @ q if axis == -1 else q @ v
-    out = np.empty(v.shape)
+        return np.matmul(v, q, out=out) if axis == -1 else np.matmul(q, v, out=out)
+    out = np.empty(v.shape) if out is None else out
     # views with the transformed axis last: no copy of v, and out is written in place
     v, rows_out = np.moveaxis(v, axis, -1), np.moveaxis(out, axis, -1)
     odd = np.zeros((SINE_FFT_ROWS, 2 * n + 2))  # entries 0 and n + 1 stay zero
@@ -275,12 +276,24 @@ class SineEigenbasis:
         self.eigenvalues = reduce(np.add.outer, axis_eigenvalues).ravel()
         self.operator = diagonal_operator(self.eigenvalues)
 
-    def transform(self, v: np.ndarray) -> np.ndarray:
-        """Q v = Q^T v for states stacked along the last axis."""
+    def transform(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Q v = Q^T v for states stacked along the last axis, written into out.
+
+        out (new when None) is a C-contiguous float array of v's shape, and
+        may be v itself; any other out raises ValueError.  A 2D basis
+        transforms its x axis into one scratch grid and its y axis from
+        there into out, so an in-place transform holds one v-sized scratch
+        at most, and a long 1D axis none.
+        """
+        if out is None:
+            out = np.empty(np.shape(v))
+        elif out.shape != np.shape(v) or out.dtype != float or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float array of shape {np.shape(v)}")
         grids = np.reshape(v, (-1,) + self.shape)
-        for axis in (-1, -2)[:len(self.shape)]:
-            grids = _sine_transform(grids, axis)
-        return grids.reshape(np.shape(v))
+        if len(self.shape) == 2:
+            grids = _sine_transform(grids, -1)
+        _sine_transform(grids, -len(self.shape), out=out.reshape(grids.shape))  # a view
+        return out
 
 
 def kronecker_sum_operator(tx, ty) -> LinearOperator:
@@ -402,17 +415,34 @@ class BlockSystemFactorization:
                              "the operator has an eigenvalue the scheme cannot take") from exc
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
-        # a real copy: the .real view would keep the complex (r, M) product alive
-        return (self._V @ self._solver.solve(self._T @ rhs)).real.copy()
+        """V W for the decoupled systems of rhs, complex; its real part is the solution."""
+        s = self._T @ rhs
+        if isinstance(self._solver, _DiagonalSolve):
+            s /= self._solver._denom  # in place; the public solve returns a new array
+        else:
+            s = self._solver.solve(s)
+        return self._V @ s
 
     def _apply(self, U: np.ndarray) -> np.ndarray:
         return self._G @ U + self.k * self._H[:, None] * self._A.apply(U.T).T
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for the (r, M) coefficients of one step from the (r, M) rhs."""
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Solve for the (r, M) coefficients of one step from the (r, M) rhs.
+
+        The coefficients are written into out (new when None), a float
+        array of shape (r, M), and returned; another shape or dtype raises
+        ValueError.  The first shifted pass writes the real part of its
+        complex product into out, the refinement pass adds its own, and the
+        residual is formed in place, so a step holds no real (r, M) copy
+        beside out.
+        """
         if rhs.shape != (self.r, self.dim):
             raise ValueError(f"rhs shape {rhs.shape} incompatible with (r, M) = "
                              f"({self.r}, {self.dim})")
+        if out is None:
+            out = np.empty((self.r, self.dim))
+        elif out.shape != (self.r, self.dim) or out.dtype != float:
+            raise ValueError(f"out must be a float array of shape ({self.r}, {self.dim})")
         # one step of iterative refinement; without it the forward error of
         # the stiff fine-grid systems (cond ~ k ||A||) accumulates to ~1e-11
         # over a long run, which is visible next to superconvergent nodal
@@ -424,10 +454,12 @@ class BlockSystemFactorization:
             b = rhs[:, 0]
             x = np.linalg.solve(self._dense, b)
             x += np.linalg.solve(self._dense, b - np.cumsum(self._dense * x, axis=1)[:, -1])
-            return x[:, None]
-        U = self._shifted_solve(rhs)
-        U += self._shifted_solve(rhs - self._apply(U))
-        return U
+            out[:, 0] = x
+            return out
+        out[...] = self._shifted_solve(rhs).real
+        residual = self._apply(out)
+        out += self._shifted_solve(np.subtract(rhs, residual, out=residual)).real
+        return out
 
 
 def factorize_step_matrix(A: LinearOperator, ws: LegendreWorkspace, k: float) -> BlockSystemFactorization:
@@ -439,6 +471,7 @@ def factorize_step_matrix(A: LinearOperator, ws: LegendreWorkspace, k: float) ->
     return BlockSystemFactorization(A, ws, k)
 
 
-def solve_step(fac: BlockSystemFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve the block system for stacked right-hand sides of shape (r, M)."""
-    return fac.solve(np.asarray(rhs, dtype=float))
+def solve_step(fac: BlockSystemFactorization, rhs: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Solve the block system for stacked right-hand sides of shape (r, M), into out."""
+    return fac.solve(np.asarray(rhs, dtype=float), out)

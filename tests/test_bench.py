@@ -325,6 +325,62 @@ def test_measuring_a_streamed_row_holds_no_coefficient_array(monkeypatch):
     assert whole_peak > n * r * dim * 8 > 2 * peak
 
 
+class _LoggedReads(PiecewiseLegendre):
+    """A piecewise solution that logs each coefficients(idx) call, then reads its inner one."""
+
+    def __init__(self, inner, name, log):
+        super().__init__(inner.mesh, inner.degree_count, inner.dim, inner.norm_weight)
+        self._inner, self._name, self._log = inner, name, log
+
+    def coefficients(self, idx):
+        self._log.append((self._name, idx.start, idx.stop))
+        return self._inner.coefficients(idx)
+
+
+def test_a_block_reads_its_coefficients_before_its_reference(monkeypatch):
+    # a streamed heat2d cutoff row in blocks of 3 intervals and chunks of 2:
+    # every block reads U and U* (stepping the stream) before its one
+    # reference call, so no block of reference values is held while a chunk
+    # is stepped; the errors are those of the whole solution, bit for bit
+    n, r, p, samples = 16, 3, 8, 4
+    dim = (p - 1) ** 2
+    monkeypatch.setattr(dg, "TRANSFORM_BLOCK_ELEMENTS", 2 * r * dim)
+    monkeypatch.setattr(bench, "MEASURE_BLOCK_ELEMENTS", 3 * samples * dim)
+    problem = heat2d_problem(Heat2dConfig(Px=p, Py=p))
+    mesh = uniform_mesh(problem.T, n)
+    window = (problem.T / 4, problem.T)
+    reference = Heat2dReference(problem, window[0] - problem.T / n, problem.T)
+    log = []
+
+    def logged_reference(ts):
+        log.append(("reference", ts))
+        return reference(ts)
+
+    def row(stream, wrap):
+        sol = dg_solve(problem, mesh, r, moment_quadrature="radau", stream=stream)
+        star = reconstruct(sol)
+        if wrap:
+            sol, star = _LoggedReads(sol, "U", log), _LoggedReads(star, "U*", log)
+        return max_error_sampled([sol, star, sol], logged_reference if wrap else reference,
+                                 samples, window=window, nodal=[False, False, True])
+
+    errors = row(True, True)
+    assert errors == row(False, False)
+    calls = [i for i, entry in enumerate(log) if entry[0] == "reference"]
+    taus = np.linspace(-1.0, 1.0, samples)
+    start = 0
+    for call in calls:
+        reads = log[start:call]
+        # U once (deduplicated from [U, U*, U]), then U*, on the same block
+        assert [name for name, _, _ in reads] == ["U", "U*"]
+        lo, hi = reads[0][1:]
+        assert all(read[1:] == (lo, hi) for read in reads)
+        times = mesh.to_physical(np.arange(lo + 1, hi + 1), taus).ravel()
+        assert np.array_equal(log[call][1], times)
+        start = call + 1
+    assert start == len(log) and len(calls) == 5  # intervals 4..16 in blocks of 3
+
+
 def test_profile_reads_its_streams_interval_by_interval(monkeypatch):
     # heat2d's 529 interior points stepped in chunks of 4 x 4 intervals and
     # read in blocks of 4 intervals: the profile holds no (N, r, M)

@@ -11,6 +11,7 @@ from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_pro
 from dgtime.system import (
     MAX_DEGREE,
     SINE_FFT_LENGTH,
+    SineEigenbasis,
     _sine_matrix,
     _sine_transform,
     diagonal_operator,
@@ -507,3 +508,97 @@ def test_block_solve_keeps_no_complex_product_through_refinement():
         tracemalloc.stop()
     assert U.flags.c_contiguous
     assert peak - before < 5.5 * U.nbytes  # 6.2 with the view
+
+
+@pytest.mark.parametrize("axes,lead", [
+    ((199,), (4, 3)),  # a dense 1D axis
+    ((999,), (2, 3)),  # an rfft 1D axis
+    ((49, 49), (5, 3)),  # a dense 2D grid
+    ((3, 401), (2, 2)),  # an rfft x axis and a dense y axis
+])
+def test_transform_into_out_or_in_place_equals_the_new_array(axes, lead):
+    basis = SineEigenbasis(*(np.linspace(1.0, 2.0, n) for n in axes))
+    dim = int(np.prod(basis.shape))
+    v = np.random.default_rng(sum(axes)).standard_normal(lead + (dim,))
+    expected = basis.transform(v)
+    grids = v.reshape((-1,) + basis.shape)  # axis by axis, each into a new array
+    for axis in (-1, -2)[:len(axes)]:
+        grids = _sine_transform(grids, axis)
+    assert np.array_equal(expected, grids.reshape(v.shape))
+    w = np.full_like(v, np.nan)
+    assert basis.transform(v, out=w) is w
+    assert np.array_equal(w, expected)
+    inplace = v.copy()
+    assert basis.transform(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, expected)
+    # one state as a strided view, as the 2D reference transforms a node's parts
+    row = v[0, 0] * (1.0 + 2.0j)
+    w = np.empty(dim)
+    assert np.array_equal(basis.transform(row.imag, out=w), basis.transform(row.imag))
+    for bad in (np.empty(lead + (dim + 1,)), np.empty(lead + (dim,), dtype=complex),
+                np.empty((dim,)), np.empty(lead[::-1] + (dim,)).swapaxes(0, 1)):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float array of shape"):
+            basis.transform(v, out=bad)
+
+
+def test_in_place_transform_of_a_block_holds_one_scratch():
+    # a (9, 3, 2401) block of P = 50 coefficients, 27 grids of 49 x 49: the x
+    # axis goes to one block-sized scratch and the y axis back into the block
+    # (a new result beside the scratch made two blocks)
+    basis = SineEigenbasis(np.linspace(1.0, 2.0, 49), np.linspace(1.0, 2.0, 49))
+    v = np.random.default_rng(11).standard_normal((9, 3, 49 * 49))
+    basis.transform(v.copy(), out=np.empty_like(v))  # the sine matrix is cached outside the trace
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        basis.transform(v, out=v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.25 * v.nbytes
+
+
+def _sparse_laplacian(dim):
+    return sparse_operator(sp.diags([[2.5] * dim, [-1.0] * (dim - 1), [-1.0] * (dim - 1)],
+                                    [0, 1, -1]))
+
+
+@pytest.mark.parametrize("A", [diagonal_operator(np.linspace(0.5, 40.0, 17)),
+                               _sparse_laplacian(13), scalar_operator(2.5)])
+@pytest.mark.parametrize("r", [1, 3, 4])
+def test_step_solve_into_out_equals_the_new_array(A, r):
+    fac = factorize_step_matrix(A, make_workspace(r), 0.2)
+    rhs = np.random.default_rng(r).standard_normal((r, A.dim))
+    expected = solve_step(fac, rhs)
+    U = np.full((r, A.dim), np.nan)
+    assert solve_step(fac, rhs, out=U) is U
+    assert np.array_equal(U, expected)
+    # a row of a chunk, as the stepper passes it; the rhs is left as it was
+    chunk = np.full((3, r, A.dim), np.nan)
+    kept = rhs.copy()
+    assert np.shares_memory(fac.solve(rhs, out=chunk[1]), chunk)
+    assert np.array_equal(chunk[1], expected) and np.array_equal(rhs, kept)
+    for bad in (np.empty((r, A.dim + 1)), np.empty((r + 1, A.dim)),
+                np.empty((r, A.dim), dtype=complex)):
+        with pytest.raises(ValueError, match="out must be a float array of shape"):
+            solve_step(fac, rhs, out=bad)
+
+
+def test_block_solve_into_out_holds_less_than_one_complex_product_beside_it():
+    # r = 5, M = 9801 into a given U: the residual (one U), the decoupled
+    # right-hand side (1.2 U) and the complex product (2 U) at most; a new
+    # real result beside them read 5.2 U
+    r, dim = 5, 9801
+    fac = factorize_step_matrix(diagonal_operator(np.linspace(1.0, 100.0, dim)),
+                                make_workspace(r), 0.1)
+    rhs = np.random.default_rng(0).standard_normal((r, dim))
+    U = np.empty((r, dim))
+    fac.solve(rhs, out=U)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        solve_step(fac, rhs, out=U)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4.5 * U.nbytes
