@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import legder, leggauss, legroots, legval, legvander
 
-from .mesh import TimeMesh, time_values
+from .mesh import TimeMesh, is_integer, time_values
 
 __all__ = [
     "LegendreWorkspace",
@@ -112,8 +112,10 @@ def make_workspace(r: int) -> LegendreWorkspace:
 
     The Gauss-Legendre rule (`leggauss`) of size r + 3 integrates all
     polynomial terms of the scheme exactly and resolves the smooth model
-    forcings to ~1e-14.
+    forcings to ~1e-14.  A non-integer r or an r below 1 raises ValueError.
     """
+    if not is_integer(r):
+        raise ValueError(f"r must be an integer, got {r!r}")
     if r < 1:
         raise ValueError("r must be at least 1")
     arrays = (g_matrix(r), h_diag(r), *leggauss(r + 3))

@@ -33,14 +33,14 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .basis import legendre_table
 from .dg import PiecewiseLegendre, dg_solve, state_norm
-from .mesh import time_values, uniform_mesh
+from .mesh import is_integer, time_values, uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
 from .postprocess import reconstruct
 from .reference import Heat1dReference, Heat2dReference, ode_exact, richardson
@@ -145,6 +145,8 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     mesh = approxes[0].mesh
     if any(not np.array_equal(a.mesh.nodes, mesh.nodes) for a in approxes[1:]):
         raise ValueError("measured solutions must share the time mesh")
+    if not is_integer(samples_per_interval):
+        raise ValueError(f"samples_per_interval must be an integer, got {samples_per_interval!r}")
     if samples_per_interval < 2:
         raise ValueError("need at least 2 samples per interval (both endpoints)")
     lo, hi = window if window is not None else (mesh.nodes[0], mesh.nodes[-1])
@@ -210,9 +212,17 @@ def _check_doubling(n_values: Sequence[int]) -> None:
 
 
 def observed_rates(errors: Sequence[float], n_values: Sequence[int] | None = None) -> list[float]:
-    """Rates log2(e_i / e_{i+1}) between consecutive rows of a halving study."""
+    """Rates log2(e_i / e_{i+1}) between consecutive rows of a halving study.
+
+    Raises ValueError naming the first row (1-based) whose error is not
+    positive and finite, and for n_values that do not double.
+    """
     if n_values is not None:
         _check_doubling(n_values)
+    for i, e in enumerate(errors, 1):
+        if not (math.isfinite(e) and e > 0):
+            raise ValueError(f"error of row {i} must be positive and finite for a rate, "
+                             f"got {float(e)!r}")
     return [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
 
 
@@ -322,6 +332,15 @@ _DEFAULTS = {
 _MOMENTS = ("gauss", "radau")
 
 
+def _option(flag: str, **argparse_keywords):
+    """A TableSpec field that is a CLI option: its flag and its argparse keywords
+    (help among them) are the field's metadata.  A switch (action="store_true")
+    defaults to False, a valued option to None."""
+    switch = argparse_keywords.get("action") == "store_true"
+    return field(default=False if switch else None,
+                 metadata={"flag": flag, "argparse": argparse_keywords})
+
+
 def _refuse(what: str, given: dict) -> None:
     """Reject a request that gives any of the options it takes none of."""
     if any(given.values()):
@@ -332,31 +351,49 @@ def _refuse(what: str, given: dict) -> None:
 class TableSpec:
     """One run of the CLI: a convergence table, or with profile=True an error profile.
 
-    The fields are the CLI's options (n_list is --N, p is --P).  Building a
-    spec replaces each None by its per-experiment default, except that a
-    profile samples DEFAULT_SAMPLES points per interval for every
-    experiment, and makes n_list a tuple.  The ode's p and a profile's
-    moments may only be given as those defaults, so `replace` rebuilds a
-    built spec.  A bad request raises ValueError, before anything is built
-    or solved, in this order: an unknown experiment; a profile without
-    exactly one N or with weighted, cutoff, homogeneous or another moments;
-    the ode with another p or homogeneous; a non-integer r, r below 1 or
-    above MAX_DEGREE; an empty N list, a non-integer N, an N below 1 or a
-    non-doubling N list; a non-integer p; a weighted that is not a real
-    number or not finite; a non-integer samples or fewer than 2 samples;
-    moments other than "gauss" and "radau".  numpy integers are integers.
+    Each field after experiment is a CLI option, with its flag and help in
+    the field's metadata (n_list is --N, p is --P); `_parser` adds one
+    argument per field, and `run_experiment` and `run_profile` take the
+    fields as keywords.  weighted is the regularity deficit alpha of the
+    initial data (see _weight_exponents); homogeneous switches off the
+    forcing; heat1d is Richardson-extrapolated from the grids P and 2P.
+    Building a spec replaces each None by its per-experiment default: the
+    2D tables measure on a coarse grid of 4 points per interval and
+    integrate the forcing moments by the Radau rule (the Radau IIA form of
+    the stepper), the others use 50 points and near-exact Gauss moments,
+    and a profile samples DEFAULT_SAMPLES points per interval for every
+    experiment.  Building also makes n_list a tuple.  The ode's p and a
+    profile's moments may only be given as those defaults, so `replace`
+    rebuilds a built spec.  A bad request raises ValueError, before
+    anything is built or solved, in this order: an unknown experiment; a
+    profile without exactly one N or with weighted, cutoff, homogeneous or
+    another moments; the ode with another p or homogeneous; a non-integer
+    r, r below 1 or above MAX_DEGREE; an empty N list, a non-integer N, an
+    N below 1 or a non-doubling N list; a non-integer p; a weighted that is
+    not a real number or not finite; a non-integer samples or fewer than 2
+    samples; moments other than "gauss" and "radau".  numpy integers are
+    integers; a bool is neither an integer nor a real number here.
     """
 
     experiment: str
-    r: int | None = None
-    n_list: Sequence[int] | None = None
-    p: int | None = None
-    weighted: float | None = None
-    cutoff: bool = False
-    homogeneous: bool = False
-    samples: int | None = None
-    moments: str | None = None
-    profile: bool = False
+    r: int | None = _option("--r", type=int, help="polynomial degree count")
+    n_list: Sequence[int] | None = _option("--N", metavar="N", help="comma list of step counts")
+    p: int | None = _option("--P", type=int, help="spatial intervals")
+    weighted: float | None = _option("--weighted", type=float, metavar="ALPHA",
+                                     help="weighted errors with regularity deficit ALPHA")
+    cutoff: bool = _option("--cutoff", action="store_true",
+                           help="restrict errors to the window [T/4, T]")
+    homogeneous: bool = _option("--homogeneous", action="store_true", help="drop the forcing")
+    samples: int | None = _option(
+        "--samples", type=int,
+        help="sample points per interval (default 50; 4 for heat2d tables)")
+    moments: str | None = _option(
+        "--moments", choices=_MOMENTS,
+        help="forcing moment quadrature (default gauss; radau for heat2d)")
+    profile: bool = _option(
+        "--profile", action="store_true",
+        help="dump per-sample error profile data instead of a table "
+             "(no --weighted, --cutoff, --homogeneous or non-default --moments)")
 
     def __post_init__(self):
         if self.experiment not in _DEFAULTS:
@@ -377,7 +414,7 @@ class TableSpec:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         object.__setattr__(self, "n_list", tuple(self.n_list))
-        if not isinstance(self.r, numbers.Integral):
+        if not is_integer(self.r):
             raise ValueError(f"r must be an integer, got {self.r!r}")
         if self.r < 1:
             raise ValueError(f"r must be at least 1, got {self.r}")
@@ -386,18 +423,19 @@ class TableSpec:
                              "of the step solver")
         if len(self.n_list) == 0:
             raise ValueError("the N list is empty")
-        if not all(isinstance(n, numbers.Integral) for n in self.n_list):
+        if not all(is_integer(n) for n in self.n_list):
             raise ValueError(f"N values must be integers, got {list(self.n_list)}")
         if min(self.n_list) < 1:
             raise ValueError(f"N values must be at least 1, got {list(self.n_list)}")
         _check_doubling(self.n_list)
-        if not isinstance(self.p, numbers.Integral):
+        if not is_integer(self.p):
             raise ValueError(f"p must be an integer, got {self.p!r}")
-        if self.weighted is not None and not isinstance(self.weighted, numbers.Real):
+        if self.weighted is not None and (not isinstance(self.weighted, numbers.Real)
+                                          or isinstance(self.weighted, bool)):
             raise ValueError(f"weighted must be a real number, got {self.weighted!r}")
         if self.weighted is not None and not math.isfinite(self.weighted):
             raise ValueError(f"weighted must be finite, got {self.weighted}")
-        if not isinstance(self.samples, numbers.Integral):
+        if not is_integer(self.samples):
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError("need at least 2 samples per interval (both endpoints)")
@@ -442,24 +480,13 @@ def _study(spec: TableSpec) -> tuple[float, str, Callable, Callable]:
             lambda t_lo: Heat2dReference(problem, t_lo, cfg.T))
 
 
-def run_experiment(experiment: str, r: int | None = None,
-                   n_list: Sequence[int] | None = None, p: int | None = None,
-                   weighted: float | None = None, cutoff: bool = False,
-                   homogeneous: bool = False, samples: int | None = None,
-                   moments: str | None = None) -> ConvergenceTable:
-    """Run one of the built-in convergence experiments.
+def run_experiment(experiment: str, **options) -> ConvergenceTable:
+    """The convergence table of TableSpec(experiment, **options).
 
-    weighted, when given, is the regularity deficit alpha of the initial
-    data; see _weight_exponents.  homogeneous switches off the forcing.
-    Arguments left None take per-experiment defaults: the 2D study measures
-    on a coarse grid of 4 points per interval and integrates the forcing
-    moments by the Radau rule (the Radau IIA form of the stepper); the
-    others use 50 points and near-exact Gauss moments.  heat1d is
-    Richardson-extrapolated from the grids P and 2P.  A bad request raises
+    The options are TableSpec's fields, by keyword.  A bad request raises
     ValueError (see TableSpec) before anything is built or solved.
     """
-    return _table(TableSpec(experiment, r, n_list, p, weighted, cutoff, homogeneous, samples,
-                            moments))
+    return _table(TableSpec(experiment, **options))
 
 
 def _table(spec: TableSpec) -> ConvergenceTable:
@@ -484,20 +511,19 @@ def _table(spec: TableSpec) -> ConvergenceTable:
     return ConvergenceTable(spec.experiment, norm, weight_desc, window_desc, _attach_rates(raw))
 
 
-def run_profile(experiment: str, r: int | None = None, n: int = 8,
-                p: int | None = None, samples: int | None = None) -> str:
+def run_profile(experiment: str, n: int = 8, **options) -> str:
     """Per-sample error profile data: t, U - u, U - U* (norms for PDE states).
 
-    The profiled solution is the one run_experiment measures: heat1d is
-    Richardson-extrapolated from the grids P and 2P, heat2d uses Radau
-    moments.  samples defaults to 50 for every experiment.  For the scalar
+    The profile of TableSpec(experiment, n_list=(n,), profile=True,
+    **options), whose other fields are taken by keyword.  The profiled
+    solution is the one run_experiment measures.  For the scalar
     ODE the two columns are signed differences, matching the usual
     error-profile plots; for the PDEs they are discrete norms.  The
     solutions are read in the blocks of `max_error_sampled` (`_blocks`), the
     reference is called once per interval.  A bad request raises ValueError (see
     TableSpec) before anything is built or solved.
     """
-    return _profile(TableSpec(experiment, r, (n,), p, samples=samples, profile=True))
+    return _profile(TableSpec(experiment, n_list=(n,), profile=True, **options))
 
 
 def _profile(spec: TableSpec) -> str:
@@ -536,7 +562,10 @@ def _parse_n_list(text: str | None) -> tuple[int, ...] | None:
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The CLI: a subcommand per experiment, an option per TableSpec field, --format and --out."""
+    """The CLI: a subcommand per experiment, an option per TableSpec field, --format and --out.
+
+    Each option is added from its field's metadata, with the field's name as dest.
+    """
     import argparse  # here, so that importing dgtime loads no argparse
 
     parser = argparse.ArgumentParser(
@@ -546,31 +575,20 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in _DEFAULTS:
         q = sub.add_parser(name, help=f"run the {name} experiment")
-        q.add_argument("--r", type=int, default=None, help="polynomial degree count")
-        q.add_argument("--N", type=str, default=None, help="comma list of step counts")
-        q.add_argument("--P", type=int, default=None, help="spatial intervals")
-        q.add_argument("--weighted", type=float, default=None, metavar="ALPHA",
-                       help="weighted errors with regularity deficit ALPHA")
-        q.add_argument("--cutoff", action="store_true",
-                       help="restrict errors to the window [T/4, T]")
-        q.add_argument("--homogeneous", action="store_true", help="drop the forcing")
-        q.add_argument("--samples", type=int, default=None,
-                       help="sample points per interval (default 50; 4 for heat2d tables)")
-        q.add_argument("--moments", choices=_MOMENTS, default=None,
-                       help="forcing moment quadrature (default gauss; radau for heat2d)")
-        q.add_argument("--format", choices=("csv", "md"), default="md")
-        q.add_argument("--out", type=str, default=None)
-        q.add_argument("--profile", action="store_true",
-                       help="dump per-sample error profile data instead of a table "
-                            "(no --weighted, --cutoff, --homogeneous or non-default --moments)")
+        for option in fields(TableSpec)[1:]:
+            if option.name == "profile":  # the CLI's own options come just before it
+                q.add_argument("--format", choices=("csv", "md"), default="md")
+                q.add_argument("--out", type=str, default=None)
+            q.add_argument(option.metadata["flag"], dest=option.name,
+                           **option.metadata["argparse"])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = TableSpec(args.experiment, args.r, _parse_n_list(args.N), args.P, args.weighted,
-                         args.cutoff, args.homogeneous, args.samples, args.moments, args.profile)
+        options = {option.name: getattr(args, option.name) for option in fields(TableSpec)}
+        spec = TableSpec(**options | {"n_list": _parse_n_list(args.n_list)})
         if spec.profile:
             text = _profile(spec)
         else:

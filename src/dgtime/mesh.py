@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeMesh", "uniform_mesh", "time_values"]
+__all__ = ["TimeMesh", "uniform_mesh", "time_values", "is_integer"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,16 @@ class TimeMesh:
         return 0.5 * ((1.0 - tau) * a + (1.0 + tau) * b)
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer count: an int or a numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def uniform_mesh(T: float, N: int) -> TimeMesh:
     """Uniform partition of (0, T] into N steps of size T / N; N is an integer."""
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"final time must be positive and finite, got T={float(T)}")
-    if not isinstance(N, numbers.Integral):
+    if not is_integer(N):
         raise ValueError(f"interval count must be an integer, got N={N!r}")
     if N < 1:
         raise ValueError("interval count must be at least 1")

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dg import Forcing, LinearProblem
+from .mesh import is_integer
 from .system import kronecker_sum_operator, scalar_operator, tridiagonal_operator
 
 __all__ = [
@@ -51,6 +52,13 @@ def _check_positive(cfg, *names: str):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_integer(cfg, *names: str):
+    """Raise ValueError naming the first of cfg's fields that is not an integer."""
+    for name in names:
+        if not is_integer(getattr(cfg, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
+
+
 def ode_problem() -> LinearProblem:
     """u' + u/2 = cos(pi t) on (0, 2] with u(0) = 1."""
     return LinearProblem(
@@ -67,8 +75,8 @@ class Heat1dConfig:
 
     u0_poly lists the polynomial coefficients of the initial profile in
     increasing powers of x; the default is x(L - x).  An empty or
-    non-finite u0_poly, and a kappa, L or T that is not finite and
-    positive, raise ValueError.
+    non-finite u0_poly, a non-integer P, and a kappa, L or T that is not
+    finite and positive, raise ValueError.
     """
 
     L: float = 2.0
@@ -78,6 +86,7 @@ class Heat1dConfig:
     u0_poly: tuple[float, ...] = (0.0, 2.0, -1.0)
 
     def __post_init__(self):
+        _check_integer(self, "P")
         if self.P < 2:
             raise ValueError("need at least two spatial intervals")
         _check_positive(self, "kappa", "L", "T")
@@ -125,8 +134,9 @@ class Heat2dConfig:
     """2D heat equation on (0, Lx) x (0, Ly) with the 5-point Laplacian.
 
     Unknowns are ordered column-major: the x index varies fastest, so the
-    state vector has dimension M = (Px - 1)(Py - 1).  A kappa, Lx, Ly or T
-    that is not finite and positive raises ValueError.
+    state vector has dimension M = (Px - 1)(Py - 1).  A non-integer Px or
+    Py, and a kappa, Lx, Ly or T that is not finite and positive, raise
+    ValueError.
     """
 
     Lx: float = 2.0
@@ -138,6 +148,7 @@ class Heat2dConfig:
     u0: Callable = _default_u0_2d
 
     def __post_init__(self):
+        _check_integer(self, "Px", "Py")
         if self.Px < 2 or self.Py < 2:
             raise ValueError("need at least two spatial intervals per direction")
         _check_positive(self, "kappa", "Lx", "Ly", "T")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import is_integer
 from .models import ODE_LAMBDA
 from .system import shifted_lu
 
@@ -155,6 +156,8 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRu
     """
     if not 0.0 < t_min <= t_max:
         raise ValueError("need 0 < t_min <= t_max")
+    if not is_integer(half_nodes):
+        raise ValueError(f"half_nodes must be an integer, got {half_nodes!r}")
     if half_nodes < 1:
         raise ValueError("half_nodes must be positive")
     ratio = t_max / t_min

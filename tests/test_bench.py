@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -529,6 +530,19 @@ def test_observed_rates_examples():
     np.testing.assert_allclose(observed_rates([2.0, 2.0, 2.0]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("errors, row, bad", [([1e-3, 0.0], 2, "0.0"),
+                                              ([np.float64(-1e-3), 1e-4], 1, "-0.001"),
+                                              ([1e-3, 1e-4, np.inf], 3, "inf"),
+                                              ([np.nan, 1e-4], 1, "nan")])
+def test_observed_rates_rejects_an_error_that_is_not_positive_and_finite(errors, row, bad):
+    # a zero error divided by zero, and a numpy one gave inf with a RuntimeWarning
+    message = f"error of row {row} must be positive and finite for a rate, got {bad}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            observed_rates(errors)
+
+
 def test_observed_rates_rejects_non_doubling():
     with pytest.raises(ValueError):
         observed_rates([1.0, 0.5], n_values=[4, 12])
@@ -602,6 +616,104 @@ def test_cli_profile_mode(tmp_path):
     t, du, ds = (float(x) for x in lines[1].split(","))
     assert t == 0.0
     assert abs(du) < 1e-2 and abs(ds) < 1e-2
+
+
+# `dgtime --help` and the help of each subcommand, at an 80-column terminal
+HELP = """\
+usage: dgtime [-h] {ode,heat1d,heat2d} ...
+
+Convergence benchmarks for DG time stepping of parabolic problems
+
+positional arguments:
+  {ode,heat1d,heat2d}
+    ode                run the ode experiment
+    heat1d             run the heat1d experiment
+    heat2d             run the heat2d experiment
+
+options:
+  -h, --help           show this help message and exit
+usage: dgtime ode [-h] [--r R] [--N N] [--P P] [--weighted ALPHA] [--cutoff]
+                  [--homogeneous] [--samples SAMPLES]
+                  [--moments {gauss,radau}] [--format {csv,md}] [--out OUT]
+                  [--profile]
+
+options:
+  -h, --help            show this help message and exit
+  --r R                 polynomial degree count
+  --N N                 comma list of step counts
+  --P P                 spatial intervals
+  --weighted ALPHA      weighted errors with regularity deficit ALPHA
+  --cutoff              restrict errors to the window [T/4, T]
+  --homogeneous         drop the forcing
+  --samples SAMPLES     sample points per interval (default 50; 4 for heat2d
+                        tables)
+  --moments {gauss,radau}
+                        forcing moment quadrature (default gauss; radau for
+                        heat2d)
+  --format {csv,md}
+  --out OUT
+  --profile             dump per-sample error profile data instead of a table
+                        (no --weighted, --cutoff, --homogeneous or non-default
+                        --moments)
+usage: dgtime heat1d [-h] [--r R] [--N N] [--P P] [--weighted ALPHA]
+                     [--cutoff] [--homogeneous] [--samples SAMPLES]
+                     [--moments {gauss,radau}] [--format {csv,md}] [--out OUT]
+                     [--profile]
+
+options:
+  -h, --help            show this help message and exit
+  --r R                 polynomial degree count
+  --N N                 comma list of step counts
+  --P P                 spatial intervals
+  --weighted ALPHA      weighted errors with regularity deficit ALPHA
+  --cutoff              restrict errors to the window [T/4, T]
+  --homogeneous         drop the forcing
+  --samples SAMPLES     sample points per interval (default 50; 4 for heat2d
+                        tables)
+  --moments {gauss,radau}
+                        forcing moment quadrature (default gauss; radau for
+                        heat2d)
+  --format {csv,md}
+  --out OUT
+  --profile             dump per-sample error profile data instead of a table
+                        (no --weighted, --cutoff, --homogeneous or non-default
+                        --moments)
+usage: dgtime heat2d [-h] [--r R] [--N N] [--P P] [--weighted ALPHA]
+                     [--cutoff] [--homogeneous] [--samples SAMPLES]
+                     [--moments {gauss,radau}] [--format {csv,md}] [--out OUT]
+                     [--profile]
+
+options:
+  -h, --help            show this help message and exit
+  --r R                 polynomial degree count
+  --N N                 comma list of step counts
+  --P P                 spatial intervals
+  --weighted ALPHA      weighted errors with regularity deficit ALPHA
+  --cutoff              restrict errors to the window [T/4, T]
+  --homogeneous         drop the forcing
+  --samples SAMPLES     sample points per interval (default 50; 4 for heat2d
+                        tables)
+  --moments {gauss,radau}
+                        forcing moment quadrature (default gauss; radau for
+                        heat2d)
+  --format {csv,md}
+  --out OUT
+  --profile             dump per-sample error profile data instead of a table
+                        (no --weighted, --cutoff, --homogeneous or non-default
+                        --moments)
+"""
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    # the options are added from TableSpec's fields; their help keeps its bytes and order
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for argv in ([], ["ode"], ["heat1d"], ["heat2d"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv + ["--help"])
+        assert done.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert "".join(texts) == HELP
 
 
 def test_cli_profile_needs_single_n():

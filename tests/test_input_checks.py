@@ -11,16 +11,21 @@ import numpy as np
 import pytest
 
 from dgtime.basis import g_matrix, h_diag, radau_rule
-from dgtime.bench import TableSpec, main
-from dgtime.dg import DgSolution
+from dgtime.bench import TableSpec, main, max_error_sampled, run_experiment
+from dgtime.dg import DgSolution, dg_solve
 from dgtime.mesh import TimeMesh, uniform_mesh
-from dgtime.models import Heat1dConfig, heat1d_problem, ode_problem
-from dgtime.reference import Heat1dReference, hyperbolic_contour
+from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
+from dgtime.reference import Heat1dReference, Heat2dReference, hyperbolic_contour, ode_exact
 
 
-def _heat1d_reference(t_min):
+def _heat1d_reference(t_min, **kwargs):
     cfg = Heat1dConfig(P=4)
-    return Heat1dReference(cfg, heat1d_problem(cfg).forcing, t_min, cfg.T)
+    return Heat1dReference(cfg, heat1d_problem(cfg).forcing, t_min, cfg.T, **kwargs)
+
+
+def _heat2d_reference(**kwargs):
+    problem = heat2d_problem(Heat2dConfig(Px=4, Py=4))
+    return Heat2dReference(problem, 0.25, problem.T, **kwargs)
 
 
 CASES = {
@@ -62,6 +67,38 @@ CASES = {
                                   "unknown moment quadrature 'simpson'"),
     "TableSpec string weighted": (lambda: TableSpec("ode", weighted="1.25"), ValueError,
                                   "weighted must be a real number, got '1.25'"),
+    # a bool is a numbers.Integral and a numbers.Real, but no count and no exponent
+    "run_experiment r=True": (lambda: run_experiment("ode", r=True), ValueError,
+                              "r must be an integer, got True"),
+    "TableSpec N=True": (lambda: TableSpec("ode", n_list=(True, 2)), ValueError,
+                         "N values must be integers, got [True, 2]"),
+    "TableSpec p=True": (lambda: TableSpec("heat1d", p=True), ValueError,
+                         "p must be an integer, got True"),
+    "TableSpec samples=True": (lambda: TableSpec("ode", samples=True), ValueError,
+                               "samples must be an integer, got True"),
+    "TableSpec weighted=True": (lambda: TableSpec("ode", weighted=True), ValueError,
+                                "weighted must be a real number, got True"),
+    "uniform_mesh N=True": (lambda: uniform_mesh(2.0, True), ValueError,
+                            "interval count must be an integer, got N=True"),
+    # integer counts at the library entry points, checked before numpy sees them
+    "heat1d_problem P=2.5": (lambda: heat1d_problem(Heat1dConfig(P=2.5)), ValueError,
+                             "P must be an integer, got 2.5"),
+    "heat2d_problem Px=10.0": (lambda: heat2d_problem(Heat2dConfig(Px=10.0)), ValueError,
+                               "Px must be an integer, got 10.0"),
+    "Heat2dConfig Py=10.0": (lambda: Heat2dConfig(Py=10.0), ValueError,
+                             "Py must be an integer, got 10.0"),
+    "hyperbolic_contour half_nodes=2.5": (lambda: hyperbolic_contour(0.25, 2.0, 2.5), ValueError,
+                                          "half_nodes must be an integer, got 2.5"),
+    "Heat1dReference half_nodes=2.5": (lambda: _heat1d_reference(0.25, half_nodes=2.5),
+                                       ValueError, "half_nodes must be an integer, got 2.5"),
+    "Heat2dReference half_nodes=2.5": (lambda: _heat2d_reference(half_nodes=2.5), ValueError,
+                                       "half_nodes must be an integer, got 2.5"),
+    "dg_solve r=2.5": (lambda: dg_solve(ode_problem(), uniform_mesh(2.0, 4), 2.5), ValueError,
+                       "r must be an integer, got 2.5"),
+    "max_error_sampled samples=2.5": (
+        lambda: max_error_sampled(dg_solve(ode_problem(), uniform_mesh(2.0, 4), 2), ode_exact,
+                                  2.5),
+        ValueError, "samples_per_interval must be an integer, got 2.5"),
 }
 
 
