@@ -120,20 +120,20 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
     intervals (the sampled sup on I_1 is dominated by the reduced regularity
     at t = 0, and some references cannot be evaluated there).
 
-    approx may also be a sequence of piecewise solutions on one mesh; weight,
-    nodal and min_interval then each take one value for all of them or a
-    sequence with one entry per solution, and the result is a list with one
-    maximum per solution.  The reference is evaluated once per sample time
-    for the whole sequence.  Intervals are measured in blocks of at most
-    MEASURE_BLOCK_ELEMENTS sample times x state entries (one interval when
-    a single interval holds more).  Raises ValueError when a solution has
+    approx may also be a list or tuple of piecewise solutions on one mesh;
+    weight, nodal and min_interval then each take one value for all of them or
+    a list, tuple or 1-D array with one entry per solution, and the result is
+    a list with one maximum per solution.  The reference is evaluated once per
+    sample time for the whole sequence.  Intervals are measured in blocks of
+    at most MEASURE_BLOCK_ELEMENTS sample times x state entries (one interval
+    when a single interval holds more).  Raises ValueError when a solution has
     no interval to measure and when a measured error is not finite.
     """
     many = isinstance(approx, (list, tuple))
     approxes = list(approx) if many else [approx]
 
     def per_entry(value, name):
-        if not (many and isinstance(value, (list, tuple))):
+        if not (many and np.ndim(value) == 1):  # a list, tuple or 1-D array
             return [value] * len(approxes)
         if len(value) != len(approxes):
             raise ValueError(f"{name} needs one entry per approximation")
@@ -214,10 +214,14 @@ def _check_doubling(n_values: Sequence[int]) -> None:
 def observed_rates(errors: Sequence[float], n_values: Sequence[int] | None = None) -> list[float]:
     """Rates log2(e_i / e_{i+1}) between consecutive rows of a halving study.
 
-    Raises ValueError naming the first row (1-based) whose error is not
-    positive and finite, and for n_values that do not double.
+    Raises ValueError for n_values without one entry per error and for
+    n_values that do not double, and names the first row (1-based) whose
+    error is not positive and finite.
     """
     if n_values is not None:
+        if len(n_values) != len(errors):
+            raise ValueError(f"n_values needs one entry per error, got {len(n_values)} "
+                             f"for {len(errors)} errors")
         _check_doubling(n_values)
     for i, e in enumerate(errors, 1):
         if not (math.isfinite(e) and e > 0):
@@ -228,6 +232,10 @@ def observed_rates(errors: Sequence[float], n_values: Sequence[int] | None = Non
 
 @dataclass
 class TableRow:
+    """One N of a convergence table; the field order is the column order of
+    both outputs, each error followed by its observed rate (None on the first
+    row)."""
+
     N: int
     P: int
     err_u: float
@@ -250,48 +258,29 @@ class ConvergenceTable:
 
     CSV_HEADER = "N,P,err_U,rate_U,err_Ustar,rate_Ustar,err_nodal,rate_nodal"
 
-    def to_csv(self) -> str:
-        def cell(v):
-            return "" if v is None else repr(float(v))
+    def _cells(self, error: str, rate: str) -> list[list[str]]:
+        """Each row's cells in TableRow's field order: N and P as they are, each
+        err_ and rate_ field as a float in the format spec error or rate, and a
+        None (a first row's rate) as ''."""
+        def cell(name, value):
+            if name in ("N", "P"):
+                return str(value)
+            spec = rate if name.startswith("rate") else error
+            return "" if value is None else format(float(value), spec)
 
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([str(r.N), str(r.P), cell(r.err_u), cell(r.rate_u),
-                                   cell(r.err_ustar), cell(r.rate_ustar),
-                                   cell(r.err_nodal), cell(r.rate_nodal)]))
-        return "\n".join(lines) + "\n"
+        return [[cell(f.name, getattr(row, f.name)) for f in fields(row)] for row in self.rows]
+
+    def to_csv(self) -> str:
+        # an empty spec formats a float as its repr, every digit
+        return "\n".join([self.CSV_HEADER] + [",".join(c) for c in self._cells("", "")]) + "\n"
 
     def to_markdown(self) -> str:
-        def err(v):
-            return f"{v:.2e}"
-
-        def rate(v):
-            return "" if v is None else f"{v:.3f}"
-
         head = (f"## {self.experiment}  (norm: {self.norm}, weight: {self.weight}, "
                 f"window: {self.window})")
-        lines = [
-            head,
-            "",
-            "| N | P | err_U | rate | err_U* | rate | err_nodal | rate |",
-            "|---:|---:|---:|---:|---:|---:|---:|---:|",
-        ]
-        for r in self.rows:
-            lines.append(f"| {r.N} | {r.P} | {err(r.err_u)} | {rate(r.rate_u)} | "
-                         f"{err(r.err_ustar)} | {rate(r.rate_ustar)} | "
-                         f"{err(r.err_nodal)} | {rate(r.rate_nodal)} |")
+        lines = [head, "", "| N | P | err_U | rate | err_U* | rate | err_nodal | rate |",
+                 "|---:|---:|---:|---:|---:|---:|---:|---:|"]
+        lines += [f"| {' | '.join(c)} |" for c in self._cells(".2e", ".3f")]
         return "\n".join(lines) + "\n"
-
-
-def _attach_rates(rows_raw: list[tuple[int, int, float, float, float]]) -> list[TableRow]:
-    ns = [row[0] for row in rows_raw]
-    cols = list(zip(*[(r[2], r[3], r[4]) for r in rows_raw]))
-    rates = [observed_rates(col, ns) for col in cols]
-    out = []
-    for i, (n, p, eu, es, en) in enumerate(rows_raw):
-        pick = lambda c: None if i == 0 else rates[c][i - 1]
-        out.append(TableRow(n, p, eu, pick(0), es, pick(1), en, pick(2)))
-    return out
 
 
 def _weight_exponents(r: int, weighted: float | None) -> tuple[float | None, float | None, float | None]:
@@ -364,15 +353,18 @@ class TableSpec:
     and a profile samples DEFAULT_SAMPLES points per interval for every
     experiment.  Building also makes n_list a tuple.  The ode's p and a
     profile's moments may only be given as those defaults, so `replace`
-    rebuilds a built spec.  A bad request raises ValueError, before
-    anything is built or solved, in this order: an unknown experiment; a
-    profile without exactly one N or with weighted, cutoff, homogeneous or
-    another moments; the ode with another p or homogeneous; a non-integer
-    r, r below 1 or above MAX_DEGREE; an empty N list, a non-integer N, an
-    N below 1 or a non-doubling N list; a non-integer p; a weighted that is
-    not a real number or not finite; a non-integer samples or fewer than 2
-    samples; moments other than "gauss" and "radau".  numpy integers are
-    integers; a bool is neither an integer nor a real number here.
+    rebuilds a built spec.  A bad request raises ValueError, before anything is
+    built or solved, in this order: an unknown experiment; a cutoff,
+    homogeneous or profile that is not a bool (a numpy bool is one); an n_list
+    that is not one-dimensional (a list, tuple or 1-D array is; a str or a
+    single N is not); a profile without exactly one N or with weighted,
+    cutoff, homogeneous or another moments; the ode with another p or
+    homogeneous; a non-integer r, r below 1 or above MAX_DEGREE; an empty N
+    list, a non-integer N, an N below 1 or a non-doubling N list; a
+    non-integer p; a weighted that is not a real number or not finite; a
+    non-integer samples or fewer than 2 samples; moments other than "gauss"
+    and "radau".  numpy integers are integers; a bool is neither an integer nor
+    a real number here.
     """
 
     experiment: str
@@ -398,6 +390,12 @@ class TableSpec:
     def __post_init__(self):
         if self.experiment not in _DEFAULTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for option in fields(self):  # a switch is a field that defaults to False (_option)
+            value = getattr(self, option.name)
+            if option.default is False and not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{option.name} must be a bool, got {value!r}")
+        if self.n_list is not None and np.ndim(self.n_list) != 1:  # a str or an int is 0-D
+            raise ValueError(f"n_list must be a sequence, got {self.n_list!r}")
         defaults = _DEFAULTS[self.experiment]
         if self.profile:
             if self.n_list is None or len(self.n_list) != 1:
@@ -452,15 +450,18 @@ def _solver(problem, spec):
 
 
 def _study(spec: TableSpec) -> tuple[float, str, Callable, Callable]:
-    """(T, norm, solve, make_reference): spec's experiment as the tables measure it.
+    """(T, norm, solve, reference): spec's experiment as the tables measure it.
 
     solve maps a time mesh to the measured solution and its reconstruction,
-    streamed (read forward only, stepped while read); make_reference maps
-    t_lo to the exact solution on [t_lo, T].
+    streamed (read forward only, stepped while read); reference is the exact
+    solution on [_reference_floor(...), T], built after the problems.
     """
+    def span(T):  # the reference's time span
+        return _reference_floor(T, spec.n_list, spec.cutoff, spec.samples), T
+
     if spec.experiment == "ode":
         problem = ode_problem()
-        return problem.T, "abs", _solver(problem, spec), lambda t_lo: ode_exact
+        return problem.T, "abs", _solver(problem, spec), ode_exact
     drop = {"forcing": None} if spec.homogeneous else {}  # the problem's forcing is the one switch
     if spec.experiment == "heat1d":
         # Richardson extrapolation from the spatial grids P and 2P
@@ -472,12 +473,11 @@ def _study(spec: TableSpec) -> tuple[float, str, Callable, Callable]:
             (sol_c, star_c), (sol_f, star_f) = solve_c(mesh), solve_f(mesh)
             return ExtrapolatedSolution(sol_c, sol_f), ExtrapolatedSolution(star_c, star_f)
 
-        return (cfg.T, "discrete-L2(h)", solve,
-                lambda t_lo: Heat1dReference(cfg, prob_c.forcing, t_lo, cfg.T))
+        return cfg.T, "discrete-L2(h)", solve, Heat1dReference(cfg, prob_c.forcing, *span(cfg.T))
     cfg = Heat2dConfig(Px=spec.p, Py=spec.p)
     problem = replace(heat2d_problem(cfg), **drop)
     return (cfg.T, "discrete-L2(hx*hy)", _solver(problem, spec),
-            lambda t_lo: Heat2dReference(problem, t_lo, cfg.T))
+            Heat2dReference(problem, *span(cfg.T)))
 
 
 def run_experiment(experiment: str, **options) -> ConvergenceTable:
@@ -490,25 +490,27 @@ def run_experiment(experiment: str, **options) -> ConvergenceTable:
 
 
 def _table(spec: TableSpec) -> ConvergenceTable:
-    T, norm, solve, make_reference = _study(spec)
-    reference = make_reference(_reference_floor(T, spec.n_list, spec.cutoff, spec.samples))
+    T, norm, solve, reference = _study(spec)
     exps = _weight_exponents(spec.r, spec.weighted)
     window = (T / 4.0, T) if spec.cutoff else None
     # weighted full-window runs measure the sampled sups from I_2 on (the
     # nodal maximum still sees every node, including t_1)
     first = 2 if spec.experiment != "ode" and spec.weighted is not None else 1
-    raw = []
+    errors = []  # (err_U, err_U*, err_nodal) per N
     for n in spec.n_list:
         # one pass: err_U, err_U* and the nodal column share every reference
         # value, and the row is stepped while it is measured
         sol, star = solve(uniform_mesh(T, n))
-        errors = max_error_sampled([sol, star, sol], reference, spec.samples, exps, window,
-                                   nodal=[False, False, True], min_interval=[first, first, 1])
+        errors.append(max_error_sampled([sol, star, sol], reference, spec.samples, exps, window,
+                                        nodal=[False, False, True], min_interval=[first, first, 1]))
         del sol, star  # freed before the next row is set up
-        raw.append((n, spec.p, *errors))
+    # (rate_U, rate_U*, rate_nodal) per N, None on the first row
+    rates = zip(*([None, *observed_rates(column, spec.n_list)] for column in zip(*errors)))
+    rows = [TableRow(n, spec.p, *(cell for pair in zip(errs, row_rates) for cell in pair))
+            for n, errs, row_rates in zip(spec.n_list, errors, rates)]
     weight_desc = "none" if spec.weighted is None else f"min(t^(order-{spec.weighted}),1)"
     window_desc = f"[{T / 4}, {T}]" if spec.cutoff else "full"
-    return ConvergenceTable(spec.experiment, norm, weight_desc, window_desc, _attach_rates(raw))
+    return ConvergenceTable(spec.experiment, norm, weight_desc, window_desc, rows)
 
 
 def run_profile(experiment: str, n: int = 8, **options) -> str:
@@ -527,8 +529,7 @@ def run_profile(experiment: str, n: int = 8, **options) -> str:
 
 
 def _profile(spec: TableSpec) -> str:
-    T, _, solve, make_reference = _study(spec)
-    reference = make_reference(_reference_floor(T, spec.n_list, spec.cutoff, spec.samples))
+    T, _, solve, reference = _study(spec)
     sol, recon = solve(uniform_mesh(T, spec.n_list[0]))
     scalar = spec.experiment == "ode"
     taus = np.linspace(-1.0, 1.0, spec.samples)

@@ -140,6 +140,20 @@ def test_sequence_arguments_are_checked():
     both = max_error_sampled([sol, sol], ref, weight=2.0, nodal=[False, True])
     assert both == [max_error_sampled(sol, ref, weight=2.0),
                     max_error_sampled(sol, ref, weight=2.0, nodal=True)]
+    # a 1-D array is one entry per solution, as a list is, with the same length check
+    fine = ode_solution(N=4, r=2)
+    by_list = max_error_sampled([sol, fine], ref, weight=[1.0, 2.0], nodal=[False, True],
+                                min_interval=[1, 2])
+    assert by_list == max_error_sampled([sol, fine], ref, weight=np.array([1.0, 2.0]),
+                                        nodal=np.array([False, True]),
+                                        min_interval=np.array([1, 2]))
+    assert max_error_sampled([sol, fine], ref, samples_per_interval=2,
+                             weight=np.array([1.0, 2.0])) == [
+        max_error_sampled(sol, ref, samples_per_interval=2, weight=1.0),
+        max_error_sampled(fine, ref, samples_per_interval=2, weight=2.0)]
+    for name in ("weight", "nodal", "min_interval"):
+        with pytest.raises(ValueError, match=f"^{name} needs one entry per approximation$"):
+            max_error_sampled([sol, sol], ref, **{name: np.array([1, 1, 1])})
 
 
 class _SampleRichardson:
@@ -548,6 +562,15 @@ def test_observed_rates_rejects_non_doubling():
         observed_rates([1.0, 0.5], n_values=[4, 12])
 
 
+@pytest.mark.parametrize("errors, n_values", [([1.0, 0.5, 0.25], [4, 8]),
+                                              ([1.0, 0.5], [4, 8, 16])])
+def test_observed_rates_needs_one_n_per_error(errors, n_values):
+    message = (f"n_values needs one entry per error, got {len(n_values)} "
+               f"for {len(errors)} errors")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        observed_rates(errors, n_values=n_values)
+
+
 def test_extrapolated_solution_requires_shared_mesh():
     coarse = ode_solution(N=4)
     fine = ode_solution(N=8)
@@ -582,6 +605,43 @@ def test_markdown_has_three_significant_digits():
     md = table.to_markdown()
     assert "e-0" in md or "e+0" in md
     assert md.count("|") > 10
+
+
+# a table built by hand, as perfbench's graded workload builds it: TableRows by
+# position, numpy integer N and P, numpy and Python floats, no rate on the first row
+HAND_BUILT_ROWS = [
+    (np.int64(32), np.int64(50), 0.0012345678901234567, None,
+     np.float64(9.876543210987653e-05), None, 3.3333333333333335e-07, None),
+    (np.int64(64), np.int64(50), np.float64(0.00015432098765432098), 3.0000000000000004,
+     6.172839506172839e-06, np.float64(3.999999999999999), 5.208333333333333e-09, 6.0),
+    (np.int32(128), np.int32(50), np.float32(1.9290123e-05), 2.9999999999999996,
+     3.858024691358025e-07, 4.000000000000001, 8.138020833333333e-11,
+     np.float64(-0.1234567890123456)),
+]
+HAND_BUILT_CSV = """\
+N,P,err_U,rate_U,err_Ustar,rate_Ustar,err_nodal,rate_nodal
+32,50,0.0012345678901234567,,9.876543210987653e-05,,3.3333333333333335e-07,
+64,50,0.00015432098765432098,3.0000000000000004,6.172839506172839e-06,3.999999999999999,\
+5.208333333333333e-09,6.0
+128,50,1.92901225091191e-05,2.9999999999999996,3.858024691358025e-07,4.000000000000001,\
+8.138020833333333e-11,-0.1234567890123456
+"""
+HAND_BUILT_MARKDOWN = """\
+## heat2d-graded  (norm: discrete-L2(hx*hy), weight: none, window: [0.5, 2.0])
+
+| N | P | err_U | rate | err_U* | rate | err_nodal | rate |
+|---:|---:|---:|---:|---:|---:|---:|---:|
+| 32 | 50 | 1.23e-03 |  | 9.88e-05 |  | 3.33e-07 |  |
+| 64 | 50 | 1.54e-04 | 3.000 | 6.17e-06 | 4.000 | 5.21e-09 | 6.000 |
+| 128 | 50 | 1.93e-05 | 3.000 | 3.86e-07 | 4.000 | 8.14e-11 | -0.123 |
+"""
+
+
+def test_a_hand_built_table_keeps_its_text():
+    rows = [bench.TableRow(*values) for values in HAND_BUILT_ROWS]
+    table = ConvergenceTable("heat2d-graded", "discrete-L2(hx*hy)", "none", "[0.5, 2.0]", rows)
+    assert table.to_csv() == HAND_BUILT_CSV
+    assert table.to_markdown() == HAND_BUILT_MARKDOWN
 
 
 def test_unknown_experiment_rejected():
@@ -820,6 +880,13 @@ def test_table_spec_resolves_the_per_experiment_defaults():
     assert TableSpec("heat2d", n_list=[8], samples=3, profile=True).samples == 3
 
 
+def test_table_spec_takes_numpy_bools_and_any_sequence():
+    # a numpy bool is a switch, as a numpy integer is an integer
+    spec = TableSpec("heat1d", n_list=range(8, 9), cutoff=np.True_, homogeneous=np.bool_(False))
+    assert (spec.n_list, spec.cutoff, spec.homogeneous) == ((8,), True, False)
+    assert TableSpec("heat2d", n_list=np.array([8]), profile=np.True_).samples == 50
+
+
 def test_a_built_spec_is_rebuilt_by_replace():
     # the ode's p and a profile's moments may be given as their defaults
     ode = TableSpec("ode")
@@ -917,9 +984,8 @@ def test_homogeneous_study_drops_the_forcing_from_problems_and_reference(monkeyp
     for homogeneous in (False, True):
         solved.clear()
         spec = TableSpec(experiment, r=2, p=6, moments="gauss", homogeneous=homogeneous)
-        T, _, solve, make_reference = bench._study(spec)
+        T, _, solve, reference = bench._study(spec)
         solve(uniform_mesh(T, 2))
-        reference = make_reference(0.5)
         forcings = [problem.forcing for problem in solved]
         forcings.append(reference.forcing if experiment == "heat1d" else reference.problem.forcing)
         assert len(forcings) == (3 if experiment == "heat1d" else 2)

@@ -3,7 +3,7 @@
 A CLI option, choice or experiment that no run uses would change the
 tables without the byte diff seeing it.  Every run must also be a valid
 request: it builds its TableSpec without a solve, and the built spec
-builds again unchanged.
+builds again unchanged.  The byte diff also runs every benchmark workload.
 """
 
 import argparse
@@ -16,17 +16,18 @@ import pytest
 
 import dgtime.bench as bench
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bytediff.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_runs():
-    spec = importlib.util.spec_from_file_location("bytediff", SCRIPT)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.RUNS
+    return module
 
 
-RUNS = _load_runs()
+BYTEDIFF = _load("bytediff", ROOT / "tools" / "bytediff.py")
+RUNS = BYTEDIFF.RUNS
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -57,6 +58,11 @@ def test_runs_hold_a_table_and_a_profile_of_every_experiment():
     firsts = [(shlex.split(run)[0], "--profile" in shlex.split(run)) for run in RUNS]
     for name in _subcommands():
         assert (name, False) in firsts and (name, True) in firsts, name
+
+
+def test_runs_cover_every_benchmark_workload():
+    workloads = _load("workloads", ROOT / "perfbench" / "workloads.py")
+    assert BYTEDIFF.WORKLOADS == workloads.WORKLOADS
 
 
 class _Built(Exception):

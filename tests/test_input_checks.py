@@ -78,6 +78,21 @@ CASES = {
                                "samples must be an integer, got True"),
     "TableSpec weighted=True": (lambda: TableSpec("ode", weighted=True), ValueError,
                                 "weighted must be a real number, got True"),
+    # a truthy string would switch the forcing off; an int N list fails in tuple() or len()
+    "TableSpec homogeneous='false'": (lambda: TableSpec("heat1d", homogeneous="false"),
+                                      ValueError, "homogeneous must be a bool, got 'false'"),
+    "TableSpec cutoff=1": (lambda: TableSpec("heat1d", cutoff=1), ValueError,
+                           "cutoff must be a bool, got 1"),
+    "TableSpec profile=None": (lambda: TableSpec("ode", n_list=(8,), profile=None), ValueError,
+                               "profile must be a bool, got None"),
+    "TableSpec n_list=8": (lambda: TableSpec("ode", n_list=8), ValueError,
+                           "n_list must be a sequence, got 8"),
+    "TableSpec profile n_list=8": (lambda: TableSpec("ode", n_list=8, profile=True), ValueError,
+                                   "n_list must be a sequence, got 8"),
+    "TableSpec n_list='8,16'": (lambda: TableSpec("ode", n_list="8,16"), ValueError,
+                                "n_list must be a sequence, got '8,16'"),
+    "TableSpec n_list={8}": (lambda: TableSpec("ode", n_list={8}), ValueError,
+                             "n_list must be a sequence, got {8}"),
     "uniform_mesh N=True": (lambda: uniform_mesh(2.0, True), ValueError,
                             "interval count must be an integer, got N=True"),
     # integer counts at the library entry points, checked before numpy sees them

@@ -1,15 +1,19 @@
-"""Byte diff of the CLI's tables and error profiles against a base revision.
+"""Byte diff of the CLI's and the benchmark's tables against a base revision.
 
     python tools/bytediff.py BASE [--threads N]
 
-Every entry of RUNS is a `dgtime` command line.  The base side runs them
-from a detached git worktree of BASE, added in a temporary directory and
-removed on every exit; the head side runs them from this checkout's `src/`,
-uncommitted edits included.  Each side runs all entries through
-`dgtime.bench.main` in one fresh interpreter, whose BLAS thread count is set
-in its environment before numpy loads: one thread for the base, N (default
-1) for the head.  A run that differs is printed with its first differing
-line and its count of differing lines.
+Every entry of RUNS is a `dgtime` command line, and every entry of WORKLOADS
+a workload of the benchmark.  The base side runs them from a detached git
+worktree of BASE, added in a temporary directory and removed on every exit;
+the head side runs them from this checkout's `src/`, uncommitted edits
+included.  Each side runs all entries in one fresh interpreter, whose BLAS
+thread count is set in its environment before numpy loads: one thread for
+the base, N (default 1) for the head.  A run goes through
+`dgtime.bench.main`; a workload's CSV tables come from `run_tables(dgtime,
+name, make_inputs(dgtime, name, 0))` of the side's own
+`perfbench/workloads.py`, loaded from its file and only read.  A run or
+workload that differs is printed with its first differing line and its
+count of differing lines.
 
 The bits of some CSV cells and profiles depend on the BLAS thread count, so
 the tables are compared at one thread: then any difference exits 1.  With
@@ -76,10 +80,16 @@ RUNS = (
     "ode --r 2 --N 1400 --profile",
 )
 
-# runs in the side's interpreter: argv[1] is the JSON list of runs; prints
-# the dgtime module it imported and each run's output, or its exit message
+# the benchmark's workloads (perfbench/workloads.py), whose tables take paths
+# no CLI run takes: the whole (not streamed) dg_solve, the single-solution and
+# nodal-only max_error_sampled, and the graded mesh
+WORKLOADS = ("paper-tables", "heat2d-scale", "heat2d-graded")
+
+# runs in the side's interpreter, in its checkout: argv[1] is the JSON list of
+# runs, argv[2] that of the workloads; prints the dgtime module it imported,
+# each run's output, or its exit message, then each workload's CSV tables
 CHILD = """
-import contextlib, io, json, shlex, sys
+import contextlib, importlib.util, io, json, shlex, sys
 import dgtime
 from dgtime.bench import main
 outputs = []
@@ -91,17 +101,26 @@ for run in json.loads(sys.argv[1]):
     except SystemExit as exc:
         out.write(f"exit: {exc}\\n")
     outputs.append(out.getvalue())
+sys.dont_write_bytecode = True  # perfbench/ is only read
+spec = importlib.util.spec_from_file_location("workloads", "perfbench/workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+for name in json.loads(sys.argv[2]):
+    tables = workloads.run_tables(dgtime, name, workloads.make_inputs(dgtime, name, 0))
+    outputs.append("".join(f"# {label}\\n{text}" for label, text in tables.items()))
 json.dump({"module": dgtime.__file__, "outputs": outputs}, sys.stdout)
 """
+# what compare() prints for each output of a side, in order
+LABELS = tuple(f"dgtime {run}" for run in RUNS) + tuple(f"workload {name}" for name in WORKLOADS)
 
 
 def _start(root: Path, threads: int) -> subprocess.Popen:
-    """One interpreter that runs every entry of RUNS from root's src/."""
+    """One interpreter that runs every entry of RUNS and WORKLOADS from root's src/."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = str(threads)
-    return subprocess.Popen([sys.executable, "-c", CHILD, json.dumps(RUNS)], cwd=root, env=env,
-                            stdout=subprocess.PIPE, text=True)
+    return subprocess.Popen([sys.executable, "-c", CHILD, json.dumps(RUNS), json.dumps(WORKLOADS)],
+                            cwd=root, env=env, stdout=subprocess.PIPE, text=True)
 
 
 def _outputs(child: subprocess.Popen, root: Path) -> list[str]:
@@ -117,13 +136,13 @@ def _outputs(child: subprocess.Popen, root: Path) -> list[str]:
 def compare(base: list[str], head: list[str]) -> int:
     """Print each run whose outputs differ; return the number of such runs."""
     differ = 0
-    for run, a, b in zip(RUNS, base, head):
+    for label, a, b in zip(LABELS, base, head):
         pairs = list(zip_longest(a.split("\n"), b.split("\n")))
         lines = [i for i, (x, y) in enumerate(pairs) if x != y]
         if lines:
             differ += 1
             first = lines[0]
-            print(f"dgtime {run}: {len(lines)} of {len(pairs)} lines differ, "
+            print(f"{label}: {len(lines)} of {len(pairs)} lines differ, "
                   f"the first is line {first + 1}:")
             print(f"  base: {pairs[first][0]}")
             print(f"  head: {pairs[first][1]}")
@@ -157,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     differ = compare(base, head)
     lines = sum(len(text.splitlines()) for text in head)
-    print(f"{len(RUNS) - differ} of {len(RUNS)} runs identical ({lines} lines at the head); "
+    print(f"{len(LABELS) - differ} of {len(LABELS)} runs identical ({lines} lines at the head); "
           f"base {args.base} at 1 BLAS thread, head at {args.threads}")
     return 1 if differ and args.threads == 1 else 0
 
