@@ -122,26 +122,35 @@ def max_error_sampled(approx, reference, samples_per_interval: int = DEFAULT_SAM
 
     approx may also be a list or tuple of piecewise solutions on one mesh;
     weight, nodal and min_interval then each take one value for all of them or
-    a list, tuple or 1-D array with one entry per solution, and the result is
-    a list with one maximum per solution.  The reference is evaluated once per
-    sample time for the whole sequence.  Intervals are measured in blocks of
+    a list, tuple or 1-D array with one entry per solution (ValueError for
+    any other array), and the result is a list with one maximum per
+    solution.  The reference is evaluated once per sample time for the
+    whole sequence.  Intervals are measured in blocks of
     at most MEASURE_BLOCK_ELEMENTS sample times x state entries (one interval
-    when a single interval holds more).  Raises ValueError when a solution has
-    no interval to measure and when a measured error is not finite.
+    when a single interval holds more).  Raises ValueError naming the option
+    for a list or array option given with one solution and for a min_interval
+    that is not an integer of at least 1 (a numpy integer is one, a bool is
+    not); raises ValueError too when a solution has no interval to measure
+    and when a measured error is not finite.
     """
     many = isinstance(approx, (list, tuple))
     approxes = list(approx) if many else [approx]
 
     def per_entry(value, name):
-        if not (many and np.ndim(value) == 1):  # a list, tuple or 1-D array
+        if np.ndim(value) == 0:
             return [value] * len(approxes)
-        if len(value) != len(approxes):
+        if not many:
+            raise ValueError(f"{name} takes one value for one approximation, got {value!r}")
+        if np.ndim(value) != 1 or len(value) != len(approxes):  # a list, tuple or 1-D array
             raise ValueError(f"{name} needs one entry per approximation")
         return list(value)
 
     weights = per_entry(weight, "weight")
     nodals = per_entry(nodal, "nodal")
     firsts = per_entry(min_interval, "min_interval")
+    for first in firsts:
+        if not (is_integer(first) and first >= 1):
+            raise ValueError(f"min_interval must be an integer of at least 1, got {first!r}")
     mesh = approxes[0].mesh
     if any(not np.array_equal(a.mesh.nodes, mesh.nodes) for a in approxes[1:]):
         raise ValueError("measured solutions must share the time mesh")
@@ -503,7 +512,6 @@ def _table(spec: TableSpec) -> ConvergenceTable:
         sol, star = solve(uniform_mesh(T, n))
         errors.append(max_error_sampled([sol, star, sol], reference, spec.samples, exps, window,
                                         nodal=[False, False, True], min_interval=[first, first, 1]))
-        del sol, star  # freed before the next row is set up
     # (rate_U, rate_U*, rate_nodal) per N, None on the first row
     rates = zip(*([None, *observed_rates(column, spec.n_list)] for column in zip(*errors)))
     rows = [TableRow(n, spec.p, *(cell for pair in zip(errs, row_rates) for cell in pair))

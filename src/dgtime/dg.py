@@ -39,6 +39,7 @@ the chunk, and a forward read holds one chunk plus at most its own rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -85,7 +86,8 @@ class LinearProblem:
     norm_weight is the mesh weight of the discrete spatial norm (1 for
     scalar problems, h or hx*hy for grid states).  forcing is the separable
     right-hand side phi(t) g, or None for the homogeneous problem.  A u0 or
-    profile of the wrong dimension or with a non-finite entry raises ValueError.
+    profile of the wrong dimension or with a non-finite entry, a T or a
+    norm_weight that is not finite and positive raise ValueError.
     """
 
     A: LinearOperator
@@ -106,6 +108,10 @@ class LinearProblem:
             raise ValueError("forcing profile has a non-finite entry")
         if self.T <= 0:
             raise ValueError("final time must be positive")
+        if not math.isfinite(self.T):  # NaN passes the comparison above
+            raise ValueError(f"final time must be finite, got {self.T!r}")
+        if not (math.isfinite(self.norm_weight) and self.norm_weight > 0):
+            raise ValueError(f"norm_weight must be finite and positive, got {self.norm_weight!r}")
 
     def f(self, t) -> np.ndarray:
         """Forcing states phi(t) g, shape t.shape + (M,) (zero without a forcing)."""

@@ -416,12 +416,7 @@ class BlockSystemFactorization:
 
     def _shifted_solve(self, rhs: np.ndarray) -> np.ndarray:
         """V W for the decoupled systems of rhs, complex; its real part is the solution."""
-        s = self._T @ rhs
-        if isinstance(self._solver, _DiagonalSolve):
-            s /= self._solver._denom  # in place; the public solve returns a new array
-        else:
-            s = self._solver.solve(s)
-        return self._V @ s
+        return self._V @ self._solver.solve(self._T @ rhs)
 
     def _apply(self, U: np.ndarray) -> np.ndarray:
         return self._G @ U + self.k * self._H[:, None] * self._A.apply(U.T).T

@@ -154,6 +154,23 @@ def test_sequence_arguments_are_checked():
     for name in ("weight", "nodal", "min_interval"):
         with pytest.raises(ValueError, match=f"^{name} needs one entry per approximation$"):
             max_error_sampled([sol, sol], ref, **{name: np.array([1, 1, 1])})
+        # a 2-D array is neither one value nor one entry per solution
+        with pytest.raises(ValueError, match=f"^{name} needs one entry per approximation$"):
+            max_error_sampled([sol, sol], ref, **{name: np.array([[1, 1]])})
+    # one solution takes one value per option: an array is no per-sample value
+    for name, value in (("weight", np.array([1.0, 2.0])), ("nodal", np.array([True, False])),
+                        ("min_interval", np.array([1, 2])), ("nodal", [True])):
+        with pytest.raises(ValueError, match=f"^{name} takes one value for one approximation, "):
+            max_error_sampled(sol, ref, samples_per_interval=2, **{name: value})
+    # min_interval counts intervals: an integer of at least 1, a numpy integer too
+    for first in (1.5, 0, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"^min_interval must be an integer of at least 1, "
+                                             f"got {re.escape(repr(first))}$"):
+            max_error_sampled(sol, ref, min_interval=first)
+    with pytest.raises(ValueError, match="^min_interval must be an integer of at least 1, got 0$"):
+        max_error_sampled([sol, sol], ref, min_interval=[1, 0])
+    assert max_error_sampled(sol, ref, min_interval=np.int64(2)) == max_error_sampled(
+        sol, ref, min_interval=2)
 
 
 class _SampleRichardson:

@@ -38,6 +38,17 @@ CASES = {
                           "final time must be positive"),
     "LinearProblem T<0": (lambda: replace(ode_problem(), T=-1.0), ValueError,
                           "final time must be positive"),
+    # NaN is not <= 0, so it needs its own check
+    "LinearProblem T=nan": (lambda: replace(ode_problem(), T=float("nan")), ValueError,
+                            "final time must be finite, got nan"),
+    "LinearProblem T=inf": (lambda: replace(ode_problem(), T=float("inf")), ValueError,
+                            "final time must be finite, got inf"),
+    "LinearProblem norm_weight=-1": (lambda: replace(ode_problem(), norm_weight=-1.0),
+                                     ValueError,
+                                     "norm_weight must be finite and positive, got -1.0"),
+    "LinearProblem norm_weight=nan": (lambda: replace(ode_problem(), norm_weight=float("nan")),
+                                      ValueError,
+                                      "norm_weight must be finite and positive, got nan"),
     "DgSolution 2-D array": (lambda: DgSolution(uniform_mesh(1.0, 2), 2, np.zeros((2, 2)),
                                                 np.zeros(1)),
                              ValueError, "coefficient array must have shape (N, q, M)"),

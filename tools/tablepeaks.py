@@ -11,9 +11,12 @@ from `src/` and BLAS pinned to one thread, as the benchmark runs it:
   while the tables run, in MiB;
 - untraced: the process's maximum resident set size (`ru_maxrss`) after
   the tables, in MB of 1024 KiB, as the benchmark reads its `peak_rss_mb`
-  (whose child process also imports scipy).
+  (whose child process also imports scipy), and the minor page faults
+  (`ru_minflt`) taken while the tables run, which count the allocator's
+  churn: memory mapped and returned again for each large temporary.
 
-It prints one line per workload: its name, the traced peak and the max RSS.
+It prints one line per workload: its name, the traced peak, the max RSS
+and the minor faults.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def _workloads():
 
 
 def measure(workload: str, traced: bool) -> dict:
-    """Run the workload's tables once in this interpreter; its peak memory."""
+    """Run the workload's tables once in this interpreter; its peak memory and
+    the minor page faults of the tables alone."""
     import resource
     import tracemalloc
 
@@ -48,8 +52,11 @@ def measure(workload: str, traced: bool) -> dict:
     inputs = workloads.make_inputs(dgtime, workload, 0)
     if traced:
         tracemalloc.start()
+    before = resource.getrusage(resource.RUSAGE_SELF)
     workloads.run_tables(dgtime, workload, inputs)
-    record = {"max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    record = {"max_rss_mb": after.ru_maxrss / 1024.0,
+              "minor_faults": after.ru_minflt - before.ru_minflt}
     if traced:
         record["traced_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         tracemalloc.stop()
@@ -75,11 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         raise SystemExit(f"unknown workload(s) {', '.join(unknown)}; "
                          f"choose from {', '.join(workloads.WORKLOADS)}")
-    print(f"{'workload':<16} {'traced MiB':>10} {'max RSS MB':>10}")
+    print(f"{'workload':<16} {'traced MiB':>10} {'max RSS MB':>10} {'minor faults':>12}")
     for name in names:
         peak = _child(name, True)["traced_peak_mib"]
-        rss = _child(name, False)["max_rss_mb"]
-        print(f"{name:<16} {peak:>10.2f} {rss:>10.2f}")
+        untraced = _child(name, False)
+        print(f"{name:<16} {peak:>10.2f} {untraced['max_rss_mb']:>10.2f} "
+              f"{untraced['minor_faults']:>12d}")
     return 0
 
 
