@@ -5,7 +5,6 @@ degree-r reconstruction, a jump-based error indicator, Laplace-transform
 reference solutions, and a benchmark CLI for convergence studies.
 """
 
-from .basis import legendre_coeff
 from .bench import (
     ConvergenceTable,
     ExtrapolatedSolution,
@@ -17,7 +16,7 @@ from .bench import (
 from .dg import DgSolution, Forcing, LinearProblem, PiecewiseLegendre, dg_solve
 from .mesh import TimeMesh, uniform_mesh
 from .models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
-from .postprocess import Reconstruction, error_profile_deviation, jump_indicator, reconstruct
+from .postprocess import Reconstruction, jump_indicator, reconstruct
 from .reference import Heat1dReference, Heat2dReference, ode_exact
 from .system import (
     LinearOperator,
@@ -38,7 +37,7 @@ __all__ = [
     "TimeMesh", "uniform_mesh", "dg_solve",
     # piecewise solutions and their post-processing
     "PiecewiseLegendre", "DgSolution", "Reconstruction", "ExtrapolatedSolution",
-    "reconstruct", "jump_indicator", "error_profile_deviation", "legendre_coeff",
+    "reconstruct", "jump_indicator",
     # reference solutions
     "ode_exact", "Heat1dReference", "Heat2dReference",
     # measurement, tables and the CLI's runners

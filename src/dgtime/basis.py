@@ -3,9 +3,8 @@
 The time stepping scheme, the post-processing and the error measurement all
 work in a local Legendre basis, so this module owns the table of Legendre
 values, the trial/test coupling matrices G and H, the right Gauss-Radau
-rule and the per-degree workspace with its Gauss-Legendre rule;
-`legendre_coeff` projects a function of time (`mesh.time_values`) with one
-call.  Evaluation, roots and Gauss rules come from numpy.polynomial.legendre
+rule and the per-degree workspace with its Gauss-Legendre rule.
+Evaluation, roots and Gauss rules come from numpy.polynomial.legendre
 (`legvander`, companion-matrix eigenvalues, `leggauss`'s Golub-Welsch); no
 tabulated nodes or weights are used.
 """
@@ -14,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import legder, leggauss, legroots, legval, legvander
 
-from .mesh import TimeMesh, is_integer, time_values
+from .mesh import is_integer
 
 __all__ = [
     "LegendreWorkspace",
@@ -28,7 +26,6 @@ __all__ = [
     "g_matrix",
     "h_diag",
     "radau_rule",
-    "legendre_coeff",
 ]
 
 
@@ -73,26 +70,6 @@ def radau_rule(r: int) -> tuple[np.ndarray, np.ndarray]:
     moments[0] = 2.0
     weights = np.linalg.solve(legvander(nodes, r - 1).T, moments)
     return nodes, weights
-
-
-def legendre_coeff(v: Callable, interval: tuple[float, float], j: int):
-    """Local Fourier-Legendre coefficient of v on an interval.
-
-    Computes ((2j + 1) / k) * integral of v(t) p_j(t) over (a, b), where p_j
-    is P_j mapped to the interval and k = b - a.  The integral is evaluated
-    by mapping the Gauss-Legendre rule of size j + 3 (`leggauss`) through
-    `TimeMesh.to_physical`, so it is exact (to roundoff) whenever v is a
-    polynomial of degree <= j + 5.  An interval without b > a raises
-    ValueError (from `TimeMesh`).
-
-    v is a function of time (`time_values`), called once with the array of
-    quadrature times; a scalar state gives a float, a state vector a vector.
-    """
-    nodes, weights = leggauss(j + 3)
-    vals = time_values(v, TimeMesh(np.array(interval, dtype=float)).to_physical(1, nodes))
-    pj = legendre_table(j, nodes)[:, j]
-    coeff = 0.5 * (2 * j + 1) * np.tensordot(weights * pj, vals, axes=1)
-    return coeff if np.ndim(coeff) else float(coeff)
 
 
 @dataclass(frozen=True)

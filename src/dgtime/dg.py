@@ -40,6 +40,7 @@ the chunk, and a forward read holds one chunk plus at most its own rows.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -87,7 +88,8 @@ class LinearProblem:
     scalar problems, h or hx*hy for grid states).  forcing is the separable
     right-hand side phi(t) g, or None for the homogeneous problem.  A u0 or
     profile of the wrong dimension or with a non-finite entry, a T or a
-    norm_weight that is not finite and positive raise ValueError.
+    norm_weight that is not a real number (a bool is not one) or not finite
+    and positive raise ValueError.
     """
 
     A: LinearOperator
@@ -106,18 +108,16 @@ class LinearProblem:
             raise ValueError("initial state u0 has a non-finite entry")
         if self.forcing is not None and not np.all(np.isfinite(self.forcing.profile)):
             raise ValueError("forcing profile has a non-finite entry")
+        for name in ("T", "norm_weight"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.T <= 0:
             raise ValueError("final time must be positive")
         if not math.isfinite(self.T):  # NaN passes the comparison above
             raise ValueError(f"final time must be finite, got {self.T!r}")
         if not (math.isfinite(self.norm_weight) and self.norm_weight > 0):
             raise ValueError(f"norm_weight must be finite and positive, got {self.norm_weight!r}")
-
-    def f(self, t) -> np.ndarray:
-        """Forcing states phi(t) g, shape t.shape + (M,) (zero without a forcing)."""
-        if self.forcing is None:
-            return np.zeros(np.shape(t) + (self.A.dim,))
-        return np.multiply.outer(self.forcing.phi(t), self.forcing.profile)
 
     def modal(self):
         """(operator, u0, profile, basis) in the operator's eigenbasis.

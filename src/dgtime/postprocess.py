@@ -1,10 +1,7 @@
 """Post-processing of the DG solution.
 
 Two consumers of the jump structure live here: the continuous degree-r
-reconstruction and the jump error indicator.  A diagnostic measures how far
-the actual error deviates from its leading Radau-polynomial profile; it
-calls its function of time on arrays of times, never once per time
-(`mesh.time_values`).
+reconstruction and the jump error indicator.
 
 The reconstruction is a rank-one correction of the DG solution on each
 interval, so it keeps the DG solution by reference: the coefficients of a
@@ -15,19 +12,14 @@ when they are read through `coefficients(idx)`, the one way besides
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .basis import legendre_coeff, legendre_table
 from .dg import DgSolution, PiecewiseLegendre, state_norm
-from .mesh import time_values
 
 __all__ = [
     "Reconstruction",
     "reconstruct",
     "jump_indicator",
-    "error_profile_deviation",
 ]
 
 
@@ -71,29 +63,3 @@ def jump_indicator(sol: DgSolution, n: int) -> float:
     ValueError for n outside 1..N, which the slice read would clip silently."""
     sol.mesh._check_index(n)
     return state_norm(sol.jumps(slice(n - 1, n))[0], sol.norm_weight)
-
-
-def error_profile_deviation(sol: DgSolution, u: Callable, n: int,
-                            samples: int = 50) -> tuple[np.ndarray, float]:
-    """Leading Legendre coefficient of the reference and the profile residual.
-
-    Returns (a_nr, deviation): a_nr is the degree-r coefficient of the
-    reference u on interval n, and deviation is the sampled maximum norm of
-    U - u + a_nr (p_r - p_{r-1}), i.e. what is left of the error after
-    removing its predicted Radau-polynomial profile.  u is a function of
-    time (`time_values`), called once by `legendre_coeff` for a_nr and once
-    with the sample times.  Raises ValueError for n outside 1..N.
-    """
-    sol.mesh._check_index(n)
-    r = sol.r
-    a, b = sol.mesh.nodes[n - 1], sol.mesh.nodes[n]
-    anr = np.atleast_1d(legendre_coeff(u, (a, b), r))
-
-    taus = np.linspace(-1.0, 1.0, samples)
-    table = legendre_table(r, taus)
-    profile = table[:, r] - table[:, r - 1]
-    uvals = time_values(u, sol.mesh.to_physical(n, taus)).reshape(samples, -1)
-    uh = table[:, :r] @ sol.coefficients(slice(n - 1, n))[0]
-    resid = uh - uvals + profile[:, None] * anr[None, :]
-    dev = max(state_norm(row, sol.norm_weight) for row in resid)
-    return anr, dev

@@ -152,10 +152,13 @@ def hyperbolic_contour(t_min: float, t_max: float, half_nodes: int) -> ContourRu
     and `Heat2dReference` raises ValueError for a negative value in a
     spectrum it knows, the entries of a diagonal operator or the
     eigenvalues of a `SineEigenbasis`.  A sparse operator without an
-    eigenbasis stays unchecked.
+    eigenbasis stays unchecked.  A window without 0 < t_min <= t_max < inf
+    raises ValueError.
     """
     if not 0.0 < t_min <= t_max:
         raise ValueError("need 0 < t_min <= t_max")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
     if not is_integer(half_nodes):
         raise ValueError(f"half_nodes must be an integer, got {half_nodes!r}")
     if half_nodes < 1:
@@ -185,24 +188,22 @@ def _invert_values(rule: ContourRule, stacked: np.ndarray, ts: np.ndarray) -> np
     return np.concatenate([kernel.real, kernel.imag], axis=1) @ stacked
 
 
-def resolvent_2d(z, problem, *, out=None) -> np.ndarray:
+def resolvent_2d(z, problem, *, out) -> np.ndarray:
     """Solve (z I + A) uhat = u0 + phi_hat(z) g for the state; the forcing is phi(t) g.
 
-    z may be an array: the result then has one row per z.  The system is
-    solved by `shifted_lu` in the problem's modal form (`LinearProblem.modal`):
+    z is a transform variable or an array of them.  The system is solved by
+    `shifted_lu` in the problem's modal form (`LinearProblem.modal`):
     with an eigenbasis Q, uhat = Q ((Q^T u0 + phi_hat(z) Q^T g) / (z + mu)),
     u0 and g transformed once per call.  Any other operator gets a sparse LU
     per z and one refinement pass, which brings the forward error of the
     fine-grid solves from ~1e-13 back to the roundoff level of the contour
     self-check.
 
-    The values go node by node into a real stack [Im uhat; Re uhat] of shape
-    (2 len(z), M), each node's two parts assigned to their rows, transformed
-    back first with an eigenbasis.  The stack is out when it is given,
-    filled in place and returned (the form the contour inversion reads, so
-    a caller holds no complex copy of all nodes), otherwise a scratch stack
-    read back as the complex result.
-    Raises ValueError for a forcing without phi_hat and for an out of
+    The values go node by node into out, the real stack [Im uhat; Re uhat]
+    of shape (2 len(z), M) that the contour inversion reads, each node's two
+    parts assigned to their rows, transformed back first with an eigenbasis;
+    out is filled in place and returned, so no complex copy of all nodes is
+    held.  Raises ValueError for a forcing without phi_hat and for an out of
     another shape or dtype.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -210,8 +211,7 @@ def resolvent_2d(z, problem, *, out=None) -> np.ndarray:
     if profile is not None and problem.forcing.phi_hat is None:
         raise ValueError("the forcing has no Laplace transform phi_hat")
     n = zs.size
-    stack = np.empty((2 * n, op.dim)) if out is None else out
-    if stack.shape != (2 * n, op.dim) or stack.dtype != float:
+    if out.shape != (2 * n, op.dim) or out.dtype != float:
         raise ValueError(f"out must be a float array of shape {(2 * n, op.dim)}")
     for k, zk in enumerate(zs):
         rhs = u0.astype(complex)
@@ -221,16 +221,12 @@ def resolvent_2d(z, problem, *, out=None) -> np.ndarray:
         row = solver.solve(rhs)
         if basis is None:
             row += solver.solve(rhs - zk * row - op.matrix @ row)
-            stack[k], stack[n + k] = row.imag, row.real
+            out[k], out[n + k] = row.imag, row.real
         else:
-            stack[k], stack[n + k] = basis.transform(row.imag), basis.transform(row.real)
-        if not np.all(np.isfinite(stack[k::n])):  # node k's two rows, no stack-sized mask
+            out[k], out[n + k] = basis.transform(row.imag), basis.transform(row.real)
+        if not np.all(np.isfinite(out[k::n])):  # node k's two rows, no stack-sized mask
             raise RuntimeError("singular resolvent system: contour crosses the spectrum")
-    if out is not None:
-        return out
-    values = stack[n:].astype(complex)
-    values.imag = stack[:n]
-    return values.reshape(np.shape(z) + (op.dim,))
+    return out
 
 
 def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -260,13 +256,17 @@ class _BandedContourReference:
     it node by node, so its build holds no second copy of a band.  source
     is the tuple of arguments a subclass is built from, so
     `type(self)(*source, t_min, t_max, half_nodes)` builds the same
-    reference with other nodes; initial is the state at t = 0.
+    reference with other nodes; initial is the state at t = 0.  A window
+    without 0 < t_min <= t_max < inf raises ValueError before any band is
+    built.
     """
 
     def __init__(self, source: tuple, initial: np.ndarray, t_min: float, t_max: float,
                  half_nodes: int):
         if not 0.0 < t_min <= t_max:
             raise ValueError("need 0 < t_min <= t_max")
+        if not math.isfinite(t_max):  # before any band: the bands would never reach t_min
+            raise ValueError(f"t_max must be finite, got {t_max!r}")
         self.t_min, self.t_max = float(t_min), float(t_max)
         self.half_nodes = half_nodes
         self._source, self._initial = source, initial

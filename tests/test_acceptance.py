@@ -19,7 +19,7 @@ from dgtime.bench import HEAT_N_LIST, _reference_floor
 from dgtime.dg import Forcing, LinearProblem, dg_solve
 from dgtime.mesh import uniform_mesh
 from dgtime.models import Heat1dConfig, Heat2dConfig, heat1d_problem, heat2d_problem, ode_problem
-from dgtime.postprocess import error_profile_deviation, jump_indicator, reconstruct
+from dgtime.postprocess import jump_indicator, reconstruct
 from dgtime.reference import (
     Heat1dReference,
     Heat2dReference,
@@ -28,7 +28,8 @@ from dgtime.reference import (
 )
 from dgtime.system import scalar_operator, tridiagonal_operator
 
-from dg_helpers import interval_values, invert_scalar, left_limit, pi_tilde_project, right_limit
+from dg_helpers import (error_profile_deviation, interval_values, invert_scalar, left_limit,
+                        pi_tilde_project, right_limit)
 
 # golden data rows: N -> (err_U, err_Ustar, err_nodal) and rate rows N -> (rate_U, rate_Ustar, rate_nodal)
 GOLDEN_ODE_ERR = {

@@ -7,11 +7,12 @@ from numpy.polynomial import legendre
 from dgtime.basis import (
     g_matrix,
     h_diag,
-    legendre_coeff,
     legendre_table,
     make_workspace,
     radau_rule,
 )
+
+from dg_helpers import legendre_coeff
 
 
 def bisect_root(f, lo, hi, iters=100):

@@ -1,7 +1,10 @@
+import decimal
+import math
 import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgtime.dg as dg
-from dgtime.basis import legendre_coeff, legendre_table, make_workspace
+from dgtime.basis import legendre_table, make_workspace
 from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.postprocess import jump_indicator, reconstruct
@@ -18,7 +21,8 @@ from dgtime.reference import ode_exact
 from dgtime.system import (MAX_DEGREE, SINE_FFT_LENGTH, diagonal_operator, scalar_operator,
                            sparse_operator, tridiagonal_operator)
 
-from dg_helpers import block_matrix, interval_values, left_limit, right_limit
+from dg_helpers import (block_matrix, forcing_values, interval_values, left_limit, legendre_coeff,
+                        right_limit)
 from test_system import spd_operators
 
 
@@ -76,6 +80,58 @@ def test_r1_matches_backward_euler_recurrence():
         integral = 0.5 * k * sum(w * f(t) for w, t in zip(weights, t_quad))
         u = np.linalg.solve(dense, u + integral)
         np.testing.assert_allclose(left_limit(sol, n), u, rtol=1e-12, atol=1e-13)
+
+
+PADE_DIGITS = decimal.Context(prec=40)
+
+
+@lru_cache(maxsize=None)
+def _pade_coefficients(r):
+    """Coefficients of z^j, j = 0.., of P and Q in R_r = P / Q, the (r - 1, r) Pade approximant
+    of exp(-z): P_j = (2r-1-j)! (r-1)! / ((2r-1)! j! (r-1-j)!) (-1)^j for j < r and
+    Q_j = (2r-1-j)! r! / ((2r-1)! j! (r-j)!) for j <= r, to 40 digits."""
+    f = math.factorial
+    p = [PADE_DIGITS.divide((-1) ** j * f(2 * r - 1 - j) * f(r - 1),
+                            f(2 * r - 1) * f(j) * f(r - 1 - j)) for j in range(r)]
+    q = [PADE_DIGITS.divide(f(2 * r - 1 - j) * f(r), f(2 * r - 1) * f(j) * f(r - j))
+         for j in range(r + 1)]
+    return p, q
+
+
+@lru_cache(maxsize=None)
+def _pade_factor(r, z):
+    """R_r(z) in 40 digits at the float z, each polynomial by Horner's rule."""
+    z, values = decimal.Decimal(z), []
+    for coeffs in _pade_coefficients(r):
+        acc = decimal.Decimal(0)
+        for c in reversed(coeffs):
+            acc = PADE_DIGITS.add(PADE_DIGITS.multiply(acc, z), c)
+        values.append(acc)
+    return PADE_DIGITS.divide(*values)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 12])
+def test_homogeneous_steps_multiply_each_mode_by_the_pade_factor(r):
+    # the scheme's own closed form, an oracle that needs no contour: a step of
+    # size k multiplies mode mu of a homogeneous problem by R_r(k mu), so the
+    # nodal value at t_n is prod_{i<=n} R_r(k_i mu) u0, to within N eps |u0|
+    rng = np.random.default_rng(r)
+    operators = [scalar_operator(lam) for lam in (0.5, 40.0, 1e4)]
+    operators.append(diagonal_operator(np.geomspace(1e-2, 1e5, 30)))
+    for A in operators:
+        u0 = rng.standard_normal(A.dim)
+        problem = LinearProblem(A=A, u0=u0, T=1.0)
+        for N in (16, 64):
+            for mesh in (uniform_mesh(1.0, N), TimeMesh((np.arange(N + 1) / N) ** 2)):
+                nodal = dg_solve(problem, mesh, r).coefficients(slice(None)).sum(axis=1)
+                exact = np.empty_like(nodal)
+                for m, mu in enumerate(A.diagonal):
+                    product = decimal.Decimal(1)
+                    for n, k in enumerate(mesh.steps):
+                        product = PADE_DIGITS.multiply(product, _pade_factor(r, float(k * mu)))
+                        exact[n, m] = float(product) * u0[m]
+                err = np.max(np.linalg.norm(nodal - exact, axis=1))
+                assert err <= N * np.finfo(float).eps * np.linalg.norm(u0), (A.dim, N, mesh)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -280,7 +336,7 @@ def test_galerkin_residual(make_problem, r, N):
         block = block_matrix(problem.A, ws, k)
         rhs = (signs[:, None] * prev[None, :])
         t_quad = mesh.to_physical(n, ws.quad_nodes)
-        fvals = problem.f(t_quad)
+        fvals = forcing_values(problem, t_quad)
         rhs = rhs + 0.5 * k * table.T @ (ws.quad_weights[:, None] * fvals)
         resid = block @ sol.coefficients(slice(None))[n - 1].ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
@@ -327,7 +383,7 @@ def test_galerkin_residual_on_nonuniform_mesh():
         block = block_matrix(problem.A, ws, k)
         rhs = signs[:, None] * prev[None, :]
         t_quad = mesh.to_physical(n, ws.quad_nodes)
-        fvals = problem.f(t_quad)
+        fvals = forcing_values(problem, t_quad)
         rhs = rhs + 0.5 * k * table.T @ (ws.quad_weights[:, None] * fvals)
         resid = block @ sol.coefficients(slice(None))[n - 1].ravel() - rhs.ravel()
         assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))

@@ -43,6 +43,15 @@ CASES = {
                             "final time must be finite, got nan"),
     "LinearProblem T=inf": (lambda: replace(ode_problem(), T=float("inf")), ValueError,
                             "final time must be finite, got inf"),
+    # a non-number would end in a bare TypeError, and a bool is no final time or weight
+    "LinearProblem T='1.0'": (lambda: replace(ode_problem(), T="1.0"), ValueError,
+                              "T must be a real number, got '1.0'"),
+    "LinearProblem T=True": (lambda: replace(ode_problem(), T=True), ValueError,
+                             "T must be a real number, got True"),
+    "LinearProblem norm_weight=None": (lambda: replace(ode_problem(), norm_weight=None),
+                                       ValueError, "norm_weight must be a real number, got None"),
+    "LinearProblem norm_weight=True": (lambda: replace(ode_problem(), norm_weight=True),
+                                       ValueError, "norm_weight must be a real number, got True"),
     "LinearProblem norm_weight=-1": (lambda: replace(ode_problem(), norm_weight=-1.0),
                                      ValueError,
                                      "norm_weight must be finite and positive, got -1.0"),
@@ -61,6 +70,15 @@ CASES = {
                                    "need 0 < t_min <= t_max"),
     "hyperbolic_contour t_min>t_max": (lambda: hyperbolic_contour(2.0, 1.0, 8), ValueError,
                                        "need 0 < t_min <= t_max"),
+    # an infinite window gives NaN nodes, and a reference's bands never reach t_min
+    "hyperbolic_contour t_max=inf": (lambda: hyperbolic_contour(0.1, float("inf"), 8),
+                                     ValueError, "t_max must be finite, got inf"),
+    "Heat1dReference t_max=inf": (lambda: Heat1dReference(Heat1dConfig(P=20), None, 0.1,
+                                                          float("inf")),
+                                  ValueError, "t_max must be finite, got inf"),
+    "Heat2dReference t_max=inf": (
+        lambda: Heat2dReference(heat2d_problem(Heat2dConfig(Px=4, Py=4)), 0.1, float("inf")),
+        ValueError, "t_max must be finite, got inf"),
     "hyperbolic_contour half_nodes=0": (lambda: hyperbolic_contour(0.1, 1.0, 0), ValueError,
                                         "half_nodes must be positive"),
     "Heat1dReference t_min=0": (lambda: _heat1d_reference(0.0), ValueError,

@@ -100,8 +100,10 @@ def test_to_physical_rejects_bad_index():
 def test_non_integral_interval_index_raises_naming_it():
     from dgtime.dg import dg_solve
     from dgtime.models import ode_problem
-    from dgtime.postprocess import error_profile_deviation, jump_indicator
+    from dgtime.postprocess import jump_indicator
     from dgtime.reference import ode_exact
+
+    from dg_helpers import error_profile_deviation
 
     mesh = uniform_mesh(2.0, 4)
     sol = dg_solve(ode_problem(), mesh, 2)

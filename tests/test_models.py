@@ -14,12 +14,14 @@ from dgtime.models import (
     ode_problem,
 )
 
+from dg_helpers import forcing_values
+
 
 def test_ode_problem_data():
     problem = ode_problem()
     assert problem.A.apply(np.array([1.0]))[0] == pytest.approx(0.5)
-    assert problem.f(0.0)[0] == pytest.approx(1.0)
-    assert problem.f(1.0)[0] == pytest.approx(-1.0)
+    assert forcing_values(problem, 0.0)[0] == pytest.approx(1.0)
+    assert forcing_values(problem, 1.0)[0] == pytest.approx(-1.0)
     assert problem.u0[0] == 1.0
     assert problem.T == 2.0
 
@@ -73,7 +75,7 @@ def test_heat1d_homogeneous_config():
         assert np.all(problem.forcing.profile == 1.0)
     homogeneous = dataclasses.replace(problems[0], forcing=None)
     assert homogeneous.forcing is None
-    assert np.array_equal(homogeneous.f(np.array([0.7])), np.zeros((1, 19)))
+    assert np.array_equal(forcing_values(homogeneous, np.array([0.7])), np.zeros((1, 19)))
 
 
 def test_heat1d_refined_doubles_p_and_keeps_every_other_field():
@@ -86,12 +88,12 @@ def test_heat1d_refined_doubles_p_and_keeps_every_other_field():
 def test_heat1d_forcing_is_spatially_constant():
     cfg = Heat1dConfig(P=20)
     problem = heat1d_problem(cfg)
-    vals = problem.f(0.7)
+    vals = forcing_values(problem, 0.7)
     assert vals.shape == (19,)
     ts = np.array([[0.7, 1.1, 0.0]])
-    assert problem.f(ts).shape == (1, 3, 19)
-    assert np.array_equal(problem.f(ts)[0, 0], vals)
-    assert dataclasses.replace(problem, forcing=None).f(ts).shape == (1, 3, 19)
+    assert forcing_values(problem, ts).shape == (1, 3, 19)
+    assert np.array_equal(forcing_values(problem, ts)[0, 0], vals)
+    assert forcing_values(dataclasses.replace(problem, forcing=None), ts).shape == (1, 3, 19)
     assert np.ptp(vals) == 0.0
     assert vals[0] == pytest.approx(1.7 * np.exp(-0.7), rel=1e-14)
 

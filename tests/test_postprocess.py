@@ -10,11 +10,12 @@ from dgtime.bench import max_error_sampled
 from dgtime.dg import DgSolution, Forcing, LinearProblem, dg_solve, state_norm
 from dgtime.mesh import TimeMesh, uniform_mesh
 from dgtime.models import Heat2dConfig, heat2d_problem, ode_problem
-from dgtime.postprocess import error_profile_deviation, jump_indicator, reconstruct
+from dgtime.postprocess import jump_indicator, reconstruct
 from dgtime.reference import Heat2dReference, ode_exact
 from dgtime.system import diagonal_operator, scalar_operator, tridiagonal_operator
 
-from dg_helpers import ArrayPiecewise, interval_values, left_limit, pi_tilde_project, right_limit
+from dg_helpers import (ArrayPiecewise, error_profile_deviation, interval_values, left_limit,
+                        pi_tilde_project, right_limit)
 from test_system import random_spd_tridiagonal
 
 
